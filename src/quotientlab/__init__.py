@@ -59,7 +59,6 @@ from .matroid import (
     check_richness,
     disjoint_bases,
     matroid_union,
-    matroid_union_rank,
     matroid_union_rank_brute,
     pad_embed_flat,
     stretch_embed_flat,

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import config
 from .errors import (
@@ -29,7 +29,14 @@ from .errors import (
     GroundTooLargeError,
     KTooLargeError,
 )
-from .setfn import GroundSet, QuotientPoint, SetFunctionOracle, SubsetMask, quotient_point
+from .setfn import (
+    GroundSet,
+    QuotientPoint,
+    SetFunctionOracle,
+    SubsetMask,
+    iter_elements,
+    quotient_point,
+)
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,32 @@ class SimpleGraph:
     def without_edges(self, edge_mask: SubsetMask) -> "SimpleGraph":
         kept = tuple(e for i, e in enumerate(self.edges) if not edge_mask >> i & 1)
         return SimpleGraph(self.node_count, kept)
+
+
+def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[int], int], int]:
+    """Union-find over the nodes of g, joined by the edges in edge_mask.
+
+    Returns the root lookup of the resulting forest (two nodes share a
+    root iff they are connected) and the number of merges, which is the
+    rank of edge_mask in the cycle matroid.
+    """
+    parent = list(range(g.node_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = 0
+    edges = g.edges
+    for e in iter_elements(edge_mask):
+        u, v = edges[e]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            merges += 1
+    return find, merges
 
 
 def parse_graph(text: str, name: str = "") -> SimpleGraph:
@@ -397,6 +430,17 @@ def hom_density(
     return Fraction(hom_count(pattern, target), target.node_count ** pattern.node_count)
 
 
+def _motif_deletion(
+    pattern: SimpleGraph, g: SimpleGraph, max_target_nodes: int
+) -> tuple[GroundSet, Callable[[SubsetMask], Fraction]]:
+    """The edge ground set of g and the map X -> t(F, G minus X)."""
+
+    def density(mask: SubsetMask) -> Fraction:
+        return hom_density(pattern, g.without_edges(mask), max_target_nodes=max_target_nodes)
+
+    return GroundSet(g.edge_count, tuple(f"{u}-{v}" for u, v in g.edges)), density
+
+
 def tau_oracle(
     pattern: SimpleGraph,
     g: SimpleGraph,
@@ -409,14 +453,10 @@ def tau_oracle(
     convention is waived for this oracle; quotient vectors are therefore
     not defined for it, but submodularity and monotonicity checks are.
     """
-    def ev(mask: SubsetMask) -> Fraction:
-        sub = g.without_edges(mask)
-        return 1 - hom_density(pattern, sub, max_target_nodes=max_target_nodes)
-
-    ground = GroundSet(g.edge_count, tuple(f"{u}-{v}" for u, v in g.edges))
+    ground, density = _motif_deletion(pattern, g, max_target_nodes)
     return SetFunctionOracle(
         ground,
-        ev,
+        lambda m: 1 - density(m),
         normalization=1,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'})",
         require_zero_empty=False,
@@ -434,16 +474,11 @@ def shifted_tau_oracle(
     monotonicity and makes quotient vectors well defined; the shift
     (the motif density of g) is recorded in the label.
     """
-    base = hom_density(pattern, g, max_target_nodes=max_target_nodes)
-
-    def ev(mask: SubsetMask) -> Fraction:
-        sub = g.without_edges(mask)
-        return base - hom_density(pattern, sub, max_target_nodes=max_target_nodes)
-
-    ground = GroundSet(g.edge_count, tuple(f"{u}-{v}" for u, v in g.edges))
+    ground, density = _motif_deletion(pattern, g, max_target_nodes)
+    base = density(0)
     return SetFunctionOracle(
         ground,
-        ev,
+        lambda m: base - density(m),
         normalization=1,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'}) rebased at t={base}",
     )
@@ -604,20 +639,8 @@ def edge_coloring_quotient(g: SimpleGraph, colors: Sequence[int], num_colors: in
     oracle = matroid.normalized_rank_oracle(denominator=g.node_count)
     point = quotient_point(oracle, parts)
     sizes = []
-    for c in range(num_colors):
-        parent = list(range(g.node_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, (u, v) in enumerate(g.edges):
-            if colors[i] == c:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
+    for part in parts:
+        find, _ = spanning_forest(g, part)
         csize: dict[int, int] = {}
         for v in range(g.node_count):
             root = find(v)

@@ -24,7 +24,7 @@ from .errors import (
     GroundTooLargeError,
 )
 from .gfq import field, index_from_vector, vector_from_index
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, spanning_forest
 from .setfn import GroundSet, SetFunctionOracle, SubsetMask, iter_elements
 
 
@@ -77,9 +77,6 @@ class Matroid:
 
     def is_flat(self, mask: SubsetMask) -> bool:
         return self.closure(mask) == mask
-
-    def loops(self) -> SubsetMask:
-        return self.closure(0)
 
     def flats(self, count_cap: int | None = None) -> tuple[SubsetMask, ...]:
         """All flats, sorted, found by closing single-element extensions."""
@@ -150,42 +147,12 @@ class GraphicMatroid(Matroid):
         super().__init__(GroundSet(len(graph.edges), labels))
 
     def _rank(self, mask: SubsetMask) -> int:
-        # number of union-find merges == |V| - #components restricted to all nodes
-        parent = list(range(self.graph.node_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges = 0
-        edges = self.graph.edges
-        for e in iter_elements(mask):
-            u, v = edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                merges += 1
-        return merges
+        return spanning_forest(self.graph, mask)[1]
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
-        parent = list(range(self.graph.node_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = self.graph.edges
-        for e in iter_elements(mask):
-            u, v = edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+        find, _ = spanning_forest(self.graph, mask)
         out = 0
-        for i, (u, v) in enumerate(edges):
+        for i, (u, v) in enumerate(self.graph.edges):
             if find(u) == find(v):
                 out |= 1 << i
         return out
@@ -375,10 +342,6 @@ class MatroidUnionResult:
     certificate_value: int
 
 
-def _independent(matroid: Matroid, mask: SubsetMask, size: int) -> bool:
-    return matroid.rank(mask) == size
-
-
 def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
     """Matroid union by breadth-first augmenting paths over element swaps."""
     if not matroids:
@@ -415,7 +378,7 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
             for i in range(k):
                 if y in parts[i]:
                     continue
-                if _independent(matroids[i], part_masks[i] | 1 << y, len(parts[i]) + 1):
+                if matroids[i].rank(part_masks[i] | 1 << y) == len(parts[i]) + 1:
                     cur, place = y, i
                     while True:
                         parts[place].add(cur)
@@ -449,10 +412,6 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
     return MatroidUnionResult(
         sum(len(p) for p in parts), tuple(part_masks), cert, cert.bit_count()
     )
-
-
-def matroid_union_rank(matroids: Sequence[Matroid]) -> int:
-    return matroid_union(matroids).rank
 
 
 def matroid_union_rank_brute(matroids: Sequence[Matroid]) -> tuple[int, SubsetMask]:

@@ -7,7 +7,7 @@ Four tuple disciplines:
 * COVERING:  every element in at least one part;
 * ANY:       arbitrary k-tuples of subsets, overlaps allowed.
 
-Three enumeration strategies:
+Three enumeration strategies, each a generator of k-tuples of part masks:
 
 * Exact       -- iterate all labeled assignments (choices per element
                  depend on the mode), capped by ENUM_ITERATION_CAP;
@@ -20,7 +20,9 @@ Three enumeration strategies:
                  admit disjoint spanning sets, decided by matroid union).
                  Invalid for PARTITION, where no flat reduction is sound.
 
-Points are deduplicated by exact coordinate equality; no tolerances.
+`profile()` is the one place that evaluates the oracle on the unions of
+each tuple's parts and deduplicates the resulting points, by exact
+coordinate equality; no tolerances.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from random import Random
 from typing import Iterator, Optional, Sequence
 
 from . import config
-from .errors import EnumCapError, GroundTooLargeError, KTooLargeError, StrategyError
+from .errors import EnumCapError, KTooLargeError, StrategyError
 from .matroid import Matroid, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
@@ -114,31 +116,31 @@ class ProfileSet:
         return sorted(self.points, key=lambda p: p.coords)
 
 
-def _coords_for_parts(oracle: SetFunctionOracle, parts: Sequence[SubsetMask]) -> tuple[Fraction, ...]:
-    ev = oracle.evaluate
-    return tuple(ev(u) for u in union_table(parts))
+def _parts_of(k: int, members: Sequence[tuple[int, ...]], picks: Sequence[int]) -> list[SubsetMask]:
+    """Parts of the assignment that puts element e into the parts members[picks[e]]."""
+    parts = [0] * k
+    for e, c in enumerate(picks):
+        bit = 1 << e
+        for i in members[c]:
+            parts[i] |= bit
+    return parts
 
 
-def _exact_coords(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tuple[Fraction, ...]]:
+def _members(k: int, mode: Mode) -> list[tuple[int, ...]]:
+    return [tuple(i for i in range(k) if pm >> i & 1) for pm in mode.element_choices(k)]
+
+
+def _exact_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[list[SubsetMask]]:
     n = oracle.size
-    choices = mode.element_choices(k)
-    total = len(choices) ** n
+    members = _members(k, mode)
+    total = len(members) ** n
     if total > config.ENUM_ITERATION_CAP:
         raise EnumCapError(total, config.ENUM_ITERATION_CAP, f"n={n}, k={k}, mode={mode.value}")
-    members = [tuple(i for i in range(k) if pm >> i & 1) for pm in choices]
-    ev = oracle.evaluate
-    out: set[tuple[Fraction, ...]] = set()
-    for assign in itertools.product(range(len(choices)), repeat=n):
-        parts = [0] * k
-        for e, c in enumerate(assign):
-            bit = 1 << e
-            for i in members[c]:
-                parts[i] |= bit
-        out.add(tuple(ev(u) for u in union_table(parts)))
-    return out
+    for assign in itertools.product(range(len(members)), repeat=n):
+        yield _parts_of(k, members, assign)
 
 
-def _flat_coords(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tuple[Fraction, ...]]:
+def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple[SubsetMask, ...]]:
     matroid: Optional[Matroid] = oracle.matroid
     if matroid is None:
         raise StrategyError("flats strategy needs a matroid-backed rank oracle")
@@ -151,8 +153,6 @@ def _flat_coords(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tuple[Fra
     if total > config.ENUM_ITERATION_CAP:
         raise EnumCapError(total, config.ENUM_ITERATION_CAP, f"{len(flats)} flats, k={k}")
     full = matroid.full_mask
-    ev = oracle.evaluate
-    out: set[tuple[Fraction, ...]] = set()
     feasible: dict[tuple[SubsetMask, ...], bool] = {}
     for tup in itertools.product(flats, repeat=k):
         if mode is Mode.COVERING:
@@ -169,50 +169,35 @@ def _flat_coords(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tuple[Fra
                 feasible[key] = ok
             if not ok:
                 continue
-        out.add(tuple(ev(u) for u in union_table(tup)))
-    return out
+        yield tup
 
 
-def _sampled_coords(
+def _sampled_parts(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
-) -> set[tuple[Fraction, ...]]:
+) -> Iterator[list[SubsetMask]]:
     n = oracle.size
     rng = Random(seed)
-    choices = mode.element_choices(k)
-    members = [tuple(i for i in range(k) if pm >> i & 1) for pm in choices]
-    ev = oracle.evaluate
-    out: set[tuple[Fraction, ...]] = set()
-
-    def add(parts: Sequence[SubsetMask]) -> None:
-        out.add(tuple(ev(u) for u in union_table(parts)))
-
+    members = _members(k, mode)
     full = oracle.full_mask
     # structured portfolio: whole ground in one part, then balanced round-robins;
     # both are partitions, hence legal in every mode
     for i in range(k):
         parts = [0] * k
         parts[i] = full
-        add(parts)
+        yield parts
     for _ in range(3):
         order = list(range(n))
         rng.shuffle(order)
         parts = [0] * k
         for pos, e in enumerate(order):
             parts[pos % k] |= 1 << e
-        add(parts)
+        yield parts
     if oracle.matroid is not None and mode is Mode.ANY:
         flats = oracle.matroid.flats()
         for _ in range(min(samples, 32)):
-            add([rng.choice(flats) for _ in range(k)])
+            yield [rng.choice(flats) for _ in range(k)]
     for _ in range(samples):
-        parts = [0] * k
-        for e in range(n):
-            c = rng.randrange(len(choices))
-            bit = 1 << e
-            for i in members[c]:
-                parts[i] |= bit
-        add(parts)
-    return out
+        yield _parts_of(k, members, [rng.randrange(len(members)) for _ in range(n)])
 
 
 def profile(
@@ -229,13 +214,15 @@ def profile(
     if oracle.evaluate(0) != 0:
         raise ValueError("profiles are defined only for functions vanishing on the empty set")
     if isinstance(strategy, Exact):
-        coords = _exact_coords(oracle, k, mode)
+        tuples = _exact_parts(oracle, k, mode)
     elif isinstance(strategy, FlatsOnly):
-        coords = _flat_coords(oracle, k, mode)
+        tuples = _flat_parts(oracle, k, mode)
     elif isinstance(strategy, Sampled):
-        coords = _sampled_coords(oracle, k, mode, strategy.seed, strategy.samples)
+        tuples = _sampled_parts(oracle, k, mode, strategy.seed, strategy.samples)
     else:  # pragma: no cover
         raise TypeError(f"unknown strategy {strategy!r}")
+    ev = oracle.evaluate
+    coords = {tuple(ev(u) for u in union_table(parts)) for parts in tuples}
     points = frozenset(QuotientPoint(k, c) for c in coords)
     return ProfileSet(k, mode, strategy.describe(), oracle.label, points)
 
@@ -244,10 +231,6 @@ def derived_profile(
     point: QuotientPoint, k: int, mode: Mode, strategy: Strategy = EXACT
 ) -> ProfileSet:
     """Profile a quotient point, reinterpreted as a setfunction on its parts."""
-    if point.k > config.DERIVED_GROUND_CAP:
-        raise GroundTooLargeError(
-            f"derived ground {point.k} exceeds DERIVED_GROUND_CAP={config.DERIVED_GROUND_CAP}"
-        )
     return profile(point.as_oracle(label="derived-point"), k, mode, strategy)
 
 
@@ -294,25 +277,20 @@ class InclusionReport:
 def verify_inclusions(oracle: SetFunctionOracle, k: int) -> InclusionReport:
     """Check partition ⊆ disjoint ⊆ any and partition ⊆ covering ⊆ any, exactly."""
     sets = {m: profile(oracle, k, m, EXACT).points for m in Mode}
-    checks = [
-        ("partition⊆disjoint", sets[Mode.PARTITION] <= sets[Mode.DISJOINT]),
-        ("disjoint⊆any", sets[Mode.DISJOINT] <= sets[Mode.ANY]),
-        ("partition⊆covering", sets[Mode.PARTITION] <= sets[Mode.COVERING]),
-        ("covering⊆any", sets[Mode.COVERING] <= sets[Mode.ANY]),
-    ]
+    table = (
+        ("partition⊆disjoint", Mode.PARTITION, Mode.DISJOINT),
+        ("disjoint⊆any", Mode.DISJOINT, Mode.ANY),
+        ("partition⊆covering", Mode.PARTITION, Mode.COVERING),
+        ("covering⊆any", Mode.COVERING, Mode.ANY),
+    )
     witness = None
-    pairs = {
-        "partition⊆disjoint": (Mode.PARTITION, Mode.DISJOINT),
-        "disjoint⊆any": (Mode.DISJOINT, Mode.ANY),
-        "partition⊆covering": (Mode.PARTITION, Mode.COVERING),
-        "covering⊆any": (Mode.COVERING, Mode.ANY),
-    }
-    for name, ok in checks:
-        if not ok:
-            small, big = pairs[name]
-            witness = min(sets[small] - sets[big], key=lambda p: p.coords)
+    for _, small, big in table:
+        missing = sets[small] - sets[big]
+        if missing:
+            witness = min(missing, key=lambda p: p.coords)
             break
-    return InclusionReport(k, oracle.label, tuple(checks), witness)
+    chains = tuple((name, sets[small] <= sets[big]) for name, small, big in table)
+    return InclusionReport(k, oracle.label, chains, witness)
 
 
 @dataclass(frozen=True)

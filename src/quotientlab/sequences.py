@@ -87,10 +87,6 @@ def complete_cycle_oracle(n: int) -> SetFunctionOracle:
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(cycle:K{n + 1})")
 
 
-def gf_space_matroid(q: int, n: int) -> LinearMatroid:
-    return LinearMatroid.full_space(q, n)
-
-
 def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
     matroid = LinearMatroid.full_space(q, n)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(gf({q})^{n})")

@@ -20,10 +20,6 @@ def frac_str(x: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def frac_of(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def point_payload(point) -> list[str]:
     return [frac_str(c) for c in point.coords]
 

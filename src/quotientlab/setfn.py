@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import config
 from .errors import GroundTooLargeError, KTooLargeError, MaskWidthError
 
 SubsetMask = int
-
-ZERO = Fraction(0)
 
 
 def iter_elements(mask: SubsetMask) -> Iterator[int]:
@@ -32,19 +30,6 @@ def iter_elements(mask: SubsetMask) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(elements: Iterable[int]) -> SubsetMask:
-    out = 0
-    for e in elements:
-        out |= 1 << e
-    return out
-
-
-def mask_repr(mask: SubsetMask, ground: "GroundSet | None" = None) -> str:
-    if ground is None:
-        return "{" + ",".join(str(e) for e in iter_elements(mask)) + "}"
-    return "{" + ",".join(ground.element_label(e) for e in iter_elements(mask)) + "}"
 
 
 @dataclass(frozen=True)
@@ -78,9 +63,6 @@ class GroundSet:
         if self.labels is not None:
             return self.labels[i]
         return str(i)
-
-    def subsets(self) -> Iterator[SubsetMask]:
-        return iter(range(1 << self.size))
 
 
 class SetFunctionOracle:

@@ -1,0 +1,57 @@
+"""Dead-code guard: every top-level name in the package has a reader.
+
+A top-level function, class or constant of `src/quotientlab/*.py` must
+be referenced somewhere in `src/` or `tests/` other than its own
+definition.  Importing a name counts as a reference, so re-exports in
+the package `__init__` keep public names alive.  Decorated definitions
+count as used, because the decorator registers them (the suite registry
+in `suites.py`).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quotientlab"
+
+
+def _trees(paths):
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+
+
+def _definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def unreferenced_names():
+    trees = _trees(sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")))
+    used = {name for tree in trees.values() for name in _references(tree)}
+    return sorted(
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in _definitions(tree)
+        if name not in used
+    )
+
+
+def test_every_top_level_name_is_referenced():
+    assert unreferenced_names() == []

@@ -11,11 +11,11 @@ from quotientlab import (
     DivisibilityError,
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     SimpleGraph,
     check_richness,
     disjoint_bases,
     matroid_union,
-    matroid_union_rank,
     matroid_union_rank_brute,
     pad_embed_flat,
     stretch_embed_flat,
@@ -111,6 +111,7 @@ def test_closure_properties_random():
     rng = random.Random(11)
     matroids = [
         GraphicMatroid(SimpleGraph.cycle(5)),
+        GraphicMatroid(SimpleGraph.complete(4)),
         LinearMatroid.full_space(2, 3),
         LinearMatroid(3, [(1, 0), (0, 1), (1, 1), (2, 1), (0, 0)]),
     ]
@@ -118,6 +119,7 @@ def test_closure_properties_random():
         for _ in range(40):
             x = rng.randrange(1 << m.size)
             cl = m.closure(x)
+            assert cl == Matroid._closure(m, x)
             assert cl & x == x
             assert m.rank(cl) == m.rank(x)
             assert m.closure(cl) == cl
@@ -214,7 +216,7 @@ def test_disjoint_bases_requires_flats():
 
 def test_union_single_matroid():
     k4 = GraphicMatroid(SimpleGraph.complete(4))
-    assert matroid_union_rank([k4]) == 3
+    assert matroid_union([k4]).rank == 3
 
 
 def test_union_two_k4_copies_decomposes():
@@ -228,7 +230,7 @@ def test_union_two_k4_copies_decomposes():
 
 def test_union_two_triangles_capped_by_ground():
     triangle = GraphicMatroid(SimpleGraph.complete(3))
-    assert matroid_union_rank([triangle, triangle]) == 3
+    assert matroid_union([triangle, triangle]).rank == 3
 
 
 def test_union_matches_brute_force_random():

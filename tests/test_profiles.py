@@ -9,6 +9,7 @@ from quotientlab import (
     FLATS,
     EnumCapError,
     GraphicMatroid,
+    GroundTooLargeError,
     LinearMatroid,
     Mode,
     QuotientPoint,
@@ -110,6 +111,12 @@ def test_derived_profile_trivial_cases():
     point = QuotientPoint(2, (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
     contains = derived_profile(point, 2, Mode.PARTITION)
     assert point.coords in coords_set(contains)
+
+
+def test_derived_profile_rejects_ground_above_cap():
+    point = QuotientPoint(9, (Fraction(0),) * (1 << 9))
+    with pytest.raises(GroundTooLargeError):
+        derived_profile(point, 2, Mode.ANY)
 
 
 def test_derived_profile_matches_direct_composition():
