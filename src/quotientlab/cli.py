@@ -72,6 +72,8 @@ def _load_motif(name: str) -> SimpleGraph:
 
 
 def _strategy_from_args(args) -> object:
+    if args.samples < 1:
+        raise StrategyError(f"--samples must be at least 1, got {args.samples}")
     if args.strategy == "exact":
         return EXACT
     if args.strategy == "flats":
@@ -207,11 +209,9 @@ def cmd_converge(args) -> int:
 def cmd_verify(args) -> int:
     names = available_suites() if args.suite == "all" else [args.suite]
     if any(name not in available_suites() for name in names):
-        print(
-            f"unknown suite {args.suite!r}; available: all, {', '.join(available_suites())}",
-            file=sys.stderr,
+        raise StrategyError(
+            f"unknown suite {args.suite!r}; available: all, {', '.join(available_suites())}"
         )
-        return EXIT_USAGE
     suites_payload = []
     all_passed = True
     for name in names:
@@ -420,7 +420,9 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (GraphFormatError, StrategyError) as exc:
+    except (GraphFormatError, StrategyError, ValueError, OSError) as exc:
+        # library functions raise ValueError on bad parameters (k, family
+        # index, field size) and file access raises OSError
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuotientLabError as exc:

@@ -12,7 +12,9 @@ GROUND_SIZE_CAP = 24
 # Quotient vectors live in R^(2^k).
 QUOTIENT_K_CAP = 8
 
-# Budget for labeled-assignment profile enumeration (number of tuples).
+# Budget for exact profile enumeration: the number of assignments visited,
+# one per orbit of the oracle's twin swaps (labeled assignments when it
+# declares no twins).
 ENUM_ITERATION_CAP = 1 << 26
 
 # Exhaustive submodularity / monotonicity checks.

@@ -9,12 +9,12 @@ class MaskWidthError(QuotientLabError):
     """A subset mask has bits outside its ground set."""
 
 
-class KTooLargeError(QuotientLabError):
-    """Requested number of quotient parts exceeds the configured cap."""
-
-
 class CapExceededError(QuotientLabError):
     """A configured enumeration budget was exceeded."""
+
+
+class KTooLargeError(CapExceededError):
+    """Requested number of quotient parts exceeds the configured cap."""
 
 
 class GroundTooLargeError(CapExceededError):
@@ -22,7 +22,7 @@ class GroundTooLargeError(CapExceededError):
 
 
 class EnumCapError(CapExceededError):
-    """Labeled-assignment enumeration would exceed the iteration budget."""
+    """Exact or flats enumeration would exceed the iteration budget."""
 
     def __init__(self, iterations: int, cap: int, detail: str = ""):
         self.iterations = iterations

@@ -363,11 +363,34 @@ class CutNormalization:
         raise ValueError(f"unknown normalization {norm!r}")
 
 
+def twin_classes(g: SimpleGraph) -> tuple[tuple[int, ...], ...]:
+    """Classes of nodes with equal neighbourhoods apart from each other.
+
+    u and v are twins when adj(u) - v == adj(v) - u; swapping them is then
+    an automorphism of g.  The relation is transitive (a false twin of v
+    cannot be a true twin of v's twin), so classes are found by comparing
+    each node with the first member of every class so far.  Blow-up
+    classes are twin classes.
+    """
+    adj = g.adjacency
+    classes: list[list[int]] = []
+    for v in range(g.node_count):
+        for cls in classes:
+            u = cls[0]
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(cls) for cls in classes)
+
+
 def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> SetFunctionOracle:
     """Crossing-edge count on node subsets, divided by the chosen constant.
 
     Symmetric (X and its complement give the same value) and submodular;
-    vanishes on the empty set and on the whole node set.
+    vanishes on the empty set and on the whole node set.  Twin nodes
+    (see twin_classes) are declared as interchangeable on the oracle.
     """
     denom = CutNormalization.denominator(g, norm)
     ground = GroundSet(g.node_count, tuple(str(v) for v in range(g.node_count)))
@@ -376,6 +399,7 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
         lambda m: Fraction(cut_count(g, m), denom),
         normalization=denom,
         label=f"kappa({g.name or g.node_count};{norm})",
+        twins=twin_classes(g),
     )
 
 

@@ -9,8 +9,11 @@ Four tuple disciplines:
 
 Three enumeration strategies, each a generator of k-tuples of part masks:
 
-* Exact       -- iterate all labeled assignments (choices per element
-                 depend on the mode), capped by ENUM_ITERATION_CAP;
+* Exact       -- iterate one assignment per orbit of the oracle's twin
+                 swaps (choices per element depend on the mode): a
+                 twin class ranges over multisets of choices, so an
+                 oracle without twins gets all labeled assignments;
+                 the orbit count is capped by ENUM_ITERATION_CAP;
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
 * FlatsOnly   -- for matroid rank oracles, iterate k-tuples of flats.
@@ -28,6 +31,7 @@ coordinate equality; no tolerances.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -35,13 +39,14 @@ from random import Random
 from typing import Iterator, Optional, Sequence
 
 from . import config
-from .errors import EnumCapError, KTooLargeError, StrategyError
+from .errors import EnumCapError, StrategyError
 from .matroid import Matroid, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
     QuotientPoint,
     SetFunctionOracle,
     SubsetMask,
+    check_quotient_args,
     union_table,
 )
 
@@ -130,14 +135,42 @@ def _members(k: int, mode: Mode) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(k) if pm >> i & 1) for pm in mode.element_choices(k)]
 
 
+def _class_options(cls: Sequence[int], members: Sequence[tuple[int, ...]], n: int) -> list[int]:
+    """One packed int per multiset of choices for a twin class.
+
+    Bit i*n + e of an option is set when element e lies in part i; the
+    class's members take the multiset's choices in order.
+    """
+    options = []
+    for combo in itertools.combinations_with_replacement(range(len(members)), len(cls)):
+        packed = 0
+        for e, c in zip(cls, combo):
+            for i in members[c]:
+                packed |= 1 << (i * n + e)
+        options.append(packed)
+    return options
+
+
 def _exact_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[list[SubsetMask]]:
+    """One assignment per orbit of the oracle's twin swaps.
+
+    Within a twin class only how many members take each choice matters,
+    so each class ranges over multisets of choices; without declared twins
+    every class is a single element and this is the plain |choices|^n scan.
+    """
     n = oracle.size
     members = _members(k, mode)
-    total = len(members) ** n
+    classes = oracle.twins or tuple((e,) for e in range(n))
+    total = 1
+    for cls in classes:
+        total *= math.comb(len(cls) + len(members) - 1, len(members) - 1)
     if total > config.ENUM_ITERATION_CAP:
         raise EnumCapError(total, config.ENUM_ITERATION_CAP, f"n={n}, k={k}, mode={mode.value}")
-    for assign in itertools.product(range(len(members)), repeat=n):
-        yield _parts_of(k, members, assign)
+    full = oracle.full_mask
+    shifts = [i * n for i in range(k)]
+    for combo in itertools.product(*[_class_options(cls, members, n) for cls in classes]):
+        packed = sum(combo)
+        yield [packed >> s & full for s in shifts]
 
 
 def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple[SubsetMask, ...]]:
@@ -207,12 +240,7 @@ def profile(
     strategy: Strategy = EXACT,
 ) -> ProfileSet:
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > config.QUOTIENT_K_CAP:
-        raise KTooLargeError(f"k={k} exceeds QUOTIENT_K_CAP={config.QUOTIENT_K_CAP}")
-    if oracle.evaluate(0) != 0:
-        raise ValueError("profiles are defined only for functions vanishing on the empty set")
+    check_quotient_args(oracle, k)
     if isinstance(strategy, Exact):
         tuples = _exact_parts(oracle, k, mode)
     elif isinstance(strategy, FlatsOnly):

@@ -73,9 +73,15 @@ class SetFunctionOracle:
     and safe to share.  By default the function must vanish on the empty
     set; pass require_zero_empty=False for shifted functions such as the
     motif-deletion functions, which start at a nonzero base value.
+
+    `twins` optionally partitions the ground set into classes of
+    interchangeable elements: swapping any two members of a class must
+    leave every value unchanged.  The default () claims nothing (every
+    element is its own class); exact profile enumeration visits one
+    assignment per orbit of these swaps.
     """
 
-    __slots__ = ("ground", "normalization", "label", "matroid", "_eval_fn", "_cache")
+    __slots__ = ("ground", "normalization", "label", "matroid", "twins", "_eval_fn", "_cache")
 
     def __init__(
         self,
@@ -85,11 +91,15 @@ class SetFunctionOracle:
         label: str = "",
         matroid=None,
         require_zero_empty: bool = True,
+        twins: tuple[tuple[int, ...], ...] = (),
     ):
+        if twins and sorted(e for cls in twins for e in cls) != list(range(ground.size)):
+            raise ValueError("twin classes must partition the ground set")
         self.ground = ground
         self.normalization = Fraction(normalization)
         self.label = label
         self.matroid = matroid
+        self.twins = twins
         self._eval_fn = eval_fn
         empty = Fraction(eval_fn(0))
         if require_zero_empty and empty != 0:
@@ -177,6 +187,16 @@ def union_table(parts: Sequence[SubsetMask]) -> list[SubsetMask]:
     return unions
 
 
+def check_quotient_args(oracle: SetFunctionOracle, k: int) -> None:
+    """Reject part counts outside [1, QUOTIENT_K_CAP] and oracles nonzero on the empty set."""
+    if k < 1:
+        raise ValueError(f"k={k}: need at least one part")
+    if k > config.QUOTIENT_K_CAP:
+        raise KTooLargeError(f"k={k} exceeds QUOTIENT_K_CAP={config.QUOTIENT_K_CAP}")
+    if oracle.evaluate(0) != 0:
+        raise ValueError("quotient vectors are defined only for functions vanishing on the empty set")
+
+
 def quotient_point(oracle: SetFunctionOracle, parts: Sequence[SubsetMask]) -> QuotientPoint:
     """Evaluate the oracle on all unions of the given (ordered) parts.
 
@@ -184,14 +204,9 @@ def quotient_point(oracle: SetFunctionOracle, parts: Sequence[SubsetMask]) -> Qu
     disciplines are the caller's business (see the profiles module).
     """
     k = len(parts)
-    if k < 1:
-        raise ValueError("need at least one part")
-    if k > config.QUOTIENT_K_CAP:
-        raise KTooLargeError(f"k={k} exceeds QUOTIENT_K_CAP={config.QUOTIENT_K_CAP}")
+    check_quotient_args(oracle, k)
     for p in parts:
         oracle.ground.check_mask(p)
-    if oracle.evaluate(0) != 0:
-        raise ValueError("quotient vectors are defined only for functions vanishing on the empty set")
     ev = oracle.evaluate
     return QuotientPoint(k, tuple(ev(u) for u in union_table(parts)))
 

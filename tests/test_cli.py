@@ -191,3 +191,36 @@ def test_reports_byte_identical(tmp_path, k2_file):
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes(), args
+
+
+@pytest.mark.parametrize("args, code, prefix", [
+    (["profile", "--family", "gf-space", "--n", "2", "--k", "0"], 2, "usage error:"),
+    (["profile", "--family", "example51", "--n", "0"], 2, "usage error:"),
+    (["profile", "--family", "gf-space", "--q", "6", "--n", "2"], 2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "2", "--samples", "-5"], 2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "2", "--samples", "0",
+      "--strategy", "sampled", "--seed", "1"], 2, "usage error:"),
+    (["profile", "--family", "cutcap-blowup", "--graph", "missing.txt", "--n", "2"],
+     2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "2", "--k", "9"], 3, "cap exceeded:"),
+    (["converge", "--family", "example51", "--start", "0", "--end", "2"], 2, "usage error:"),
+    (["cutcap", "missing.txt"], 2, "usage error:"),
+    (["cutdist", "missing.txt", "missing.txt"], 2, "usage error:"),
+    (["hom", "K2", "--graphon", "missing.txt"], 2, "usage error:"),
+    (["verify", "no-such-suite"], 2, "usage error:"),
+])
+def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out", "out.json"]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_k3_blowup_t6_profile_within_cap(tmp_path, k3_file):
+    # 3^18 labeled partitions, but 28^3 = 21,952 orbits of the blow-up's twin swaps
+    out = tmp_path / "b.json"
+    assert run(["profile", "--family", "cutcap-blowup", "--graph", k3_file,
+                "--n", "6", "--k", "3", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["results"]["profile"]["summary"]["count"] == 3118

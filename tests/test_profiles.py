@@ -1,6 +1,9 @@
 """Profile enumeration: modes, strategies, composition, filters."""
 
+import itertools
+import math
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -24,7 +27,9 @@ from quotientlab import (
     quotient_point,
     verify_inclusions,
 )
-from quotientlab.sequences import example51_oracle, gf_space_oracle
+from quotientlab.graphs import blow_up, cut_capacity_oracle
+from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
+from quotientlab.setfn import GroundSet, SetFunctionOracle, oracle_from_table
 
 
 def coords_set(pset):
@@ -253,3 +258,110 @@ def test_direct_sum_of_lines_tuple_profile_inside_plane():
     part_small = coords_set(profile(sum_oracle, 2, Mode.PARTITION, EXACT))
     part_large = coords_set(profile(plane_oracle, 2, Mode.PARTITION, EXACT))
     assert (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)) in part_small - part_large
+
+
+# Differential tests of the orbit enumeration against plain labeled
+# enumeration; the reference scans at most this many assignments per case.
+REFERENCE_BUDGET = 4096
+
+
+def reference_profile(oracle, k, mode):
+    """Every labeled assignment of a choice to every element, evaluated directly."""
+    points = set()
+    for assign in itertools.product(mode.element_choices(k), repeat=oracle.size):
+        parts = [0] * k
+        for e, pm in enumerate(assign):
+            for i in range(k):
+                if pm >> i & 1:
+                    parts[i] |= 1 << e
+        points.add(quotient_point(oracle, parts).coords)
+    return points
+
+
+TRUE_TWINS = SimpleGraph.make(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)], name="true-twins")
+
+TWIN_GRAPHS = {
+    **{f"K2({t})": blow_up(SimpleGraph.complete(2), t) for t in (1, 2, 3)},
+    **{f"K3({t})": blow_up(SimpleGraph.complete(3), t) for t in (1, 2)},
+    **{f"P3({t})": blow_up(SimpleGraph.path(3), t) for t in (1, 2)},
+    "true-twins": TRUE_TWINS,
+}
+
+
+def _random_table_oracle():
+    rng = Random(5)
+    return oracle_from_table([0] + [Fraction(rng.randint(0, 6), 3) for _ in range(15)])
+
+
+NO_TWIN_ORACLES = {
+    "ex51(3)": lambda: example51_oracle(3),
+    "ex51(4)": lambda: example51_oracle(4),
+    "cycle:K4": lambda: complete_cycle_oracle(3),
+    "gf(2)^2": lambda: gf_space_oracle(2, 2),
+    "gf(3)^2": lambda: gf_space_oracle(3, 2),
+    "table": _random_table_oracle,
+}
+
+
+def _compare_with_reference(oracle):
+    compared = 0
+    for k in (1, 2, 3):
+        for mode in Mode:
+            if len(mode.element_choices(k)) ** oracle.size > REFERENCE_BUDGET:
+                continue
+            assert coords_set(profile(oracle, k, mode, EXACT)) == reference_profile(
+                oracle, k, mode
+            ), (oracle.label, k, mode)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_GRAPHS))
+def test_orbit_enumeration_matches_labeled_on_twin_graphs(name):
+    oracle = cut_capacity_oracle(TWIN_GRAPHS[name])
+    assert len(oracle.twins) < oracle.size
+    assert _compare_with_reference(oracle) >= 8
+
+
+@pytest.mark.parametrize("name", sorted(NO_TWIN_ORACLES))
+def test_exact_matches_labeled_without_twins(name):
+    oracle = NO_TWIN_ORACLES[name]()
+    assert oracle.twins == ()
+    assert _compare_with_reference(oracle) >= 5
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_GRAPHS))
+def test_declared_twins_are_swap_invariant(name):
+    g = TWIN_GRAPHS[name]
+    oracle = cut_capacity_oracle(g)
+    assert sorted(e for cls in oracle.twins for e in cls) == list(range(g.node_count))
+    for cls in oracle.twins:
+        for u, v in itertools.combinations(cls, 2):
+            pair = 1 << u | 1 << v
+            for x in range(1 << g.node_count):
+                swapped = x & ~pair | (x >> u & 1) << v | (x >> v & 1) << u
+                assert oracle.evaluate(x) == oracle.evaluate(swapped), (name, u, v, x)
+
+
+def test_blowup_classes_are_twin_classes():
+    for base in (SimpleGraph.complete(3), SimpleGraph.path(3), SimpleGraph.cycle(4)):
+        for t in (2, 3):
+            twins = cut_capacity_oracle(blow_up(base, t)).twins
+            class_of = {e: i for i, cls in enumerate(twins) for e in cls}
+            for node in range(base.node_count * t):
+                assert class_of[node] == class_of[node - node % t]
+    # true twins are found too; node 2 and the path 2-3-4 have no twin
+    assert cut_capacity_oracle(TRUE_TWINS).twins == ((0, 1), (2,), (3,), (4,))
+
+
+def test_twins_must_partition_the_ground():
+    with pytest.raises(ValueError):
+        SetFunctionOracle(GroundSet(3), lambda m: 0, twins=((0, 1),))
+
+
+def test_orbit_count_above_cap_raises_before_any_evaluation():
+    oracle = cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 8))
+    with pytest.raises(EnumCapError) as err:
+        profile(oracle, 3, Mode.ANY, EXACT)
+    assert err.value.iterations == math.comb(8 + 7, 7) ** 3
+    assert oracle._cache == {0: 0}
