@@ -166,29 +166,17 @@ def cmd_converge(args) -> int:
     mode = Mode(args.mode)
     psets = [profile(_family_oracle(args, n), args.k, mode, strategy) for n in indices]
     labels = [str(n) for n in indices]
-    if len(psets) == 1:
-        diag = None
-        results = {
-            "indices": indices,
-            "point_counts": [len(p) for p in psets],
-            "diagnostic": None,
-            "verdict": "inconclusive",
-        }
-    else:
-        diag = cauchy_diagnostic(psets)
-        results = {
-            "indices": indices,
-            "point_counts": [len(p) for p in psets],
-            "diagnostic": serialize.diagnostic_payload(diag),
-            "verdict": diag.verdict,
-        }
-        if args.csv_out:
-            Path(args.csv_out + ".exact.csv").write_text(
-                serialize.matrix_csv(diag.pairwise, labels, exact=True), encoding="utf-8"
-            )
-            Path(args.csv_out + ".float.csv").write_text(
-                serialize.matrix_csv(diag.pairwise, labels, exact=False), encoding="utf-8"
-            )
+    diag = cauchy_diagnostic(psets) if len(psets) > 1 else None
+    results = {
+        "indices": indices,
+        "point_counts": [len(p) for p in psets],
+        "diagnostic": serialize.diagnostic_payload(diag) if diag else None,
+        "verdict": diag.verdict if diag else "inconclusive",
+    }
+    if diag and args.csv_out:
+        for suffix, exact in ((".exact.csv", True), (".float.csv", False)):
+            text = serialize.matrix_csv(diag.pairwise, labels, exact=exact)
+            Path(args.csv_out + suffix).write_text(text, encoding="utf-8")
     certificates = {}
     for n in indices:
         meta = family_metadata(args.family, n)
@@ -318,8 +306,22 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graphs", nargs="+", help="graph files for the *-files families")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that keeps each option's action by destination."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.dest != "help":
+            self.options[action.dest] = action
+        return action
+
+
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    parser = _Parser(
         prog="quotientlab",
         description="Exact profile sets of setfunctions and Hausdorff convergence diagnostics.",
     )
@@ -329,7 +331,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         help="JSON file with default flag values (explicit flags take precedence)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
 
     p = sub.add_parser("profile", help="enumerate one profile set")
     _add_family_flags(p)
@@ -337,7 +338,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_profile_flags(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_profile, command="profile")
-    commands["profile"] = p
 
     p = sub.add_parser("converge", help="pairwise Hausdorff diagnostics along a family")
     _add_family_flags(p)
@@ -347,13 +347,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out")
     p.add_argument("--csv-out", help="prefix for exact and float CSV matrices")
     p.set_defaults(fn=cmd_converge, command="converge")
-    commands["converge"] = p
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", help="suite name or 'all'")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_verify, command="verify")
-    commands["verify"] = p
 
     p = sub.add_parser("cutdist", help="labeled cut distance and blow-up upper bounds")
     p.add_argument("graph_a")
@@ -364,7 +362,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--upper-bound", action="store_true", help="also search blow-up bijections")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_cutdist, command="cutdist")
-    commands["cutdist"] = p
 
     p = sub.add_parser("hom", help="exact homomorphism densities")
     p.add_argument("motif", help="motif name (K2..C5) or graph file")
@@ -372,16 +369,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--graphon", help="step graphon file")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_hom, command="hom")
-    commands["hom"] = p
 
     p = sub.add_parser("cutcap", help="profile the cut-capacity setfunction of a graph")
     p.add_argument("graph")
     _add_profile_flags(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_cutcap, command="cutcap")
-    commands["cutcap"] = p
 
-    return parser, commands
+    return parser, sub.choices
 
 
 def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
@@ -401,18 +396,49 @@ def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
     return rest, data
 
 
+def _flag_value(action: argparse.Action, value):
+    """Convert and check one config value as argparse does the flag's text."""
+    text = value if isinstance(value, str) else json.dumps(value)
+    converted = action.type(text) if action.type else text
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(text)
+    return converted
+
+
+def _config_defaults(command: _Parser, config: dict) -> dict:
+    """The config entries naming options of `command`, checked like the flags.
+
+    Values are JSON strings or numbers, lists of them for multi-value
+    flags and true or false for switches; other entries are ignored.
+    """
+    defaults = {}
+    for key, value in config.items():
+        action = command.options.get(key)
+        if action is None:
+            continue
+        switch, many = action.nargs == 0, action.nargs == "+"
+        try:
+            if switch != isinstance(value, bool) or many != isinstance(value, list):
+                raise ValueError(value)
+            items = [v if switch else _flag_value(action, v) for v in (value if many else [value])]
+        except (TypeError, ValueError):
+            raise StrategyError(
+                f"config value {json.dumps(value)} is invalid for {action.option_strings[0]}"
+            ) from None
+        defaults[key] = items if many else items[0]
+    return defaults
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, commands = build_parser()
     try:
         argv, config = _extract_config(argv)
+        for sub in commands.values():
+            sub.set_defaults(**_config_defaults(sub, config))
     except StrategyError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser, commands = build_parser()
-    if config:
-        for sub in commands.values():
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in config.items() if k in known})
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

@@ -2,7 +2,7 @@
 
 Caps are module constants rather than hard-coded literals so that error
 messages can name them and callers can see what budget was exceeded.
-Operations take explicit overrides where their contract allows it.
+Operations read them when called; only HOM_TARGET_NODE_CAP takes an override.
 """
 
 # Ground sets are iterated subset-by-subset; above this size exact

@@ -15,6 +15,7 @@ from typing import Iterable
 from . import config
 from .errors import GraphFormatError, GroundTooLargeError
 from .graphs import SimpleGraph
+from .setfn import GroundSet, SetFunctionOracle
 
 
 @dataclass(frozen=True)
@@ -111,38 +112,28 @@ def graphon_cut_capacity(w: StepGraphon, step_mask: int) -> Fraction:
     return crossing / total
 
 
-def graphon_cut_capacity_oracle(w: StepGraphon):
+def graphon_cut_capacity_oracle(w: StepGraphon) -> SetFunctionOracle:
     """Cut capacity of a step graphon as a setfunction on its step indices.
 
     Lets the profile machinery enumerate quotient sets of the graphon;
     parts finer than the current steps require refining first.
     """
-    from .setfn import GroundSet, SetFunctionOracle
-
-    if w.total_weight() == 0:
-        raise ZeroDivisionError("cut capacity of a graphon needs positive total weight")
     labels = tuple(f"[{a},{b})" for a, b in zip(w.breakpoints, w.breakpoints[1:]))
     return SetFunctionOracle(
         GroundSet(w.steps, labels),
         lambda m: graphon_cut_capacity(w, m),
-        normalization=w.total_weight(),
         label=f"kappa(step-graphon r={w.steps})",
     )
 
 
-def hom_density_step(
-    pattern: SimpleGraph,
-    w: StepGraphon,
-    max_pattern_nodes: int = config.HOM_PATTERN_NODE_CAP,
-    max_steps: int = config.GRAPHON_STEP_CAP,
-) -> Fraction:
+def hom_density_step(pattern: SimpleGraph, w: StepGraphon) -> Fraction:
     """Exact motif density in a step graphon (weighted sum over step maps)."""
-    if pattern.node_count > max_pattern_nodes:
+    if pattern.node_count > config.HOM_PATTERN_NODE_CAP:
         raise GroundTooLargeError(
-            f"pattern has {pattern.node_count} nodes, cap {max_pattern_nodes}"
+            f"pattern has {pattern.node_count} nodes, cap {config.HOM_PATTERN_NODE_CAP}"
         )
-    if w.steps > max_steps:
-        raise GroundTooLargeError(f"graphon has {w.steps} steps, cap {max_steps}")
+    if w.steps > config.GRAPHON_STEP_CAP:
+        raise GroundTooLargeError(f"graphon has {w.steps} steps, cap {config.GRAPHON_STEP_CAP}")
     lens = w.lengths
     pk = pattern.node_count
     if pk == 0:

@@ -350,14 +350,10 @@ class CutNormalization:
 
     @staticmethod
     def denominator(g: SimpleGraph, norm: str) -> int:
-        if norm == CutNormalization.EDGES:
+        if norm in (CutNormalization.EDGES, CutNormalization.TWICE_EDGES):
             if g.edge_count == 0:
                 raise DegenerateNormalizationError("edge normalization needs at least one edge")
-            return g.edge_count
-        if norm == CutNormalization.TWICE_EDGES:
-            if g.edge_count == 0:
-                raise DegenerateNormalizationError("edge normalization needs at least one edge")
-            return 2 * g.edge_count
+            return g.edge_count * (2 if norm == CutNormalization.TWICE_EDGES else 1)
         if norm == CutNormalization.NODES_SQUARED:
             return g.node_count * g.node_count
         raise ValueError(f"unknown normalization {norm!r}")
@@ -397,7 +393,6 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     return SetFunctionOracle(
         ground,
         lambda m: Fraction(cut_count(g, m), denom),
-        normalization=denom,
         label=f"kappa({g.name or g.node_count};{norm})",
         twins=twin_classes(g),
     )
@@ -437,13 +432,12 @@ def hom_count(pattern: SimpleGraph, target: SimpleGraph) -> int:
 def hom_density(
     pattern: SimpleGraph,
     target: SimpleGraph,
-    max_pattern_nodes: int = config.HOM_PATTERN_NODE_CAP,
     max_target_nodes: int = config.HOM_TARGET_NODE_CAP,
 ) -> Fraction:
     """Fraction of maps V(pattern) -> V(target) preserving adjacency."""
-    if pattern.node_count > max_pattern_nodes:
+    if pattern.node_count > config.HOM_PATTERN_NODE_CAP:
         raise GroundTooLargeError(
-            f"pattern has {pattern.node_count} nodes, cap {max_pattern_nodes}"
+            f"pattern has {pattern.node_count} nodes, cap {config.HOM_PATTERN_NODE_CAP}"
         )
     if target.node_count > max_target_nodes:
         raise GroundTooLargeError(
@@ -481,7 +475,6 @@ def tau_oracle(
     return SetFunctionOracle(
         ground,
         lambda m: 1 - density(m),
-        normalization=1,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'})",
         require_zero_empty=False,
     )
@@ -503,7 +496,6 @@ def shifted_tau_oracle(
     return SetFunctionOracle(
         ground,
         lambda m: base - density(m),
-        normalization=1,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'}) rebased at t={base}",
     )
 

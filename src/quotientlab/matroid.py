@@ -1,7 +1,9 @@
 """Matroid oracles: graphic, linear over GF(q), and direct sums.
 
-Rank calls are exact and memoized per subset mask.  On top of the rank
-oracle the module provides closure and flat enumeration (breadth-first
+Rank calls are exact.  `Matroid.rank` memoizes per subset mask for
+closure, flats, union and richness; a rank oracle evaluates `_rank` under
+its own memo instead, so each value has one cache.  On top of the rank
+the module provides closure and flat enumeration (breadth-first
 closure extension), the flat-pair richness condition, matroid union via
 augmenting paths with a min-formula certificate, and the two lattice
 embeddings between full linear spaces GF(q)^m -> GF(q)^n (zero padding,
@@ -23,7 +25,7 @@ from .errors import (
     FlatExplosionError,
     GroundTooLargeError,
 )
-from .gfq import field, index_from_vector, vector_from_index
+from .gfq import FiniteField, field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
 from .setfn import GroundSet, SetFunctionOracle, SubsetMask, iter_elements
 
@@ -78,13 +80,12 @@ class Matroid:
     def is_flat(self, mask: SubsetMask) -> bool:
         return self.closure(mask) == mask
 
-    def flats(self, count_cap: int | None = None) -> tuple[SubsetMask, ...]:
+    def flats(self) -> tuple[SubsetMask, ...]:
         """All flats, sorted, found by closing single-element extensions."""
         if self.size > config.FLAT_GROUND_CAP:
             raise GroundTooLargeError(
                 f"ground size {self.size} exceeds FLAT_GROUND_CAP={config.FLAT_GROUND_CAP}"
             )
-        cap = config.FLAT_COUNT_CAP if count_cap is None else count_cap
         start = self.closure(0)
         seen = {start}
         frontier = [start]
@@ -97,27 +98,18 @@ class Matroid:
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
-                        if len(seen) > cap:
+                        if len(seen) > config.FLAT_COUNT_CAP:
                             raise FlatExplosionError(
-                                f"more than FLAT_COUNT_CAP={cap} flats"
+                                f"more than FLAT_COUNT_CAP={config.FLAT_COUNT_CAP} flats"
                             )
             frontier = nxt
         return tuple(sorted(seen))
-
-    def flats_with_ranks(self, count_cap: int | None = None) -> tuple[tuple[SubsetMask, int], ...]:
-        return tuple((f, self.rank(f)) for f in self.flats(count_cap))
 
     def element_label(self, i: int) -> str:
         return self.ground.element_label(i)
 
     def rank_oracle(self, label: str | None = None) -> SetFunctionOracle:
-        return SetFunctionOracle(
-            self.ground,
-            lambda m: Fraction(self.rank(m)),
-            normalization=1,
-            label=label or f"rank({self._name()})",
-            matroid=self,
-        )
+        return self.normalized_rank_oracle(1, label or f"rank({self._name()})")
 
     def normalized_rank_oracle(
         self, denominator: int | None = None, label: str | None = None
@@ -126,10 +118,10 @@ class Matroid:
         denom = self.full_rank() if denominator is None else denominator
         if denom <= 0:
             raise ValueError("normalization denominator must be positive")
+        rank = self._rank
         return SetFunctionOracle(
             self.ground,
-            lambda m: Fraction(self.rank(m), denom),
-            normalization=denom,
+            lambda m: Fraction(rank(m), denom),
             label=label or f"rank({self._name()})/{denom}",
             matroid=self,
         )
@@ -159,6 +151,26 @@ class GraphicMatroid(Matroid):
 
     def _name(self) -> str:
         return f"cycle[{self.graph.name or self.graph.node_count}]"
+
+
+def _reduce_gf2(basis: dict[int, int], v: int) -> int:
+    """Remainder of a GF(2) bit vector against a basis keyed by leading bit."""
+    while v:
+        msb = v.bit_length() - 1
+        if msb not in basis:
+            break
+        v ^= basis[msb]
+    return v
+
+
+def _reduce_general(f: FiniteField, pivots: Sequence[tuple[int, list[int]]], col: Sequence[int]) -> list[int]:
+    """Remainder of a GF(q) vector against normalized pivot rows."""
+    v = list(col)
+    for pi, pv in pivots:
+        c = v[pi]
+        if c:
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
+    return v
 
 
 class LinearMatroid(Matroid):
@@ -195,25 +207,16 @@ class LinearMatroid(Matroid):
     def _basis_gf2(self, mask: SubsetMask) -> dict[int, int]:
         basis: dict[int, int] = {}
         for e in iter_elements(mask):
-            v = self._bits[e]
-            while v:
-                msb = v.bit_length() - 1
-                if msb in basis:
-                    v ^= basis[msb]
-                else:
-                    basis[msb] = v
-                    break
+            v = _reduce_gf2(basis, self._bits[e])
+            if v:
+                basis[v.bit_length() - 1] = v
         return basis
 
     def _basis_general(self, mask: SubsetMask) -> list[tuple[int, list[int]]]:
         f = self.field
         pivots: list[tuple[int, list[int]]] = []
         for e in iter_elements(mask):
-            v = list(self.columns[e])
-            for pi, pv in pivots:
-                c = v[pi]
-                if c:
-                    v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
+            v = _reduce_general(f, pivots, self.columns[e])
             lead = next((i for i, x in enumerate(v) if x), None)
             if lead is not None:
                 scale = f.inv(v[lead])
@@ -226,30 +229,14 @@ class LinearMatroid(Matroid):
         return len(self._basis_general(mask))
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
-        out = 0
+        """Elements whose vector reduces to zero against the basis of mask."""
         if self._bits is not None:
             basis = self._basis_gf2(mask)
-            for i, v in enumerate(self._bits):
-                w = v
-                while w:
-                    msb = w.bit_length() - 1
-                    if msb not in basis:
-                        break
-                    w ^= basis[msb]
-                if w == 0:
-                    out |= 1 << i
-            return out
-        f = self.field
-        pivots = self._basis_general(mask)
-        for i, col in enumerate(self.columns):
-            v = list(col)
-            for pi, pv in pivots:
-                c = v[pi]
-                if c:
-                    v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
-            if not any(v):
-                out |= 1 << i
-        return out
+            spanned = (not _reduce_gf2(basis, v) for v in self._bits)
+        else:
+            pivots = self._basis_general(mask)
+            spanned = (not any(_reduce_general(self.field, pivots, c)) for c in self.columns)
+        return sum(1 << i for i, ok in enumerate(spanned) if ok)
 
     def _name(self) -> str:
         return self.name or f"linear(q={self.q},m={self.size})"

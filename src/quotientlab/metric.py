@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .errors import EmptyProfileError
 from .setfn import QuotientPoint
@@ -100,6 +100,11 @@ def eps_contained(a_cloud, b_cloud, eps: Fraction | int) -> EpsContainment:
     return EpsContainment(True, eps, None)
 
 
+# Verdict thresholds on the ratio of the last tail value to the first.
+CONSISTENCY_FACTOR = Fraction(1, 2)
+DIVERGENCE_FACTOR = Fraction(9, 10)
+
+
 @dataclass(frozen=True)
 class ConvergenceDiagnostic:
     """Pairwise Hausdorff matrix of a sequence of profile sets.
@@ -113,16 +118,12 @@ class ConvergenceDiagnostic:
     pairwise: tuple[tuple[Fraction, ...], ...]
     tail_sup: tuple[Fraction, ...]
     verdict: str
-    consistency_factor: Fraction
-    divergence_factor: Fraction
     witness: Optional[tuple[int, int]]
+    consistency_factor: ClassVar[Fraction] = CONSISTENCY_FACTOR
+    divergence_factor: ClassVar[Fraction] = DIVERGENCE_FACTOR
 
 
-def cauchy_diagnostic(
-    clouds: Sequence,
-    consistency_factor: Fraction = Fraction(1, 2),
-    divergence_factor: Fraction = Fraction(9, 10),
-) -> ConvergenceDiagnostic:
+def cauchy_diagnostic(clouds: Sequence) -> ConvergenceDiagnostic:
     """Empirical Cauchy-in-Hausdorff diagnostic over a finite prefix."""
     count = len(clouds)
     if count < 1:
@@ -140,18 +141,16 @@ def cauchy_diagnostic(
         )
     pairwise = tuple(tuple(row) for row in matrix)
     if not tails:
-        return ConvergenceDiagnostic(
-            pairwise, (), "inconclusive", consistency_factor, divergence_factor, None
-        )
+        return ConvergenceDiagnostic(pairwise, (), "inconclusive", None)
     first, last = tails[0], tails[-1]
     witness = None
     if first == 0:
         verdict = "consistent-with-cauchy"
     elif len(tails) < 2:
         verdict = "inconclusive"
-    elif last <= first * consistency_factor:
+    elif last <= first * CONSISTENCY_FACTOR:
         verdict = "consistent-with-cauchy"
-    elif last >= first * divergence_factor:
+    elif last >= first * DIVERGENCE_FACTOR:
         verdict = "diverging"
         start = len(tails) - 1
         for a in range(start, count):
@@ -163,6 +162,4 @@ def cauchy_diagnostic(
                 break
     else:
         verdict = "inconclusive"
-    return ConvergenceDiagnostic(
-        pairwise, tuple(tails), verdict, consistency_factor, divergence_factor, witness
-    )
+    return ConvergenceDiagnostic(pairwise, tuple(tails), verdict, witness)

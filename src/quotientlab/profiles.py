@@ -40,7 +40,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import config
 from .errors import EnumCapError, StrategyError
-from .matroid import Matroid, disjoint_bases
+from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
     QuotientPoint,
@@ -113,9 +113,6 @@ class ProfileSet:
 
     def __contains__(self, point: QuotientPoint) -> bool:
         return point in self.points
-
-    def issubset(self, other: "ProfileSet") -> bool:
-        return self.points <= other.points
 
     def sorted_points(self) -> list[QuotientPoint]:
         return sorted(self.points, key=lambda p: p.coords)
@@ -350,8 +347,6 @@ def delta_approx_bound_check(matroid: Matroid, k: int, m: int) -> DeltaBoundRepo
     condition for (k, m) and m >= k; otherwise the report states that the
     precondition failed and computes nothing.
     """
-    from .matroid import check_richness
-
     richness = check_richness(matroid, k, m)
     if not richness.holds or m < k:
         return DeltaBoundReport(k, m, False, richness.witness, None, None, None)

@@ -11,6 +11,9 @@ Families indexed by n:
   node count.  This is the family whose partition profiles oscillate;
 * cutcap-blowup / tau-blowup: cut-capacity (resp. motif-deletion)
   setfunctions of the n-fold blow-up of a base graph.
+
+Builders check the ground size an index implies against GROUND_SIZE_CAP
+before building anything.
 """
 
 from __future__ import annotations
@@ -22,8 +25,11 @@ from .graphs import (
     cut_capacity_oracle,
     shifted_tau_oracle,
 )
+from . import config
+from .errors import GroundTooLargeError
+from .gfq import field
 from .matroid import GraphicMatroid, LinearMatroid
-from .setfn import SetFunctionOracle
+from .setfn import SetFunctionOracle, check_ground_size
 
 MOTIFS = {
     "K2": SimpleGraph.complete(2),
@@ -74,6 +80,8 @@ def example51_trees(n: int) -> tuple[int, int]:
 
 
 def example51_oracle(n: int) -> SetFunctionOracle:
+    # odd members and n = 2 are paths with n - 1 edges, even n >= 4 add a second tree
+    check_ground_size(n - 1 if n % 2 or n < 4 else 2 * (n - 1))
     g = example51_graph(n)
     matroid = GraphicMatroid(g)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(ex51[{n}])")
@@ -83,11 +91,19 @@ def complete_cycle_oracle(n: int) -> SetFunctionOracle:
     """Normalized rank of the cycle matroid of the complete graph on n+1 nodes."""
     if n < 1:
         raise ValueError("family index must be positive")
+    check_ground_size(n * (n + 1) // 2)
     matroid = GraphicMatroid(SimpleGraph.complete(n + 1))
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(cycle:K{n + 1})")
 
 
 def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
+    if n < 1:
+        raise ValueError("family index must be positive")
+    field(q)  # rejects q that is not a prime power, so q**n >= 2**n > n below
+    if n > config.GROUND_SIZE_CAP or q**n > config.GROUND_SIZE_CAP:
+        raise GroundTooLargeError(
+            f"ground set of size {q}^{n} exceeds GROUND_SIZE_CAP={config.GROUND_SIZE_CAP}"
+        )
     matroid = LinearMatroid.full_space(q, n)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(gf({q})^{n})")
 
@@ -95,6 +111,7 @@ def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
 def cutcap_blowup_oracle(
     base: SimpleGraph, n: int, norm: str = CutNormalization.EDGES
 ) -> SetFunctionOracle:
+    check_ground_size(base.node_count * n)
     return cut_capacity_oracle(blow_up(base, n), norm)
 
 
@@ -104,6 +121,7 @@ def tau_blowup_oracle(motif: SimpleGraph, base: SimpleGraph, n: int) -> SetFunct
     The raw function does not vanish on the empty set, so the profiled
     family subtracts that base value (see shifted_tau_oracle).
     """
+    check_ground_size(base.edge_count * n * n if n > 0 else 0)  # blow_up rejects n < 1
     gt = blow_up(base, n)
     return shifted_tau_oracle(motif, gt, max_target_nodes=max(12, gt.node_count))
 

@@ -32,6 +32,13 @@ def iter_elements(mask: SubsetMask) -> Iterator[int]:
         mask ^= low
 
 
+def check_ground_size(size: int) -> None:
+    if size > config.GROUND_SIZE_CAP:
+        raise GroundTooLargeError(
+            f"ground set of size {size} exceeds GROUND_SIZE_CAP={config.GROUND_SIZE_CAP}"
+        )
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """A finite ground set with elements 0..size-1 and optional display labels."""
@@ -42,10 +49,7 @@ class GroundSet:
     def __post_init__(self):
         if self.size < 0:
             raise ValueError("ground set size must be nonnegative")
-        if self.size > config.GROUND_SIZE_CAP:
-            raise GroundTooLargeError(
-                f"ground set of size {self.size} exceeds GROUND_SIZE_CAP={config.GROUND_SIZE_CAP}"
-            )
+        check_ground_size(self.size)
         if self.labels is not None and len(self.labels) != self.size:
             raise ValueError("labels, when present, must have length == size")
 
@@ -81,13 +85,12 @@ class SetFunctionOracle:
     assignment per orbit of these swaps.
     """
 
-    __slots__ = ("ground", "normalization", "label", "matroid", "twins", "_eval_fn", "_cache")
+    __slots__ = ("ground", "label", "matroid", "twins", "_eval_fn", "_cache")
 
     def __init__(
         self,
         ground: GroundSet,
         eval_fn: Callable[[SubsetMask], Fraction],
-        normalization: Fraction | int = 1,
         label: str = "",
         matroid=None,
         require_zero_empty: bool = True,
@@ -96,7 +99,6 @@ class SetFunctionOracle:
         if twins and sorted(e for cls in twins for e in cls) != list(range(ground.size)):
             raise ValueError("twin classes must partition the ground set")
         self.ground = ground
-        self.normalization = Fraction(normalization)
         self.label = label
         self.matroid = matroid
         self.twins = twins
@@ -157,9 +159,6 @@ class QuotientPoint:
     def singleton(self, i: int) -> Fraction:
         return self.coords[1 << i]
 
-    def value(self, parts_mask: int) -> Fraction:
-        return self.coords[parts_mask]
-
     def scale(self, factor: Fraction | int) -> "QuotientPoint":
         c = Fraction(factor)
         return QuotientPoint(self.k, tuple(x * c for x in self.coords))
@@ -173,8 +172,7 @@ class QuotientPoint:
             raise GroundTooLargeError(
                 f"point with k={self.k} exceeds DERIVED_GROUND_CAP={config.DERIVED_GROUND_CAP}"
             )
-        coords = self.coords
-        return SetFunctionOracle(GroundSet(self.k), lambda m: coords[m], label=label)
+        return oracle_from_table(self.coords, label)
 
 
 def union_table(parts: Sequence[SubsetMask]) -> list[SubsetMask]:

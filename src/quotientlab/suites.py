@@ -58,6 +58,7 @@ from .setfn import (
     SetFunctionOracle,
     check_monotone,
     check_submodular,
+    oracle_from_table,
     quotient_point,
 )
 
@@ -95,13 +96,7 @@ def available_suites() -> list[str]:
 
 
 def run_suite(name: str) -> SuiteResult:
-    try:
-        fn = SUITES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown suite {name!r}; available: {', '.join(available_suites())}"
-        ) from None
-    return fn()
+    return SUITES[name]()
 
 
 def _check(checks: list[CheckResult], name: str, passed: bool, detail: str = "") -> None:
@@ -184,7 +179,7 @@ def _random_table_oracle(seed: int, n: int) -> SetFunctionOracle:
     table = [Fraction(0)] + [
         Fraction(rng.randrange(0, 13), rng.randrange(1, 7)) for _ in range((1 << n) - 1)
     ]
-    return SetFunctionOracle(GroundSet(n), lambda m: table[m], label=f"random-table({seed})")
+    return oracle_from_table(table, label=f"random-table({seed})")
 
 
 def bundled_oracles() -> list[SetFunctionOracle]:

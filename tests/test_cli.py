@@ -193,6 +193,18 @@ def test_reports_byte_identical(tmp_path, k2_file):
         assert out1.read_bytes() == out2.read_bytes(), args
 
 
+# config files with values their flags reject: a non-integer k, a mode
+# outside the choices, a non-numeric count, a non-boolean switch, and a
+# single string for a multi-value flag
+BAD_CONFIGS = {
+    "float-k.json": {"k": 2.5},
+    "bad-mode.json": {"mode": "sideways"},
+    "text-samples.json": {"samples": "many"},
+    "text-switch.json": {"upper_bound": "yes"},
+    "scalar-list.json": {"graphs": "a.txt"},
+}
+
+
 @pytest.mark.parametrize("args, code, prefix", [
     (["profile", "--family", "gf-space", "--n", "2", "--k", "0"], 2, "usage error:"),
     (["profile", "--family", "example51", "--n", "0"], 2, "usage error:"),
@@ -208,9 +220,24 @@ def test_reports_byte_identical(tmp_path, k2_file):
     (["cutdist", "missing.txt", "missing.txt"], 2, "usage error:"),
     (["hom", "K2", "--graphon", "missing.txt"], 2, "usage error:"),
     (["verify", "no-such-suite"], 2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "0"], 2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "5"], 3, "cap exceeded:"),
+    (["profile", "--family", "complete-cycle", "--n", "7"], 3, "cap exceeded:"),
+    (["--config", "float-k.json", "profile", "--family", "gf-space", "--n", "2"],
+     2, "usage error:"),
+    (["--config", "bad-mode.json", "profile", "--family", "gf-space", "--n", "2"],
+     2, "usage error:"),
+    (["--config", "text-samples.json", "profile", "--family", "gf-space", "--n", "2"],
+     2, "usage error:"),
+    (["--config", "text-switch.json", "cutdist", "missing.txt", "missing.txt"],
+     2, "usage error:"),
+    (["--config", "scalar-list.json", "converge", "--family", "cutcap-files",
+      "--start", "1", "--end", "2"], 2, "usage error:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    for name, data in BAD_CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
     assert run(args + ["--out", "out.json"]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
@@ -224,3 +251,17 @@ def test_k3_blowup_t6_profile_within_cap(tmp_path, k3_file):
                 "--n", "6", "--k", "3", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["results"]["profile"]["summary"]["count"] == 3118
+
+
+def test_config_sets_defaults_and_flags_win(tmp_path):
+    config = tmp_path / "k3.json"
+    config.write_text(json.dumps({"k": 3, "mode": "any"}), encoding="utf-8")
+    base = ["--config", str(config), "profile", "--family", "gf-space", "--n", "2"]
+    from_config = tmp_path / "config.json"
+    from_flag = tmp_path / "flag.json"
+    assert run(base + ["--out", str(from_config)]) == 0
+    assert run(base + ["--k", "2", "--out", str(from_flag)]) == 0
+    params = json.loads(from_config.read_text())["params"]
+    assert (params["k"], params["mode"]) == (3, "any")
+    params = json.loads(from_flag.read_text())["params"]
+    assert (params["k"], params["mode"]) == (2, "any")

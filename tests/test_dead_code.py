@@ -1,4 +1,4 @@
-"""Dead-code guard: every top-level name in the package has a reader.
+"""Dead-code guard: every top-level name and method in the package has a reader.
 
 A top-level function, class or constant of `src/quotientlab/*.py` must
 be referenced somewhere in `src/` or `tests/` other than its own
@@ -6,6 +6,12 @@ definition.  Importing a name counts as a reference, so re-exports in
 the package `__init__` keep public names alive.  Decorated definitions
 count as used, because the decorator registers them (the suite registry
 in `suites.py`).
+
+Every method or property of a package class, dunders aside, must be
+read as an attribute (`x.name`) somewhere in `src/` or `tests/`.  A
+definition is not an attribute read, so this catches methods that only
+define themselves; a subclass override is kept alive by the base class's
+call.
 """
 
 import ast
@@ -31,6 +37,19 @@ def _definitions(tree):
                     yield target.id
 
 
+def _methods(tree):
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not (item.name.startswith("__") and item.name.endswith("__")):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def _attributes(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def _references(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -53,5 +72,21 @@ def unreferenced_names():
     )
 
 
+def unread_methods():
+    trees = _trees(sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")))
+    read = {name for tree in trees.values() for name in _attributes(tree)}
+    return sorted(
+        f"{path.stem}.{qualified}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for qualified, name in _methods(tree)
+        if name not in read
+    )
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
+
+
+def test_every_method_is_read_as_an_attribute():
+    assert unread_methods() == []

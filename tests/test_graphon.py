@@ -42,6 +42,10 @@ def test_zero_total_weight_raises():
     w = StepGraphon.from_graph(SimpleGraph.empty(2))
     with pytest.raises(ZeroDivisionError):
         graphon_cut_capacity(w, 0b01)
+    from quotientlab.graphon import graphon_cut_capacity_oracle
+
+    with pytest.raises(ZeroDivisionError, match="positive total weight"):
+        graphon_cut_capacity_oracle(w)
 
 
 def test_hom_density_step_constant():

@@ -114,6 +114,7 @@ def test_closure_properties_random():
         GraphicMatroid(SimpleGraph.complete(4)),
         LinearMatroid.full_space(2, 3),
         LinearMatroid(3, [(1, 0), (0, 1), (1, 1), (2, 1), (0, 0)]),
+        LinearMatroid.full_space(4, 2),
     ]
     for m in matroids:
         for _ in range(40):
@@ -325,21 +326,13 @@ def test_rank_axioms_random_masks():
             assert rx + ry >= m.rank(x & y) + m.rank(x | y)
 
 
-def test_flats_with_ranks():
-    space = LinearMatroid.full_space(2, 2)
-    pairs = space.flats_with_ranks()
-    assert len(pairs) == 5
-    for mask, rank in pairs:
-        assert space.closure(mask) == mask
-        assert space.rank(mask) == rank
+def test_flat_cap_override_raises(monkeypatch):
+    from quotientlab import FlatExplosionError, config
 
-
-def test_flat_cap_override_raises():
-    from quotientlab import FlatExplosionError
-
+    monkeypatch.setattr(config, "FLAT_COUNT_CAP", 3)
     space = LinearMatroid.full_space(2, 3)
     with pytest.raises(FlatExplosionError):
-        space.flats(count_cap=3)
+        space.flats()
 
 
 def test_k_too_large():

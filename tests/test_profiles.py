@@ -365,3 +365,13 @@ def test_orbit_count_above_cap_raises_before_any_evaluation():
         profile(oracle, 3, Mode.ANY, EXACT)
     assert err.value.iterations == math.comb(8 + 7, 7) ** 3
     assert oracle._cache == {0: 0}
+
+
+def test_rank_oracle_is_the_only_memo_of_its_values():
+    oracle = example51_oracle(6)
+    matroid = oracle.matroid
+    before = dict(matroid._rank_cache)
+    profile(oracle, 2, Mode.PARTITION)
+    assert oracle.size == 10
+    assert len(oracle._cache) == 1 << 10
+    assert matroid._rank_cache == before

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quotientlab import GraphicMatroid, quotient_point
+from quotientlab import GraphicMatroid, GroundTooLargeError, SimpleGraph, quotient_point, sequences
 from quotientlab.sequences import (
     complete_cycle_oracle,
     cutcap_blowup_oracle,
@@ -87,3 +87,40 @@ def test_tau_blowup_oracle_is_rebased():
     oracle = tau_blowup_oracle(SimpleGraph.complete(2), SimpleGraph.complete(2), 2)
     assert oracle.evaluate(0) == 0
     assert oracle.evaluate(oracle.full_mask) == hom_density(SimpleGraph.complete(2), base_graph)
+
+
+class _Unbuildable:
+    """Stands in for a family builder; any use of it fails the test."""
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("a member above GROUND_SIZE_CAP was built")
+
+    def __getattr__(self, name):
+        return self()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: example51_oracle(27),  # odd member: path with 26 edges
+    lambda: example51_oracle(14),  # even member: two trees, 26 edges
+    lambda: complete_cycle_oracle(7),  # K8: 28 edges
+    lambda: gf_space_oracle(2, 5),  # 32 vectors
+    lambda: gf_space_oracle(3, 10**6),  # 3^1000000 vectors, never evaluated
+    lambda: cutcap_blowup_oracle(SimpleGraph.complete(3), 9),  # 27 nodes
+    lambda: tau_blowup_oracle(SimpleGraph.complete(2), SimpleGraph.complete(3), 3),  # 27 edges
+])
+def test_ground_cap_checked_before_building(build, monkeypatch):
+    for name in ("example51_graph", "GraphicMatroid", "LinearMatroid", "blow_up"):
+        monkeypatch.setattr(sequences, name, _Unbuildable())
+    with pytest.raises(GroundTooLargeError):
+        build()
+
+
+def test_ground_cap_admits_members_at_the_cap():
+    assert example51_oracle(25).size == 24
+    assert example51_oracle(12).size == 22  # the largest even member
+    assert gf_space_oracle(2, 4).size == 16
+
+
+def test_gf_space_rejects_nonpositive_index():
+    with pytest.raises(ValueError, match="family index must be positive"):
+        gf_space_oracle(2, 0)

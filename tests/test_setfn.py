@@ -12,7 +12,9 @@ from quotientlab import (
     QuotientPoint,
     SetFunctionOracle,
     SimpleGraph,
+    GroundTooLargeError,
     check_monotone,
+    check_monotone_sampled,
     check_submodular,
     check_submodular_sampled,
     quotient_point,
@@ -179,6 +181,21 @@ def test_sampled_checks_find_gross_violations():
     assert check_submodular_sampled(squares, seed=3, samples=300)
     rank = GraphicMatroid(SimpleGraph.complete(4)).rank_oracle()
     assert check_submodular_sampled(rank, seed=3, samples=300) == []
+
+
+def test_sampled_monotone_probe_both_directions():
+    # |X| on four elements, except that the whole set drops to 0
+    dip = oracle_from_table([m.bit_count() for m in range(15)] + [0])
+    violations = check_monotone_sampled(dip, seed=5, samples=64)
+    assert violations
+    for v in violations:
+        assert v.x & ~v.y == 0 and v.y == 0b1111
+        assert v.slack == dip.evaluate(v.y) - dip.evaluate(v.x) < 0
+    # 16 elements: above EXHAUSTIVE_CHECK_CAP, so only the probe applies
+    space = LinearMatroid.full_space(2, 4).normalized_rank_oracle()
+    with pytest.raises(GroundTooLargeError, match="check_monotone_sampled"):
+        check_monotone(space)
+    assert check_monotone_sampled(space, seed=5, samples=400) == []
 
 
 def test_exact_arithmetic_is_reproducible():
