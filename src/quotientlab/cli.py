@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__, serialize
 from .errors import CapExceededError, GraphFormatError, QuotientLabError, StrategyError
@@ -307,7 +308,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that keeps each option's action by destination."""
+    """An argument parser that keeps each option's action by destination
+    and raises its usage errors, so they end in one stderr line."""
 
     def __init__(self, *args, **kwargs):
         self.options: dict[str, argparse.Action] = {}
@@ -318,6 +320,9 @@ class _Parser(argparse.ArgumentParser):
         if action.option_strings and action.dest != "help":
             self.options[action.dest] = action
         return action
+
+    def error(self, message: str) -> NoReturn:
+        raise StrategyError(message)
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -379,20 +384,25 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, sub.choices
 
 
-def _extract_config(argv: list[str]) -> tuple[list[str], dict]:
-    if "--config" not in argv:
+def _extract_config(parser: _Parser, argv: list[str]) -> tuple[list[str], dict]:
+    """Take `--config FILE` or `--config=FILE` out of argv, wherever it stands."""
+    for i, arg in enumerate(argv):
+        if arg.startswith("--config="):
+            path, rest = arg[len("--config="):], argv[:i] + argv[i + 1:]
+            break
+        if arg == "--config":
+            if i + 1 >= len(argv):
+                parser.error("--config needs a file path")
+            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+            break
+    else:
         return argv, {}
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise StrategyError("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise StrategyError(f"cannot read config {path}: {exc}") from None
+        parser.error(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
-        raise StrategyError("config file must hold a JSON object of flag defaults")
+        parser.error("config file must hold a JSON object of flag defaults")
     return rest, data
 
 
@@ -422,9 +432,9 @@ def _config_defaults(command: _Parser, config: dict) -> dict:
                 raise ValueError(value)
             items = [v if switch else _flag_value(action, v) for v in (value if many else [value])]
         except (TypeError, ValueError):
-            raise StrategyError(
+            command.error(
                 f"config value {json.dumps(value)} is invalid for {action.option_strings[0]}"
-            ) from None
+            )
         defaults[key] = items if many else items[0]
     return defaults
 
@@ -433,15 +443,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        argv, config = _extract_config(argv)
+        argv, config = _extract_config(parser, argv)
+        unknown = sorted(set(config).difference(*(sub.options for sub in commands.values())))
+        if unknown:
+            parser.error(f"config keys name no option of any subcommand: {', '.join(unknown)}")
         for sub in commands.values():
             sub.set_defaults(**_config_defaults(sub, config))
-    except StrategyError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
-    try:
+        args = parser.parse_args(argv)
+        started = time.perf_counter()
         code = args.fn(args)
     except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)

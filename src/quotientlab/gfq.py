@@ -10,37 +10,22 @@ is sized for tiny q, the fields that actually show up on a desk.
 from __future__ import annotations
 
 from functools import lru_cache
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+from math import isqrt
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q == p**e, or raise ValueError."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p:
-            continue
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return p, e
-    raise ValueError(f"{q} is not a prime power")
+    # the smallest divisor above 1 is prime, and q itself is prime if none is <= sqrt(q)
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, e
 
 
 def _poly_trim(a: tuple[int, ...]) -> tuple[int, ...]:

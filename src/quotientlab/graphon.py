@@ -175,7 +175,7 @@ def parse_step_graphon(text: str) -> StepGraphon:
         raise GraphFormatError(len(lines), f"expected breakpoints line and {r} value rows")
     try:
         upper = [Fraction(tok) for tok in lines[1].split()]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise GraphFormatError(2, "breakpoints must be rationals like 1/3") from None
     if len(upper) != r:
         raise GraphFormatError(2, f"expected {r} breakpoints")
@@ -186,7 +186,7 @@ def parse_step_graphon(text: str) -> StepGraphon:
             raise GraphFormatError(3 + i, f"expected {r} values")
         try:
             rows.append(tuple(Fraction(tok) for tok in toks))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise GraphFormatError(3 + i, "values must be rationals") from None
     try:
         return StepGraphon((Fraction(0),) + tuple(upper), tuple(rows))

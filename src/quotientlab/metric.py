@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import ClassVar, Optional, Sequence
 
 from .errors import EmptyProfileError
@@ -90,14 +91,16 @@ class EpsContainment:
 
 
 def eps_contained(a_cloud, b_cloud, eps: Fraction | int) -> EpsContainment:
-    """Is every point of A within eps (sup norm) of some point of B?"""
+    """Is every point of A within eps (sup norm) of some point of B?
+
+    That is, is the directed distance from A to B at most eps.  On failure
+    the witness is the directed distance's: the point of A farthest from
+    B, the smallest coordinate tuple among ties.
+    """
     eps = Fraction(eps)
-    a_pts = _point_list(a_cloud)
-    b_pts = _point_list(b_cloud)
-    for a in a_pts:
-        if all(linf_distance(a, b) > eps for b in b_pts):
-            return EpsContainment(False, eps, a)
-    return EpsContainment(True, eps, None)
+    distance, farthest = directed_distance(a_cloud, b_cloud)
+    holds = distance <= eps
+    return EpsContainment(holds, eps, None if holds else farthest)
 
 
 # Verdict thresholds on the ratio of the last tail value to the first.
@@ -134,11 +137,9 @@ def cauchy_diagnostic(clouds: Sequence) -> ConvergenceDiagnostic:
             d = hausdorff(clouds[i], clouds[j]).distance
             matrix[i][j] = d
             matrix[j][i] = d
-    tails = []
-    for start in range(count - 1):
-        tails.append(
-            max(matrix[a][b] for a in range(start, count) for b in range(a + 1, count))
-        )
+    # tail_sup[i] = max(largest entry right of the diagonal in row i, tail_sup[i + 1])
+    row_max = [max(matrix[a][a + 1:]) for a in range(count - 1)]
+    tails = list(accumulate(reversed(row_max), max))[::-1]
     pairwise = tuple(tuple(row) for row in matrix)
     if not tails:
         return ConvergenceDiagnostic(pairwise, (), "inconclusive", None)
@@ -152,14 +153,7 @@ def cauchy_diagnostic(clouds: Sequence) -> ConvergenceDiagnostic:
         verdict = "consistent-with-cauchy"
     elif last >= first * DIVERGENCE_FACTOR:
         verdict = "diverging"
-        start = len(tails) - 1
-        for a in range(start, count):
-            for b in range(a + 1, count):
-                if matrix[a][b] == last:
-                    witness = (a, b)
-                    break
-            if witness:
-                break
+        witness = (count - 2, count - 1)  # the one pair of the last tail
     else:
         verdict = "inconclusive"
     return ConvergenceDiagnostic(pairwise, tuple(tails), verdict, witness)

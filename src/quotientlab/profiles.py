@@ -259,28 +259,22 @@ def derived_profile(
     return profile(point.as_oracle(label="derived-point"), k, mode, strategy)
 
 
-def compose(
-    oracle: SetFunctionOracle,
-    outer_k: int,
-    inner_m: int,
-    outer_mode: Mode,
-    inner_mode: Mode,
-) -> ProfileSet:
+def compose(inner: ProfileSet, outer_k: int, outer_mode: Mode) -> ProfileSet:
     """Union of outer profiles taken over every point of the inner profile.
 
-    With inner ANY tuples of length a >= k, outer PARTITION (or ANY)
-    reproduces the full ANY profile for k parts; the same holds for
-    inner PARTITION profiles with at least 2**k parts.
+    With an exact inner ANY profile of m >= k parts, outer PARTITION (or
+    ANY) reproduces the full ANY profile for k parts; the same holds for
+    inner PARTITION profiles with at least 2**k parts.  The inner profile
+    is taken as given, so one profile can serve several compositions.
     """
-    inner = profile(oracle, inner_m, inner_mode, EXACT)
     points: set[QuotientPoint] = set()
     for p in inner:
         points.update(derived_profile(p, outer_k, outer_mode).points)
     return ProfileSet(
         outer_k,
         outer_mode,
-        f"composed({outer_mode.value}∘{inner_mode.value},m={inner_m})",
-        oracle.label,
+        f"composed({outer_mode.value}∘{inner.mode.value},m={inner.k})",
+        inner.source,
         frozenset(points),
     )
 

@@ -99,11 +99,11 @@ def complete_cycle_oracle(n: int) -> SetFunctionOracle:
 def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
     if n < 1:
         raise ValueError("family index must be positive")
-    field(q)  # rejects q that is not a prime power, so q**n >= 2**n > n below
-    if n > config.GROUND_SIZE_CAP or q**n > config.GROUND_SIZE_CAP:
-        raise GroundTooLargeError(
-            f"ground set of size {q}^{n} exceeds GROUND_SIZE_CAP={config.GROUND_SIZE_CAP}"
-        )
+    cap = config.GROUND_SIZE_CAP
+    if q <= cap:
+        field(q)  # rejects q that is not a prime power; a larger q fails the cap unbuilt
+    if q > cap or n > cap or q**n > cap:
+        raise GroundTooLargeError(f"ground set of size {q}^{n} exceeds GROUND_SIZE_CAP={cap}")
     matroid = LinearMatroid.full_space(q, n)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(gf({q})^{n})")
 

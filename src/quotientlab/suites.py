@@ -1,8 +1,9 @@
 """Named verification suites behind the `verify` subcommand.
 
 Each suite re-checks a family of exact identities, inclusions, or bounds
-on bundled desk-scale instances and reports one pass/fail line per
-check, with a witness in the detail string on failure.
+on bundled desk-scale instances and yields one pass/fail result per
+check, with a witness in the detail string on failure; `run_suite`
+collects them under the name the suite is registered with.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-SUITES: dict[str, Callable[[], SuiteResult]] = {}
+SUITES: dict[str, Callable[[], Iterator[CheckResult]]] = {}
 
 
 def _suite(name: str):
@@ -96,11 +97,7 @@ def available_suites() -> list[str]:
 
 
 def run_suite(name: str) -> SuiteResult:
-    return SUITES[name]()
-
-
-def _check(checks: list[CheckResult], name: str, passed: bool, detail: str = "") -> None:
-    checks.append(CheckResult(name, bool(passed), detail))
+    return SuiteResult(name, tuple(SUITES[name]()))
 
 
 # --------------------------------------------------------------------------
@@ -113,33 +110,29 @@ def _two_tree_point(n: int) -> QuotientPoint:
 
 
 @_suite("divergence")
-def suite_divergence() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_divergence() -> Iterator[CheckResult]:
     q8 = profile(example51_oracle(8), 2, Mode.PARTITION, EXACT)
     q9 = profile(example51_oracle(9), 2, Mode.PARTITION, EXACT)
     gap = hausdorff(q8, q9).distance
-    _check(checks, "hausdorff(8,9) >= 31/72", gap >= Fraction(31, 72), f"distance {gap}")
+    yield CheckResult("hausdorff(8,9) >= 31/72", gap >= Fraction(31, 72), f"distance {gap}")
     point = _two_tree_point(8)
-    _check(
-        checks,
+    yield CheckResult(
         "two-tree point is (7/8,7/8,7/8)",
         point.coords == (Fraction(0), Fraction(7, 8), Fraction(7, 8), Fraction(7, 8)),
         str(point.coords),
     )
     d_pt, _ = directed_distance([point], q9)
-    _check(checks, "point gap to odd member == 31/72", d_pt == Fraction(31, 72), f"got {d_pt}")
+    yield CheckResult("point gap to odd member == 31/72", d_pt == Fraction(31, 72), f"got {d_pt}")
     lower = [d_pt]
     for even in (10, 12):
         q_odd = profile(example51_oracle(even + 1), 2, Mode.PARTITION, EXACT)
         d, _ = directed_distance([_two_tree_point(even)], q_odd)
         lower.append(d)
-    _check(
-        checks,
+    yield CheckResult(
         "point gaps grow toward 1/2",
         lower[0] < lower[1] < lower[2] < Fraction(1, 2),
         " < ".join(str(d) for d in lower),
     )
-    return SuiteResult("divergence", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -147,27 +140,25 @@ def suite_divergence() -> SuiteResult:
 
 
 @_suite("composition")
-def suite_composition() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_composition() -> Iterator[CheckResult]:
     oracles = [
         GraphicMatroid(SimpleGraph.complete(4)).normalized_rank_oracle(),
         gf_space_oracle(2, 2),
     ]
     for oracle in oracles:
         base = profile(oracle, 2, Mode.ANY, EXACT).points
+        any3 = profile(oracle, 3, Mode.ANY, EXACT)
         variants = {
-            "partition∘any(3)": compose(oracle, 2, 3, Mode.PARTITION, Mode.ANY),
-            "any∘any(3)": compose(oracle, 2, 3, Mode.ANY, Mode.ANY),
-            "any∘partition(4)": compose(oracle, 2, 4, Mode.ANY, Mode.PARTITION),
+            "partition∘any(3)": compose(any3, 2, Mode.PARTITION),
+            "any∘any(3)": compose(any3, 2, Mode.ANY),
+            "any∘partition(4)": compose(profile(oracle, 4, Mode.PARTITION, EXACT), 2, Mode.ANY),
         }
         for name, pset in variants.items():
-            _check(
-                checks,
+            yield CheckResult(
                 f"{oracle.label}: {name} == any",
                 pset.points == base,
                 f"{len(pset.points)} vs {len(base)} points",
             )
-    return SuiteResult("composition", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -206,12 +197,10 @@ def bundled_oracles() -> list[SetFunctionOracle]:
 
 
 @_suite("inclusion-chains")
-def suite_inclusion_chains() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_inclusion_chains() -> Iterator[CheckResult]:
     for oracle in bundled_oracles():
         report = verify_inclusions(oracle, 2)
-        _check(
-            checks,
+        yield CheckResult(
             f"chains hold for {oracle.label}",
             report.all_hold,
             "" if report.all_hold else f"witness {report.witness}",
@@ -220,12 +209,10 @@ def suite_inclusion_chains() -> SuiteResult:
     gf2 = gf_space_oracle(2, 2)
     any_set = profile(gf2, 2, Mode.ANY, EXACT)
     part_set = profile(gf2, 2, Mode.PARTITION, EXACT)
-    _check(
-        checks,
+    yield CheckResult(
         "zero point in any-profile but not in partition-profile",
         zero in any_set.points and zero not in part_set.points,
     )
-    return SuiteResult("inclusion-chains", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -233,30 +220,25 @@ def suite_inclusion_chains() -> SuiteResult:
 
 
 @_suite("approx-bounds")
-def suite_approx_bounds() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_approx_bounds() -> Iterator[CheckResult]:
     report = delta_approx_bound_check(LinearMatroid.full_space(2, 4), 2, 4)
-    _check(checks, "richness precondition for gf(2)^4", report.precondition_met)
-    _check(
-        checks,
+    yield CheckResult("richness precondition for gf(2)^4", report.precondition_met)
+    yield CheckResult(
         "gaps within k*m/rank == 2",
         report.holds,
         f"any/disjoint {report.any_vs_disjoint}, covering/partition {report.covering_vs_partition}",
     )
-    _check(
-        checks,
+    yield CheckResult(
         "gaps strictly below coordinate diameter 1",
         report.any_vs_disjoint < 1 and report.covering_vs_partition < 1,
         f"{report.any_vs_disjoint}, {report.covering_vs_partition}",
     )
     vacuous = delta_approx_bound_check(LinearMatroid.full_space(2, 3), 2, 4)
-    _check(
-        checks,
+    yield CheckResult(
         "gf(2)^3 bound 8/3 exceeds diameter",
         vacuous.precondition_met and vacuous.holds and vacuous.bound == Fraction(8, 3),
         f"bound {vacuous.bound}",
     )
-    return SuiteResult("approx-bounds", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -264,26 +246,22 @@ def suite_approx_bounds() -> SuiteResult:
 
 
 @_suite("richness")
-def suite_richness() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_richness() -> Iterator[CheckResult]:
     for n in range(1, 5):
         matroid = LinearMatroid.full_space(2, n)
         for k in range(1, 4):
             report = check_richness(matroid, k, 2 * k)
-            _check(
-                checks,
+            yield CheckResult(
                 f"gf(2)^{n} satisfies the (k={k}, m={2 * k}) flat-pair condition",
                 report.holds,
                 "" if report.holds else f"witness {report.witness}",
             )
     negative = check_richness(GraphicMatroid(SimpleGraph.complete(3)), 2, 1)
-    _check(
-        checks,
+    yield CheckResult(
         "triangle cycle matroid fails (k=2, m=1) with a witness",
         not negative.holds and negative.witness is not None,
         str(negative.witness),
     )
-    return SuiteResult("richness", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -305,8 +283,7 @@ def _random_matroid(rng: Random, ground: int):
 
 
 @_suite("matroid-union")
-def suite_matroid_union() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_matroid_union() -> Iterator[CheckResult]:
     rng = Random(20250810)
     mismatches = []
     for trial in range(200):
@@ -329,8 +306,7 @@ def suite_matroid_union() -> SuiteResult:
             mismatches.append(trial)
         if result.certificate_value != result.rank:
             mismatches.append(trial)
-    _check(
-        checks,
+    yield CheckResult(
         "augmenting-path rank matches brute force on 200 seeded instances",
         not mismatches,
         f"mismatching trials: {mismatches}" if mismatches else "",
@@ -348,7 +324,7 @@ def suite_matroid_union() -> SuiteResult:
             and space.rank(b1) == 3
             and space.rank(b2) == 3
         )
-    _check(checks, "two disjoint bases among the 7 nonzero vectors of gf(2)^3", ok)
+    yield CheckResult("two disjoint bases among the 7 nonzero vectors of gf(2)^3", ok)
     triangle = GraphicMatroid(SimpleGraph.complete(3))
     tri_full = triangle.full_mask
     missing = disjoint_bases(triangle, [tri_full, tri_full])
@@ -357,11 +333,10 @@ def suite_matroid_union() -> SuiteResult:
         y = missing.certificate
         rest = tri_full & ~y
         cert_ok = y.bit_count() + 2 * triangle.rank(rest) < 4
-    _check(checks, "triangle refuses two disjoint spanning forests, with certificate", cert_ok)
+    yield CheckResult("triangle refuses two disjoint spanning forests, with certificate", cert_ok)
     k4 = GraphicMatroid(SimpleGraph.complete(4))
     result = matroid_union([k4, k4])
-    _check(checks, "complete graph on 4 nodes splits into two spanning trees", result.rank == 6)
-    return SuiteResult("matroid-union", tuple(checks))
+    yield CheckResult("complete graph on 4 nodes splits into two spanning trees", result.rank == 6)
 
 
 # --------------------------------------------------------------------------
@@ -405,8 +380,7 @@ def _roundtrip_corpus() -> list[SimpleGraph]:
 
 
 @_suite("cut-roundtrip")
-def suite_cut_roundtrip() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_cut_roundtrip() -> Iterator[CheckResult]:
     for g in _roundtrip_corpus():
         oracle = cut_capacity_oracle(g, CutNormalization.NODES_SQUARED)
         bad = None
@@ -425,13 +399,11 @@ def suite_cut_roundtrip() -> SuiteResult:
             ):
                 bad = (parts, "kappa->gamma")
                 break
-        _check(
-            checks,
+        yield CheckResult(
             f"round trip on all partitions of {g.name or g.node_count}",
             bad is None,
             str(bad) if bad else "",
         )
-    return SuiteResult("cut-roundtrip", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -444,8 +416,7 @@ def _random_graph(rng: Random, n: int) -> SimpleGraph:
 
 
 @_suite("cut-contraction")
-def suite_cut_contraction() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_cut_contraction() -> Iterator[CheckResult]:
     rng = Random(424242)
     failures = []
     for trial in range(100):
@@ -456,13 +427,11 @@ def suite_cut_contraction() -> SuiteResult:
         q2 = profile(cut_capacity_oracle(g2, CutNormalization.NODES_SQUARED), 2, Mode.PARTITION)
         if hausdorff(q1, q2).distance > cut_dist_labeled(g1, g2):
             failures.append(trial)
-    _check(
-        checks,
+    yield CheckResult(
         "partition-profile gap <= labeled cut distance on 100 seeded pairs",
         not failures,
         f"failing trials: {failures}" if failures else "",
     )
-    return SuiteResult("cut-contraction", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -470,8 +439,7 @@ def suite_cut_contraction() -> SuiteResult:
 
 
 @_suite("blowup-density")
-def suite_blowup_density() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_blowup_density() -> Iterator[CheckResult]:
     motifs = {
         "K2": SimpleGraph.complete(2),
         "P3": SimpleGraph.path(3),
@@ -487,8 +455,7 @@ def suite_blowup_density() -> SuiteResult:
                 blown = hom_density(motif, blow_up(g, t), max_target_nodes=15)
                 if blown != base:
                     ok = False
-            _check(checks, f"t({name}, {g.name}(t)) stable for t<=3", ok, f"base {base}")
-    return SuiteResult("blowup-density", tuple(checks))
+            yield CheckResult(f"t({name}, {g.name}(t)) stable for t<=3", ok, f"base {base}")
 
 
 # --------------------------------------------------------------------------
@@ -496,8 +463,7 @@ def suite_blowup_density() -> SuiteResult:
 
 
 @_suite("tau-shape")
-def suite_tau_shape() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_tau_shape() -> Iterator[CheckResult]:
     motifs = {"K2": SimpleGraph.complete(2), "K3": SimpleGraph.complete(3)}
     targets = [SimpleGraph.complete(4), SimpleGraph.cycle(5), SimpleGraph.complete_bipartite(3, 2)]
     for fname, motif in motifs.items():
@@ -507,13 +473,11 @@ def suite_tau_shape() -> SuiteResult:
             mono = check_monotone(oracle)
             base_ok = oracle.evaluate(0) == 1 - hom_density(motif, g)
             top_ok = oracle.evaluate(oracle.full_mask) == 1
-            _check(
-                checks,
+            yield CheckResult(
                 f"tau({fname};{g.name}) submodular, increasing, pinned endpoints",
                 not sub and not mono and base_ok and top_ok,
                 f"violations: {len(sub)} submodular, {len(mono)} monotone",
             )
-    return SuiteResult("tau-shape", tuple(checks))
 
 
 # --------------------------------------------------------------------------
@@ -521,28 +485,28 @@ def suite_tau_shape() -> SuiteResult:
 
 
 @_suite("limit-filter")
-def suite_limit_filter() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_limit_filter() -> Iterator[CheckResult]:
     for n in (2, 3):
         pset = profile(gf_space_oracle(2, n), 2, Mode.PARTITION, EXACT)
         filtered = limit_set_filter(pset, 2, n)
         threshold = 1 - Fraction(1, n)
         explicit = all(p.max_singleton() >= threshold for p in pset)
-        _check(
-            checks,
+        yield CheckResult(
             f"all partition points of gf(2)^{n} clear threshold {threshold}",
             len(filtered) == len(pset) and explicit,
             f"{len(filtered)}/{len(pset)} kept",
         )
-    return SuiteResult("limit-filter", tuple(checks))
 
 
 # --------------------------------------------------------------------------
 # metric soundness on random rational clouds
 
 
-def _random_cloud(rng: Random, max_points: int = 50) -> list[QuotientPoint]:
-    size = rng.randrange(1, max_points + 1)
+_CLOUD_MAX_POINTS = 50
+
+
+def _random_cloud(rng: Random) -> list[QuotientPoint]:
+    size = rng.randrange(1, _CLOUD_MAX_POINTS + 1)
     out = []
     for _ in range(size):
         coords = (Fraction(0),) + tuple(
@@ -553,8 +517,7 @@ def _random_cloud(rng: Random, max_points: int = 50) -> list[QuotientPoint]:
 
 
 @_suite("metric-properties")
-def suite_metric_properties() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_metric_properties() -> Iterator[CheckResult]:
     rng = Random(1009)
     clouds = [_random_cloud(rng) for _ in range(1000)]
     sym_ok = ident_ok = tri_ok = True
@@ -573,10 +536,9 @@ def suite_metric_properties() -> SuiteResult:
             ident_ok = False
         if dab.distance == 0 and set(p.coords for p in a) != set(p.coords for p in b):
             ident_ok = False
-    _check(checks, "symmetry on 333 seeded cloud pairs", sym_ok)
-    _check(checks, "identity (zero distance iff equal after dedup)", ident_ok)
-    _check(checks, "triangle inequality on 333 seeded cloud triples", tri_ok)
-    return SuiteResult("metric-properties", tuple(checks))
+    yield CheckResult("symmetry on 333 seeded cloud pairs", sym_ok)
+    yield CheckResult("identity (zero distance iff equal after dedup)", ident_ok)
+    yield CheckResult("triangle inequality on 333 seeded cloud triples", tri_ok)
 
 
 # --------------------------------------------------------------------------
@@ -584,63 +546,42 @@ def suite_metric_properties() -> SuiteResult:
 
 
 @_suite("embeddings")
-def suite_embeddings() -> SuiteResult:
-    checks: list[CheckResult] = []
+def suite_embeddings() -> Iterator[CheckResult]:
     spaces = {m: LinearMatroid.full_space(2, m) for m in (1, 2, 3, 4)}
-    # zero-padding preserves ranks, joins, and meets
-    for m, n in ((1, 2), (2, 3), (1, 3)):
-        src, dst = spaces[m], spaces[n]
-        flats = src.flats()
-        ok = True
-        images = {}
-        for f in flats:
-            img = pad_embed_flat(2, m, n, f)
-            images[f] = img
-            if not dst.is_flat(img) or dst.rank(img) != src.rank(f):
-                ok = False
-        for f, g in itertools.product(flats, repeat=2):
-            join_src = src.closure(f | g)
-            meet_src = f & g
-            if images[join_src] != dst.closure(images[f] | images[g]):
-                ok = False
-            if images[meet_src] != images[f] & images[g]:
-                ok = False
-        _check(checks, f"zero padding gf(2)^{m} -> gf(2)^{n} is a rank-preserving lattice map", ok)
-    # block repetition preserves normalized ranks, joins, and meets
-    for m, n in ((1, 2), (2, 4)):
-        src, dst = spaces[m], spaces[n]
-        t = n // m
-        flats = src.flats()
-        ok = True
-        images = {}
-        for f in flats:
-            img = stretch_embed_flat(2, m, n, f)
-            images[f] = img
-            if not dst.is_flat(img) or dst.rank(img) != t * src.rank(f):
-                ok = False
-        for f, g in itertools.product(flats, repeat=2):
-            if images[src.closure(f | g)] != dst.closure(images[f] | images[g]):
-                ok = False
-            if images[f & g] != images[f] & images[g]:
-                ok = False
-        _check(checks, f"block repetition gf(2)^{m} -> gf(2)^{n} scales ranks by {t}", ok)
+    # each embedding maps flats to flats, multiplies ranks by its factor
+    # (n/m = 2 for both repetition pairs), and preserves joins and meets
+    lattice_maps = (
+        (pad_embed_flat, ((1, 2), (2, 3), (1, 3)), 1,
+         "zero padding gf(2)^{m} -> gf(2)^{n} is a rank-preserving lattice map"),
+        (stretch_embed_flat, ((1, 2), (2, 4)), 2,
+         "block repetition gf(2)^{m} -> gf(2)^{n} scales ranks by {t}"),
+    )
+    for embed, pairs, t, title in lattice_maps:
+        for m, n in pairs:
+            src, dst = spaces[m], spaces[n]
+            images = {f: embed(2, m, n, f) for f in src.flats()}
+            ok = all(
+                dst.is_flat(img) and dst.rank(img) == t * src.rank(f) for f, img in images.items()
+            ) and all(
+                images[src.closure(f | g)] == dst.closure(images[f] | images[g])
+                and images[f & g] == images[f] & images[g]
+                for f, g in itertools.product(images, repeat=2)
+            )
+            yield CheckResult(title.format(m=m, n=n, t=t), ok)
     # profile containments those embeddings imply
     profiles = {
         m: profile(gf_space_oracle(2, m), 2, Mode.ANY, FLATS if m == 4 else EXACT)
         for m in (1, 2, 3, 4)
     }
     for m, n in ((1, 2), (2, 4)):
-        _check(
-            checks,
+        yield CheckResult(
             f"any-profile of gf(2)^{m} inside that of gf(2)^{n}",
             profiles[m].points <= profiles[n].points,
         )
     for m, n in ((1, 2), (2, 3)):
         target = {p.coords for p in profiles[n]}
         ok = all(p.scale(Fraction(m, n)).coords in target for p in profiles[m])
-        _check(
-            checks,
+        yield CheckResult(
             f"any-profile of gf(2)^{m} inside {n}/{m} times that of gf(2)^{n}",
             ok,
         )
-    return SuiteResult("embeddings", tuple(checks))

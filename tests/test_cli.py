@@ -166,12 +166,6 @@ def test_sampled_needs_seed():
                 "--k", "2", "--mode", "partition", "--strategy", "sampled"]) == 2
 
 
-def test_usage_error_exit_code_from_argparse():
-    with pytest.raises(SystemExit) as err:
-        run(["profile", "--family", "not-a-family", "--n", "1"])
-    assert err.value.code == 2
-
-
 def test_reports_byte_identical(tmp_path, k2_file):
     invocations = [
         ["profile", "--family", "gf-space", "--q", "2", "--n", "3",
@@ -202,6 +196,13 @@ BAD_CONFIGS = {
     "text-samples.json": {"samples": "many"},
     "text-switch.json": {"upper_bound": "yes"},
     "scalar-list.json": {"graphs": "a.txt"},
+    "unknown-key.json": {"kk": 3},
+}
+
+# step graphon files with a zero denominator in a breakpoint or a value
+BAD_GRAPHONS = {
+    "zero-breakpoint.txt": "1\n1/0\n1/2\n",
+    "zero-value.txt": "1\n1\n1/0\n",
 }
 
 
@@ -233,11 +234,22 @@ BAD_CONFIGS = {
      2, "usage error:"),
     (["--config", "scalar-list.json", "converge", "--family", "cutcap-files",
       "--start", "1", "--end", "2"], 2, "usage error:"),
+    (["profile", "--family", "not-a-family", "--n", "1"], 2, "usage error:"),
+    (["--config=float-k.json", "profile", "--family", "gf-space", "--n", "2"],
+     2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "2", "--config=bad-mode.json"],
+     2, "usage error:"),
+    (["--config", "unknown-key.json", "profile", "--family", "gf-space", "--n", "2"],
+     2, "usage error:"),
+    (["hom", "K2", "--graphon", "zero-breakpoint.txt"], 2, "usage error:"),
+    (["hom", "K2", "--graphon", "zero-value.txt"], 2, "usage error:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, data in BAD_CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    for name, text in BAD_GRAPHONS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     assert run(args + ["--out", "out.json"]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
@@ -265,3 +277,14 @@ def test_config_sets_defaults_and_flags_win(tmp_path):
     assert (params["k"], params["mode"]) == (3, "any")
     params = json.loads(from_flag.read_text())["params"]
     assert (params["k"], params["mode"]) == (2, "any")
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_config_equals_form_before_or_after_the_command(where, tmp_path):
+    config = tmp_path / "k3.json"
+    config.write_text(json.dumps({"k": 3}), encoding="utf-8")
+    out = tmp_path / "p.json"
+    command = ["profile", "--family", "gf-space", "--n", "2", "--out", str(out)]
+    flag = [f"--config={config}"]
+    assert run(flag + command if where == "before" else command + flag) == 0
+    assert json.loads(out.read_text())["params"]["k"] == 3

@@ -43,6 +43,7 @@ def test_factor_prime_power():
     assert factor_prime_power(8) == (2, 3)
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(5) == (5, 1)
+    assert factor_prime_power(1000003) == (1000003, 1)
     with pytest.raises(ValueError):
         factor_prime_power(6)
     with pytest.raises(ValueError):

@@ -109,6 +109,15 @@ def test_eps_contained():
     assert not eps_contained(a, b, d - Fraction(1, 1000)).holds
 
 
+def test_eps_contained_witness_is_the_farthest_point():
+    # all three miss B by more than 1/2; the first in coordinate order is
+    # nearest, and the two farthest tie, so the smaller tuple is chosen
+    a = [pt(-1, 0, 0), pt(0, 3, 0), pt(0, 0, 3)]
+    failed = eps_contained(a, [pt(0, 0, 0)], Fraction(1, 2))
+    assert not failed.holds
+    assert failed.witness == pt(0, 0, 3)
+
+
 def test_eps_contained_profiles():
     small = profile(gf_space_oracle(2, 2), 2, Mode.PARTITION, EXACT)
     large = profile(gf_space_oracle(2, 4), 2, Mode.PARTITION, EXACT)

@@ -151,15 +151,17 @@ def test_composition_identities_k4_and_gf22():
     ]
     for oracle in oracles:
         base = coords_set(profile(oracle, 2, Mode.ANY, EXACT))
-        assert coords_set(compose(oracle, 2, 3, Mode.PARTITION, Mode.ANY)) == base
-        assert coords_set(compose(oracle, 2, 3, Mode.ANY, Mode.ANY)) == base
-        assert coords_set(compose(oracle, 2, 4, Mode.ANY, Mode.PARTITION)) == base
+        any3 = profile(oracle, 3, Mode.ANY, EXACT)
+        assert coords_set(compose(any3, 2, Mode.PARTITION)) == base
+        assert coords_set(compose(any3, 2, Mode.ANY)) == base
+        partition4 = profile(oracle, 4, Mode.PARTITION, EXACT)
+        assert coords_set(compose(partition4, 2, Mode.ANY)) == base
 
 
 def test_composition_trivial_k1():
     oracle = gf_space_oracle(2, 2)
     base = coords_set(profile(oracle, 1, Mode.ANY, EXACT))
-    assert coords_set(compose(oracle, 1, 1, Mode.ANY, Mode.ANY)) == base
+    assert coords_set(compose(profile(oracle, 1, Mode.ANY, EXACT), 1, Mode.ANY)) == base
 
 
 def test_inclusion_chains_hold():

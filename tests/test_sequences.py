@@ -115,6 +115,13 @@ def test_ground_cap_checked_before_building(build, monkeypatch):
         build()
 
 
+@pytest.mark.parametrize("q", [65536, 1000003, 30])  # 2^16, a prime, not a prime power
+def test_gf_space_field_size_above_cap_rejected_before_field_work(q, monkeypatch):
+    monkeypatch.setattr(sequences, "field", _Unbuildable())
+    with pytest.raises(GroundTooLargeError):
+        gf_space_oracle(q, 1)
+
+
 def test_ground_cap_admits_members_at_the_cap():
     assert example51_oracle(25).size == 24
     assert example51_oracle(12).size == 22  # the largest even member

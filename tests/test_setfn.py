@@ -1,14 +1,17 @@
 """Core setfunction oracle, quotient vectors, shape checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from quotientlab import (
+    CutNormalization,
     GroundSet,
     GraphicMatroid,
     LinearMatroid,
     MaskWidthError,
+    Mode,
     QuotientPoint,
     SetFunctionOracle,
     SimpleGraph,
@@ -17,8 +20,11 @@ from quotientlab import (
     check_monotone_sampled,
     check_submodular,
     check_submodular_sampled,
+    blow_up,
+    cut_capacity_oracle,
     quotient_point,
 )
+from quotientlab.sequences import gf_space_oracle
 from quotientlab.setfn import oracle_from_table, union_table
 
 
@@ -254,3 +260,47 @@ def test_quotient_coords_monotone_for_monotone_oracles():
                 for big in range(8):
                     if small & ~big == 0:
                         assert point.coords[small] <= point.coords[big]
+
+
+def _random_parts(rng, size, k, mode):
+    """Parts of a random assignment of each of `size` elements to a choice of `mode`."""
+    parts = [0] * k
+    for e in range(size):
+        pick = rng.choice(mode.element_choices(k))
+        for i in range(k):
+            if pick >> i & 1:
+                parts[i] |= 1 << e
+    return parts
+
+
+def test_quotient_points_of_submodular_functions_are_submodular():
+    # f(A_X) + f(A_Y) >= f(A_X | A_Y) + f(A_X & A_Y), and A_{X&Y} = A_X & A_Y
+    # for disjoint parts; overlapping parts only give A_{X&Y} <= A_X & A_Y,
+    # so there the step to f(A_{X&Y}) needs f increasing as well
+    rng = random.Random(20251018)
+    increasing = [
+        GraphicMatroid(SimpleGraph.complete(4)).normalized_rank_oracle(),
+        gf_space_oracle(2, 3),
+    ]
+    cuts = [
+        cut_capacity_oracle(SimpleGraph.cycle(5), CutNormalization.EDGES),
+        cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 2), CutNormalization.EDGES),
+    ]
+    disjoint_modes = (Mode.PARTITION, Mode.DISJOINT)
+    for oracles, modes in ((increasing, tuple(Mode)), (cuts, disjoint_modes)):
+        for oracle in oracles:
+            assert check_submodular(oracle) == []
+            for k in (2, 3):
+                for mode in modes:
+                    for _ in range(12):
+                        parts = _random_parts(rng, oracle.size, k, mode)
+                        point = quotient_point(oracle, parts)
+                        assert check_submodular(point.as_oracle()) == [], (oracle.label, mode, parts)
+    # a cut capacity is not increasing, and overlapping parts can break it
+    overlap = quotient_point(cuts[0], [0b11100, 0b11110, 0b00111])
+    assert check_submodular(overlap.as_oracle()) != []
+    # the check can fail: with one singleton part per element the point is f itself
+    supermodular = oracle_from_table([0, 0, 0, 1], label="supermodular")
+    point = quotient_point(supermodular, [0b01, 0b10])
+    assert point.coords == (0, 0, 0, 1)
+    assert check_submodular(point.as_oracle()) != []
