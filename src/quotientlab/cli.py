@@ -386,17 +386,18 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 def _extract_config(parser: _Parser, argv: list[str]) -> tuple[list[str], dict]:
     """Take `--config FILE` or `--config=FILE` out of argv, wherever it stands."""
-    for i, arg in enumerate(argv):
-        if arg.startswith("--config="):
-            path, rest = arg[len("--config="):], argv[:i] + argv[i + 1:]
-            break
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                parser.error("--config needs a file path")
-            path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-            break
-    else:
+    found = [i for i, arg in enumerate(argv) if arg == "--config" or arg.startswith("--config=")]
+    if not found:
         return argv, {}
+    if len(found) > 1:
+        parser.error("--config may be given only once")
+    i = found[0]
+    if argv[i] == "--config":
+        if i + 1 >= len(argv):
+            parser.error("--config needs a file path")
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
+        path, rest = argv[i][len("--config="):], argv[:i] + argv[i + 1:]
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:

@@ -22,12 +22,12 @@ class GroundTooLargeError(CapExceededError):
 
 
 class EnumCapError(CapExceededError):
-    """Exact or flats enumeration would exceed the iteration budget."""
+    """Exact, flats or sampled enumeration would exceed the iteration budget."""
 
     def __init__(self, iterations: int, cap: int, detail: str = ""):
         self.iterations = iterations
         self.cap = cap
-        msg = f"exact enumeration needs {iterations} iterations, cap ENUM_ITERATION_CAP={cap}"
+        msg = f"enumeration needs {iterations} iterations, cap ENUM_ITERATION_CAP={cap}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

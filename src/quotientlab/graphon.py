@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from . import config
-from .errors import GraphFormatError, GroundTooLargeError
-from .graphs import SimpleGraph
+from .errors import GraphFormatError
+from .graphs import SimpleGraph, hom_sum
 from .setfn import GroundSet, SetFunctionOracle
 
 
@@ -128,38 +127,7 @@ def graphon_cut_capacity_oracle(w: StepGraphon) -> SetFunctionOracle:
 
 def hom_density_step(pattern: SimpleGraph, w: StepGraphon) -> Fraction:
     """Exact motif density in a step graphon (weighted sum over step maps)."""
-    if pattern.node_count > config.HOM_PATTERN_NODE_CAP:
-        raise GroundTooLargeError(
-            f"pattern has {pattern.node_count} nodes, cap {config.HOM_PATTERN_NODE_CAP}"
-        )
-    if w.steps > config.GRAPHON_STEP_CAP:
-        raise GroundTooLargeError(f"graphon has {w.steps} steps, cap {config.GRAPHON_STEP_CAP}")
-    lens = w.lengths
-    pk = pattern.node_count
-    if pk == 0:
-        return Fraction(1)
-    earlier = [[u for u, x in pattern.edges if x == v] for v in range(pk)]
-    total = Fraction(0)
-    assignment = [0] * pk
-
-    def rec(v: int, weight: Fraction):
-        nonlocal total
-        if v == pk:
-            total += weight
-            return
-        for s in range(w.steps):
-            factor = lens[s]
-            for u in earlier[v]:
-                factor *= w.values[assignment[u]][s]
-                if factor == 0:
-                    break
-            if factor == 0:
-                continue
-            assignment[v] = s
-            rec(v + 1, weight * factor)
-
-    rec(0, Fraction(1))
-    return total
+    return Fraction(hom_sum(pattern, w.lengths, lambda a, b: w.values[a][b]))
 
 
 def parse_step_graphon(text: str) -> StepGraphon:

@@ -51,17 +51,13 @@ class SimpleGraph:
     def __post_init__(self):
         if self.node_count < 0:
             raise ValueError("node count must be nonnegative")
-        seen = set()
         adj = [0] * self.node_count
         prev = None
         for u, v in self.edges:
             if not (0 <= u < v < self.node_count):
                 raise ValueError(f"edge ({u},{v}) is not canonical for n={self.node_count}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            if prev is not None and (u, v) < prev:
-                raise ValueError("edges must be sorted")
-            seen.add((u, v))
+            if prev is not None and (u, v) <= prev:
+                raise ValueError(f"edges must be sorted and distinct, found ({u},{v}) after {prev}")
             prev = (u, v)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -139,46 +135,36 @@ def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[in
 
 
 def parse_graph(text: str, name: str = "") -> SimpleGraph:
-    """Parse the edge-list format: first line "n m", then m lines "u v"."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())]
-    idx = 0
-    while idx < len(lines) and (not lines[idx] or lines[idx].startswith("#")):
-        idx += 1
-    if idx >= len(lines):
+    """Parse a header "n m", then exactly m distinct edges "u v"; "#" lines are comments."""
+    rows = [(number, toks) for number, line in enumerate(text.splitlines(), 1)
+            if (toks := line.split()) and not toks[0].startswith("#")]
+    if not rows:
         raise GraphFormatError(1, "missing header line 'n m'")
-    header = lines[idx].split()
-    if len(header) != 2:
-        raise GraphFormatError(idx + 1, "header must be 'n m'")
+    (number, header), edge_rows = rows[0], rows[1:]
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = map(int, header)
     except ValueError:
-        raise GraphFormatError(idx + 1, "header must contain two integers") from None
-    edges = []
-    row = idx + 1
-    found = 0
-    while row < len(lines) and found < m:
-        ln = lines[row]
-        if ln and not ln.startswith("#"):
-            pieces = ln.split()
-            if len(pieces) != 2:
-                raise GraphFormatError(row + 1, "edge lines must be 'u v'")
-            try:
-                u, v = int(pieces[0]), int(pieces[1])
-            except ValueError:
-                raise GraphFormatError(row + 1, "edge endpoints must be integers") from None
-            if u == v:
-                raise GraphFormatError(row + 1, "loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(row + 1, f"endpoint out of range 0..{n - 1}")
-            edges.append((u, v))
-            found += 1
-        row += 1
-    if found < m:
-        raise GraphFormatError(len(lines), f"expected {m} edges, found {found}")
-    try:
-        return SimpleGraph.make(n, edges, name=name)
-    except ValueError as exc:
-        raise GraphFormatError(row, str(exc)) from None
+        raise GraphFormatError(number, "header must be two integers 'n m'") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(number, "header counts must be nonnegative")
+    if len(edge_rows) != m:
+        number = edge_rows[m][0] if len(edge_rows) > m else rows[-1][0]
+        raise GraphFormatError(number, f"header declares {m} edges, found {len(edge_rows)}")
+    edges: set[tuple[int, int]] = set()
+    for number, pieces in edge_rows:
+        try:
+            u, v = map(int, pieces)
+        except ValueError:
+            raise GraphFormatError(number, "edge lines must be two integers 'u v'") from None
+        if u == v:
+            raise GraphFormatError(number, "loops are not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(number, f"endpoint out of range 0..{n - 1}")
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise GraphFormatError(number, f"duplicate edge {u} {v}")
+        edges.add(edge)
+    return SimpleGraph(n, tuple(sorted(edges)), name)
 
 
 def format_graph(g: SimpleGraph) -> str:
@@ -398,72 +384,77 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     )
 
 
-def hom_count(pattern: SimpleGraph, target: SimpleGraph) -> int:
-    """Number of adjacency-preserving maps V(pattern) -> V(target)."""
-    pk = pattern.node_count
-    if pk == 0:
-        return 1
-    # neighbors of vertex v among vertices already assigned (indices < v)
-    earlier = [[u for u, w in pattern.edges if w == v] for v in range(pk)]
-    adj = target.adjacency
-    n = target.node_count
-    count = 0
-    assignment = [0] * pk
-
-    def rec(v: int):
-        nonlocal count
-        if v == pk:
-            count += 1
-            return
-        for cand in range(n):
-            ok = True
-            for u in earlier[v]:
-                if not adj[assignment[u]] >> cand & 1:
-                    ok = False
-                    break
-            if ok:
-                assignment[v] = cand
-                rec(v + 1)
-
-    rec(0)
-    return count
+def check_hom_target(size: int) -> None:
+    # graph nodes and step-graphon steps are the targets of the same kernel
+    if size > config.HOM_TARGET_NODE_CAP:
+        raise GroundTooLargeError(
+            f"target has {size} nodes or steps, cap HOM_TARGET_NODE_CAP={config.HOM_TARGET_NODE_CAP}"
+        )
 
 
-def hom_density(
-    pattern: SimpleGraph,
-    target: SimpleGraph,
-    max_target_nodes: int = config.HOM_TARGET_NODE_CAP,
-) -> Fraction:
-    """Fraction of maps V(pattern) -> V(target) preserving adjacency."""
+def hom_sum(pattern: SimpleGraph, node_weights: Sequence, edge_weight: Callable[[int, int], object]):
+    """Sum over maps phi of prod_v node_weights[phi(v)] * prod_uv edge_weight(phi(u), phi(v)).
+
+    A graph has unit node weights and 0/1 adjacency edge weights (the sum
+    counts homomorphisms); a step graphon has its step lengths and values
+    (the sum is its motif density).  Both caps are checked before the
+    edge-weight table is built; a zero factor prunes the branch.
+    """
     if pattern.node_count > config.HOM_PATTERN_NODE_CAP:
         raise GroundTooLargeError(
             f"pattern has {pattern.node_count} nodes, cap {config.HOM_PATTERN_NODE_CAP}"
         )
-    if target.node_count > max_target_nodes:
-        raise GroundTooLargeError(
-            f"target has {target.node_count} nodes, cap {max_target_nodes}"
-        )
+    check_hom_target(len(node_weights))
+    targets = range(len(node_weights))
+    edge_weights = [[edge_weight(a, b) for b in targets] for a in targets]
+    pk = pattern.node_count
+    # neighbors of pattern node v among the nodes assigned before it (edges are u < v)
+    earlier = [[u for u, w in pattern.edges if w == v] for v in range(pk)]
+    assignment = [0] * pk
+
+    def rec(v: int):
+        if v == pk:
+            return 1
+        total = 0
+        for s in targets:
+            factor = node_weights[s]
+            for u in earlier[v]:
+                factor *= edge_weights[assignment[u]][s]
+                if not factor:
+                    break
+            if factor:
+                assignment[v] = s
+                total += factor * rec(v + 1)
+        return total
+
+    return rec(0)
+
+
+def hom_count(pattern: SimpleGraph, target: SimpleGraph) -> int:
+    """Number of adjacency-preserving maps V(pattern) -> V(target)."""
+    adj = target.adjacency
+    return hom_sum(pattern, [1] * target.node_count, lambda a, b: adj[a] >> b & 1)
+
+
+def hom_density(pattern: SimpleGraph, target: SimpleGraph) -> Fraction:
+    """Fraction of maps V(pattern) -> V(target) preserving adjacency."""
     if target.node_count == 0:
         raise ValueError("homomorphism density needs a nonempty target")
     return Fraction(hom_count(pattern, target), target.node_count ** pattern.node_count)
 
 
 def _motif_deletion(
-    pattern: SimpleGraph, g: SimpleGraph, max_target_nodes: int
+    pattern: SimpleGraph, g: SimpleGraph
 ) -> tuple[GroundSet, Callable[[SubsetMask], Fraction]]:
     """The edge ground set of g and the map X -> t(F, G minus X)."""
 
     def density(mask: SubsetMask) -> Fraction:
-        return hom_density(pattern, g.without_edges(mask), max_target_nodes=max_target_nodes)
+        return hom_density(pattern, g.without_edges(mask))
 
     return GroundSet(g.edge_count, tuple(f"{u}-{v}" for u, v in g.edges)), density
 
 
-def tau_oracle(
-    pattern: SimpleGraph,
-    g: SimpleGraph,
-    max_target_nodes: int = config.HOM_TARGET_NODE_CAP,
-) -> SetFunctionOracle:
+def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
     """Density lost when all edges outside X are kept: 1 - t(F, G minus X).
 
     Ground set is the edge set of g.  The value on the empty set is
@@ -471,7 +462,7 @@ def tau_oracle(
     convention is waived for this oracle; quotient vectors are therefore
     not defined for it, but submodularity and monotonicity checks are.
     """
-    ground, density = _motif_deletion(pattern, g, max_target_nodes)
+    ground, density = _motif_deletion(pattern, g)
     return SetFunctionOracle(
         ground,
         lambda m: 1 - density(m),
@@ -480,18 +471,14 @@ def tau_oracle(
     )
 
 
-def shifted_tau_oracle(
-    pattern: SimpleGraph,
-    g: SimpleGraph,
-    max_target_nodes: int = config.HOM_TARGET_NODE_CAP,
-) -> SetFunctionOracle:
+def shifted_tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
     """Motif-deletion function rebased to vanish on the empty set.
 
     Subtracting the empty-set value t-gap keeps submodularity and
     monotonicity and makes quotient vectors well defined; the shift
     (the motif density of g) is recorded in the label.
     """
-    ground, density = _motif_deletion(pattern, g, max_target_nodes)
+    ground, density = _motif_deletion(pattern, g)
     base = density(0)
     return SetFunctionOracle(
         ground,
@@ -514,16 +501,20 @@ class WeightedQuotient:
     gamma: tuple[tuple[Fraction, ...], ...]
 
 
-def weighted_quotient(g: SimpleGraph, parts: Sequence[int]) -> WeightedQuotient:
-    """Weight data of the quotient of g by a labeled partition of its nodes."""
-    k = len(parts)
+def _check_node_partition(g: SimpleGraph, parts: Sequence[int]) -> None:
     union = 0
     total = 0
     for p in parts:
         union |= p
         total += p.bit_count()
     if union != g.full_node_mask or total != g.node_count:
-        raise ValueError("parts must form a partition of the node set")
+        raise ValueError(f"parts must form a partition of the {g.node_count} nodes")
+
+
+def weighted_quotient(g: SimpleGraph, parts: Sequence[int]) -> WeightedQuotient:
+    """Weight data of the quotient of g by a labeled partition of its nodes."""
+    _check_node_partition(g, parts)
+    k = len(parts)
     n = g.node_count
     sizes = [p.bit_count() for p in parts]
     alpha = tuple(Fraction(s, n) for s in sizes)
@@ -591,13 +582,7 @@ def rounding_partition(
     between the cut-capacity quotient vectors before and after.
     """
     gt = blow_up(base, t)
-    union = 0
-    total = 0
-    for p in parts:
-        union |= p
-        total += p.bit_count()
-    if union != gt.full_node_mask or total != gt.node_count:
-        raise ValueError("parts must form a partition of the blow-up node set")
+    _check_node_partition(gt, parts)
     rng = Random(seed)
     k = len(parts)
     rounded = [0] * k

@@ -16,6 +16,7 @@ Three enumeration strategies, each a generator of k-tuples of part masks:
                  the orbit count is capped by ENUM_ITERATION_CAP;
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
+                 the sample count is capped by ENUM_ITERATION_CAP;
 * FlatsOnly   -- for matroid rank oracles, iterate k-tuples of flats.
                  Exact for ANY (closures do not change any value of the
                  tuple), for COVERING (filter: the flats' union must be
@@ -205,6 +206,8 @@ def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple
 def _sampled_parts(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
 ) -> Iterator[list[SubsetMask]]:
+    if samples > config.ENUM_ITERATION_CAP:
+        raise EnumCapError(samples, config.ENUM_ITERATION_CAP, "sampled strategy")
     n = oracle.size
     rng = Random(seed)
     members = _members(k, mode)

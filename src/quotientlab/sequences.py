@@ -22,6 +22,7 @@ from .graphs import (
     CutNormalization,
     SimpleGraph,
     blow_up,
+    check_hom_target,
     cut_capacity_oracle,
     shifted_tau_oracle,
 )
@@ -122,8 +123,8 @@ def tau_blowup_oracle(motif: SimpleGraph, base: SimpleGraph, n: int) -> SetFunct
     family subtracts that base value (see shifted_tau_oracle).
     """
     check_ground_size(base.edge_count * n * n if n > 0 else 0)  # blow_up rejects n < 1
-    gt = blow_up(base, n)
-    return shifted_tau_oracle(motif, gt, max_target_nodes=max(12, gt.node_count))
+    check_hom_target(base.node_count * n)
+    return shifted_tau_oracle(motif, blow_up(base, n))
 
 
 def family_metadata(family: str, n: int) -> dict:

@@ -452,7 +452,7 @@ def suite_blowup_density() -> Iterator[CheckResult]:
             base = hom_density(motif, g)
             ok = True
             for t in (2, 3):
-                blown = hom_density(motif, blow_up(g, t), max_target_nodes=15)
+                blown = hom_density(motif, blow_up(g, t))
                 if blown != base:
                     ok = False
             yield CheckResult(f"t({name}, {g.name}(t)) stable for t<=3", ok, f"base {base}")

@@ -189,20 +189,28 @@ def test_reports_byte_identical(tmp_path, k2_file):
 
 # config files with values their flags reject: a non-integer k, a mode
 # outside the choices, a non-numeric count, a non-boolean switch, and a
-# single string for a multi-value flag
-BAD_CONFIGS = {
+# single string for a multi-value flag; then two valid files, given twice
+CONFIGS = {
     "float-k.json": {"k": 2.5},
     "bad-mode.json": {"mode": "sideways"},
     "text-samples.json": {"samples": "many"},
     "text-switch.json": {"upper_bound": "yes"},
     "scalar-list.json": {"graphs": "a.txt"},
     "unknown-key.json": {"kk": 3},
+    "k1.json": {"k": 1},
+    "k3.json": {"k": 3},
 }
 
-# step graphon files with a zero denominator in a breakpoint or a value
-BAD_GRAPHONS = {
+# step graphon files with a zero denominator in a breakpoint or a value;
+# graph files with an edge in both orientations and with one edge line
+# too many; a valid 8-node graph whose 2-fold blow-up exceeds
+# HOM_TARGET_NODE_CAP
+TEXT_FILES = {
     "zero-breakpoint.txt": "1\n1/0\n1/2\n",
     "zero-value.txt": "1\n1\n1/0\n",
+    "both-orientations.txt": "3 2\n0 1\n1 0\n",
+    "extra-edge.txt": "3 1\n0 1\n1 2\n",
+    "sparse8.txt": "8 1\n0 1\n",
 }
 
 
@@ -243,12 +251,22 @@ BAD_GRAPHONS = {
      2, "usage error:"),
     (["hom", "K2", "--graphon", "zero-breakpoint.txt"], 2, "usage error:"),
     (["hom", "K2", "--graphon", "zero-value.txt"], 2, "usage error:"),
+    (["cutcap", "both-orientations.txt"], 2, "usage error:"),
+    (["hom", "K2", "--graph", "extra-edge.txt"], 2, "usage error:"),
+    (["--config", "k1.json", "--config", "k3.json", "profile", "--family", "gf-space",
+      "--n", "2"], 2, "usage error:"),
+    (["profile", "--family", "gf-space", "--n", "2", "--config", "k1.json",
+      "--config=k3.json"], 2, "usage error:"),
+    (["profile", "--family", "example51", "--n", "6", "--strategy", "sampled",
+      "--seed", "1", "--samples", "300000000"], 3, "cap exceeded:"),
+    (["profile", "--family", "tau-blowup", "--graph", "sparse8.txt", "--motif", "K2",
+      "--n", "2", "--k", "1"], 3, "cap exceeded:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for name, data in BAD_CONFIGS.items():
+    for name, data in CONFIGS.items():
         (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
-    for name, text in BAD_GRAPHONS.items():
+    for name, text in TEXT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     assert run(args + ["--out", "out.json"]) == code
     lines = capsys.readouterr().err.splitlines()

@@ -1,11 +1,14 @@
 """Step graphons: cut capacity, motif densities, parsing."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from quotientlab import (
     CutNormalization,
+    GroundTooLargeError,
     SimpleGraph,
     StepGraphon,
     cut_capacity_oracle,
@@ -59,6 +62,60 @@ def test_hom_density_step_matches_graph():
         w = StepGraphon.from_graph(g)
         for f in (SimpleGraph.complete(2), SimpleGraph.path(3), SimpleGraph.complete(3)):
             assert hom_density_step(f, w) == hom_density(f, g)
+
+
+def naive_density_step(pattern, w):
+    lens = w.lengths
+    total = Fraction(0)
+    for phi in itertools.product(range(w.steps), repeat=pattern.node_count):
+        term = Fraction(1)
+        for s in phi:
+            term *= lens[s]
+        for u, v in pattern.edges:
+            term *= w.values[phi[u]][phi[v]]
+        total += term
+    return total
+
+
+def random_step_graphon(rng, r):
+    inner = sorted(rng.sample([Fraction(a, 12) for a in range(1, 12)], r - 1))
+    breakpoints = (Fraction(0), *inner, Fraction(1))
+    palette = [Fraction(0), Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 7)]
+    values = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            values[i][j] = values[j][i] = rng.choice(palette)
+    return StepGraphon(breakpoints, tuple(map(tuple, values)))
+
+
+def test_hom_density_step_matches_naive_random():
+    rng = random.Random(31)
+    patterns = [
+        SimpleGraph.complete(2),
+        SimpleGraph.path(3),
+        SimpleGraph.complete(3),
+        SimpleGraph.cycle(4),
+        SimpleGraph.make(4, [(0, 1), (2, 3)]),  # disconnected: two edges
+        SimpleGraph.make(4, [(0, 1), (0, 2), (1, 2)]),  # disconnected: K3 and a node
+        SimpleGraph.empty(3),
+        SimpleGraph.empty(0),
+    ]
+    for _ in range(8):
+        w = random_step_graphon(rng, rng.randrange(1, 6))
+        for f in patterns:
+            assert hom_density_step(f, w) == naive_density_step(f, w), (f, w)
+
+
+def test_hom_density_step_shares_the_target_cap():
+    def half(steps):
+        return StepGraphon(
+            tuple(Fraction(i, steps) for i in range(steps + 1)),
+            tuple((Fraction(1, 2),) * steps for _ in range(steps)),
+        )
+
+    assert hom_density_step(SimpleGraph.complete(2), half(15)) == Fraction(1, 2)
+    with pytest.raises(GroundTooLargeError, match="HOM_TARGET_NODE_CAP=15"):
+        hom_density_step(SimpleGraph.complete(2), half(16))
 
 
 def test_refine_keeps_values():

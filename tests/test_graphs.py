@@ -176,7 +176,14 @@ def test_hom_densities():
 
 def test_hom_count_matches_naive_random():
     rng = random.Random(23)
-    motifs = [SimpleGraph.complete(2), SimpleGraph.path(3), SimpleGraph.cycle(4)]
+    motifs = [
+        SimpleGraph.complete(2),
+        SimpleGraph.path(3),
+        SimpleGraph.cycle(4),
+        SimpleGraph.make(4, [(0, 1), (2, 3)]),  # disconnected: two edges
+        SimpleGraph.make(5, [(0, 1), (1, 2)]),  # disconnected: P3 and two isolated nodes
+        SimpleGraph.empty(3),
+    ]
     for _ in range(10):
         n = rng.randrange(2, 6)
         pairs = list(itertools.combinations(range(n), 2))
@@ -393,6 +400,16 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("oops\n")
     with pytest.raises(GraphFormatError):
         parse_graph("3 2\n0 1\n")
+    for text, line in [
+        ("3 2\n0 1\n1 0\n", 3),  # one edge in both orientations
+        ("3 2\n0 1\n0 1\n", 3),
+        ("3 1\n0 1\n1 2\n", 3),  # more edge lines than the header declares
+        ("# two edges\n3 1\n\n0 1\n# extra\n1 2\n", 6),
+        ("3 -1\n", 1),
+    ]:
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert err.value.line == line, text
 
 
 def test_cut_dist_unlabeled_exhausts_small_same_size():

@@ -369,6 +369,18 @@ def test_orbit_count_above_cap_raises_before_any_evaluation():
     assert oracle._cache == {0: 0}
 
 
+def test_sample_count_above_cap_raises_before_any_evaluation(monkeypatch):
+    from quotientlab import config
+
+    monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 100)
+    assert len(profile(cut_capacity_oracle(SimpleGraph.cycle(5)), 2, Mode.ANY, Sampled(1, 100)))
+    oracle = cut_capacity_oracle(SimpleGraph.cycle(5))
+    with pytest.raises(EnumCapError) as err:
+        profile(oracle, 2, Mode.ANY, Sampled(1, 101))
+    assert err.value.iterations == 101
+    assert oracle._cache == {0: 0}
+
+
 def test_rank_oracle_is_the_only_memo_of_its_values():
     oracle = example51_oracle(6)
     matroid = oracle.matroid

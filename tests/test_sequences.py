@@ -107,6 +107,8 @@ class _Unbuildable:
     lambda: gf_space_oracle(3, 10**6),  # 3^1000000 vectors, never evaluated
     lambda: cutcap_blowup_oracle(SimpleGraph.complete(3), 9),  # 27 nodes
     lambda: tau_blowup_oracle(SimpleGraph.complete(2), SimpleGraph.complete(3), 3),  # 27 edges
+    # 4 edges, but 16 target nodes: above HOM_TARGET_NODE_CAP
+    lambda: tau_blowup_oracle(SimpleGraph.complete(2), SimpleGraph.make(8, [(0, 1)]), 2),
 ])
 def test_ground_cap_checked_before_building(build, monkeypatch):
     for name in ("example51_graph", "GraphicMatroid", "LinearMatroid", "blow_up"):
