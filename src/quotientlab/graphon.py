@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import GraphFormatError
-from .graphs import SimpleGraph, hom_sum
+from .graphs import SimpleGraph, hom_sum, token_rows
 from .setfn import GroundSet, SetFunctionOracle
 
 
@@ -131,35 +131,45 @@ def hom_density_step(pattern: SimpleGraph, w: StepGraphon) -> Fraction:
 
 
 def parse_step_graphon(text: str) -> StepGraphon:
-    """Parse: first line r, then the r breakpoints b_1..b_r, then r rows of r rationals."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines:
+    """Parse a line r, then the r breakpoints b_1..b_r, then exactly r rows of r rationals.
+
+    Lines are read as `parse_graph` reads them: "#" lines are comments, and
+    errors name the line of the file.
+    """
+    rows = token_rows(text)
+    if not rows:
         raise GraphFormatError(1, "empty graphon file")
+    (number, header), rest = rows[0], rows[1:]
     try:
-        r = int(lines[0])
+        (r,) = map(int, header)
     except ValueError:
-        raise GraphFormatError(1, "first line must be the number of steps") from None
-    if len(lines) < 2 + r:
-        raise GraphFormatError(len(lines), f"expected breakpoints line and {r} value rows")
+        raise GraphFormatError(number, "first line must be the number of steps") from None
+    if r < 1:
+        raise GraphFormatError(number, "the number of steps must be positive")
+    if len(rest) != 1 + r:
+        number = rest[1 + r][0] if len(rest) > 1 + r else rows[-1][0]
+        raise GraphFormatError(
+            number, f"expected a breakpoints line and {r} value rows after the step count, "
+                    f"found {len(rest)} lines")
+    (bp_number, bp_tokens), value_rows = rest[0], rest[1:]
     try:
-        upper = [Fraction(tok) for tok in lines[1].split()]
+        upper = [Fraction(tok) for tok in bp_tokens]
     except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(2, "breakpoints must be rationals like 1/3") from None
+        raise GraphFormatError(bp_number, "breakpoints must be rationals like 1/3") from None
     if len(upper) != r:
-        raise GraphFormatError(2, f"expected {r} breakpoints")
-    rows = []
-    for i in range(r):
-        toks = lines[2 + i].split()
+        raise GraphFormatError(bp_number, f"expected {r} breakpoints")
+    values = []
+    for number, toks in value_rows:
         if len(toks) != r:
-            raise GraphFormatError(3 + i, f"expected {r} values")
+            raise GraphFormatError(number, f"expected {r} values")
         try:
-            rows.append(tuple(Fraction(tok) for tok in toks))
+            values.append(tuple(Fraction(tok) for tok in toks))
         except (ValueError, ZeroDivisionError):
-            raise GraphFormatError(3 + i, "values must be rationals") from None
+            raise GraphFormatError(number, "values must be rationals") from None
     try:
-        return StepGraphon((Fraction(0),) + tuple(upper), tuple(rows))
+        return StepGraphon((Fraction(0), *upper), tuple(values))
     except ValueError as exc:
-        raise GraphFormatError(2, str(exc)) from None
+        raise GraphFormatError(bp_number, str(exc)) from None
 
 
 def format_step_graphon(w: StepGraphon) -> str:

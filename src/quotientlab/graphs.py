@@ -134,10 +134,15 @@ def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[in
     return find, merges
 
 
+def token_rows(text: str) -> list[tuple[int, list[str]]]:
+    """(line number, tokens) of every line that is neither blank nor a "#" comment."""
+    return [(number, toks) for number, line in enumerate(text.splitlines(), 1)
+            if (toks := line.split()) and not toks[0].startswith("#")]
+
+
 def parse_graph(text: str, name: str = "") -> SimpleGraph:
     """Parse a header "n m", then exactly m distinct edges "u v"; "#" lines are comments."""
-    rows = [(number, toks) for number, line in enumerate(text.splitlines(), 1)
-            if (toks := line.split()) and not toks[0].startswith("#")]
+    rows = token_rows(text)
     if not rows:
         raise GraphFormatError(1, "missing header line 'n m'")
     (number, header), edge_rows = rows[0], rows[1:]

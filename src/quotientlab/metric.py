@@ -1,17 +1,22 @@
 """Sup-norm Hausdorff distances between finite rational point clouds.
 
-Everything is brute force and exact: distances between quotient points
-are maxima of coordinate-wise absolute differences of Fractions, and the
-Hausdorff distance is the larger of the two directed max-min distances.
-Witnesses are chosen canonically (smallest coordinate tuple among the
-maximizers) so reports are reproducible.
+Everything is exact: distances between quotient points are maxima of
+coordinate-wise absolute differences, and the Hausdorff distance is the
+larger of the two directed max-min distances.  The directed kernel puts
+both clouds on integer numerators over one common denominator and works
+on ints; its results are Fractions again.  Witnesses are chosen
+canonically (smallest coordinate tuple among the maximizers) so reports
+are reproducible.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from operator import itemgetter
 from typing import ClassVar, Optional, Sequence
 
 from .errors import EmptyProfileError
@@ -25,34 +30,82 @@ def linf_distance(p: QuotientPoint, q: QuotientPoint) -> Fraction:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
-def _point_list(cloud) -> list[QuotientPoint]:
-    points = getattr(cloud, "points", cloud)
-    out = sorted(set(points), key=lambda p: p.coords)
-    if not out:
+def _canonical(cloud) -> tuple[int, dict[tuple[int, ...], QuotientPoint]]:
+    """A cloud's denominator and its distinct points keyed by integer numerators.
+
+    The denominator is the LCM of the coordinates' denominators.  It is
+    positive, so the numerator tuples sort in the order of the coordinate
+    tuples; the keys come in that order.
+    """
+    points = list(getattr(cloud, "points", cloud))
+    if not points:
         raise EmptyProfileError("point cloud is empty")
-    if any(p.k != out[0].k for p in out):
+    if any(p.k != points[0].k for p in points):
         raise ValueError("mixed dimensions in one point cloud")
-    return out
+    den = lcm(*{x.denominator for p in points for x in p.coords})
+    keyed: dict[tuple[int, ...], QuotientPoint] = {}
+    for p in points:
+        keyed.setdefault(tuple(x.numerator * (den // x.denominator) for x in p.coords), p)
+    return den, dict(sorted(keyed.items()))
+
+
+def _point_list(cloud) -> list[QuotientPoint]:
+    """The distinct points of a cloud in coordinate order."""
+    return list(_canonical(cloud)[1].values())
+
+
+def _rescaled(rows, factor: int) -> list[tuple[int, ...]]:
+    if factor == 1:
+        return list(rows)
+    return [tuple(v * factor for v in row) for row in rows]
 
 
 def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
-    """sup over a of inf over b of the sup-norm distance, with a witness."""
-    a_pts = _point_list(a_cloud)
-    b_pts = _point_list(b_cloud)
-    if a_pts[0].k != b_pts[0].k:
+    """sup over a of inf over b of the sup-norm distance, with a witness.
+
+    Both clouds are put on integer numerators over one denominator.  B is
+    sorted on its widest-spread coordinate, and each a scans B outward from
+    its place on that axis, nearer side first, until the gap on the axis
+    alone reaches the nearest distance found.  A is scanned in coordinate
+    order, so the witness is the smallest maximizer.
+    """
+    den_a, a_keyed = _canonical(a_cloud)
+    den_b, b_keyed = _canonical(b_cloud)
+    a_pts = list(a_keyed.values())
+    if a_pts[0].k != next(iter(b_keyed.values())).k:
         raise ValueError("clouds live in different dimensions")
-    zero = Fraction(0)
-    best = Fraction(-1)
+    den = lcm(den_a, den_b)
+    a_rows = _rescaled(a_keyed, den // den_a)
+    b_rows = _rescaled(b_keyed, den // den_b)
+    # a constant axis (the empty set's always, the full set's for
+    # partitions) would leave every b inside the window
+    axis = max(range(len(b_rows[0])),
+               key=lambda i: max(r[i] for r in b_rows) - min(r[i] for r in b_rows))
+    b_rows.sort(key=itemgetter(axis))
+    keys = [row[axis] for row in b_rows]
+    size = len(b_rows)
+    best = -1
     witness = a_pts[0]
-    for a in a_pts:
-        ac = a.coords
+    for a, point in zip(a_rows, a_pts):
+        x = a[axis]
+        hi = bisect_left(keys, x)
+        lo = hi - 1
         nearest = None
-        for b in b_pts:
+        while lo >= 0 or hi < size:
+            if hi < size and (lo < 0 or keys[hi] - x <= x - keys[lo]):
+                gap, b = keys[hi] - x, b_rows[hi]
+                hi += 1
+            else:
+                gap, b = x - keys[lo], b_rows[lo]
+                lo -= 1
+            # gaps only grow from here, so no later b can come nearer
+            if nearest is not None and gap >= nearest:
+                break
             # abandon this b once its partial max reaches the current min,
             # and this a once its min cannot raise the overall max
-            d = zero
-            for x, y in zip(ac, b.coords):
-                g = x - y if x >= y else y - x
+            d = 0
+            for u, v in zip(a, b):
+                g = u - v if u >= v else v - u
                 if g > d:
                     d = g
                     if nearest is not None and d >= nearest:
@@ -63,8 +116,8 @@ def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
                     break
         if nearest > best:
             best = nearest
-            witness = a
-    return best, witness
+            witness = point
+    return Fraction(best, den), witness
 
 
 @dataclass(frozen=True)

@@ -201,13 +201,15 @@ CONFIGS = {
     "k3.json": {"k": 3},
 }
 
-# step graphon files with a zero denominator in a breakpoint or a value;
+# step graphon files with a zero denominator in a breakpoint or a value,
+# and with rows after the value rows;
 # graph files with an edge in both orientations and with one edge line
 # too many; a valid 8-node graph whose 2-fold blow-up exceeds
 # HOM_TARGET_NODE_CAP
 TEXT_FILES = {
     "zero-breakpoint.txt": "1\n1/0\n1/2\n",
     "zero-value.txt": "1\n1\n1/0\n",
+    "extra-row.txt": "1\n1\n1/2\n0 0 0\nrubbish\n",
     "both-orientations.txt": "3 2\n0 1\n1 0\n",
     "extra-edge.txt": "3 1\n0 1\n1 2\n",
     "sparse8.txt": "8 1\n0 1\n",
@@ -261,6 +263,7 @@ TEXT_FILES = {
       "--seed", "1", "--samples", "300000000"], 3, "cap exceeded:"),
     (["profile", "--family", "tau-blowup", "--graph", "sparse8.txt", "--motif", "K2",
       "--n", "2", "--k", "1"], 3, "cap exceeded:"),
+    (["hom", "K2", "--graphon", "extra-row.txt"], 2, "usage error:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

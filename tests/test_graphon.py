@@ -10,6 +10,7 @@ from quotientlab import (
     CutNormalization,
     GroundTooLargeError,
     SimpleGraph,
+    GraphFormatError,
     StepGraphon,
     cut_capacity_oracle,
     graphon_cut_capacity,
@@ -144,6 +145,21 @@ def test_parse_rejects_asymmetry():
     bad = "2\n1/2 1\n0 1\n1/2 0\n"
     with pytest.raises(Exception):
         parse_step_graphon(bad)
+
+
+def test_parse_errors_name_the_file_line():
+    for text, line in [
+        ("# c\n\n1\n1\n1/0\n", 5),  # comments and blank lines count
+        ("1\n1\n1/2\n0 0 0\nrubbish\n", 4),  # rows after the r value rows
+        ("2\n1/2 1\n0 1\n", 3),  # a value row missing
+        ("\n0\n1\n", 2),
+        ("1 2\n1\n1/2\n", 1),
+        ("-3\n1\n", 1),
+        ("1\n# b\n1/3 1\n1/2\n", 3),
+    ]:
+        with pytest.raises(GraphFormatError) as err:
+            parse_step_graphon(text)
+        assert err.value.line == line, text
 
 
 def test_symmetry_validation():

@@ -1,5 +1,6 @@
 """Sup-norm distances, Hausdorff reports, convergence diagnostics."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from quotientlab import (
     linf_distance,
     profile,
 )
+from quotientlab.graphs import SimpleGraph, cut_capacity_oracle
+from quotientlab.metric import _point_list
 from quotientlab.sequences import example51_oracle, gf_space_oracle
 
 
@@ -95,6 +98,103 @@ def test_hausdorff_matches_naive_on_random_clouds():
             for _ in range(rng.randrange(1, 12))
         ]
         assert hausdorff(a, b).distance == naive_hausdorff(a, b)
+
+
+def test_empty_second_cloud_raises():
+    with pytest.raises(EmptyProfileError, match="point cloud is empty"):
+        directed_distance([pt(0)], [])
+    with pytest.raises(EmptyProfileError):
+        hausdorff([pt(0)], [])
+
+
+def test_mixed_dimensions_raise():
+    mixed = [pt(0), pt(1, 1, 1)]
+    for a, b in ((mixed, [pt(0)]), ([pt(0)], mixed)):
+        with pytest.raises(ValueError, match="^mixed dimensions in one point cloud$"):
+            directed_distance(a, b)
+    with pytest.raises(ValueError, match="^clouds live in different dimensions$"):
+        directed_distance([pt(0)], [pt(1, 1, 1)])
+
+
+def reference_directed(a_cloud, b_cloud):
+    """The pruned Fraction loop over every pair, which the integer kernel replaced."""
+    a_pts = _point_list(a_cloud)
+    b_pts = _point_list(b_cloud)
+    zero = Fraction(0)
+    best = Fraction(-1)
+    witness = a_pts[0]
+    for a in a_pts:
+        ac = a.coords
+        nearest = None
+        for b in b_pts:
+            d = zero
+            for x, y in zip(ac, b.coords):
+                g = x - y if x >= y else y - x
+                if g > d:
+                    d = g
+                    if nearest is not None and d >= nearest:
+                        break
+            if nearest is None or d < nearest:
+                nearest = d
+                if nearest <= best:
+                    break
+        if nearest > best:
+            best = nearest
+            witness = a
+    return best, witness
+
+
+def random_cloud(rng, k, size):
+    dens = (1, 2, 3, 4, 6, 8, 64)
+    return [
+        QuotientPoint(k, (Fraction(0),) + tuple(
+            Fraction(rng.randrange(-12, 13), rng.choice(dens)) for _ in range((1 << k) - 1)))
+        for _ in range(size)
+    ]
+
+
+def assert_matches_reference(a, b):
+    distance, witness = directed_distance(a, b)
+    assert (distance, witness) == reference_directed(a, b)
+    assert type(distance) is Fraction
+
+
+def test_directed_distance_matches_reference_on_random_clouds():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        k = rng.randrange(1, 4)
+        assert_matches_reference(random_cloud(rng, k, rng.randrange(1, 61)),
+                                 random_cloud(rng, k, rng.randrange(1, 61)))
+
+
+def test_directed_distance_matches_reference_on_shaped_clouds():
+    rng = random.Random(8)
+    base = random_cloud(rng, 2, 30)
+    # duplicates, and one cloud inside the other
+    assert_matches_reference(base + base[:10], base[5:15] * 2)
+    assert_matches_reference(base[5:15], base)
+    assert_matches_reference(base[:20], base[10:])
+    # a constant coordinate, as the full set's is for partitions
+    flat = [QuotientPoint(2, p.coords[:3] + (Fraction(1),)) for p in base]
+    assert_matches_reference(flat[:15], flat[15:])
+    # few distinct values on every axis, so the window axis has long ties
+    grid = [QuotientPoint(2, (Fraction(0),) + c)
+            for c in itertools.product((Fraction(-1, 2), Fraction(0), Fraction(3, 4)), repeat=3)]
+    rng.shuffle(grid)
+    assert_matches_reference(grid[:9], grid[9:])
+    assert_matches_reference(grid[9:], grid[:9])
+    assert_matches_reference(random_cloud(rng, 2, 25), grid[::2])
+
+
+def test_directed_distance_matches_reference_on_cut_capacity_clouds():
+    rng = random.Random(1234)
+    clouds = []
+    for _ in range(4):
+        edges = rng.sample(list(itertools.combinations(range(8), 2)), 12)
+        oracle = cut_capacity_oracle(SimpleGraph.make(8, edges), "nodes-squared")
+        clouds.append(profile(oracle, 3, Mode.PARTITION, EXACT))
+    for a, b in itertools.permutations(clouds, 2):
+        assert_matches_reference(a, b)
 
 
 def test_eps_contained():
