@@ -37,9 +37,15 @@ UNION_BRUTE_FORCE_CAP = 16
 HOM_PATTERN_NODE_CAP = 5
 HOM_TARGET_NODE_CAP = 15
 
-# Labeled cut distance (2^n subset scan with a separable inner max).
+# Labeled cut distance: a Gray-code walk over all 2^n node sets with a
+# separable inner max; each step costs one unit per node whose adjacency
+# to the flipped node differs between the two graphs.  One call at the
+# cap took 22 s for two random half-density graphs and 36 s for K24 vs
+# the empty graph (Python 3.11.7, one core of a 2-vCPU host); the
+# per-set popcount scan it replaced took 64-66 s on either pair.
 CUT_DIST_NODE_CAP = 24
 
 # Common node count of the two blow-ups searched for the unlabeled
-# cut-distance upper bound; each candidate bijection costs O(2^n * n).
+# cut-distance upper bound; each candidate bijection is one labeled
+# cut distance, 2^n steps of at most n - 1 unit updates each.
 BLOWUP_NODE_CAP = 12

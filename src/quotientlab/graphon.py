@@ -10,11 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
 from .graphs import SimpleGraph, hom_sum, token_rows
 from .setfn import GroundSet, SetFunctionOracle
+
+
+def _check_breakpoints(bp: tuple[Fraction, ...]) -> None:
+    if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
+        raise ValueError("breakpoints must run from 0 to 1")
+    if any(a >= b for a, b in zip(bp, bp[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+
+
+def _check_value_row(earlier: Sequence[Sequence[Fraction]], row: Sequence[Fraction]) -> None:
+    """Row i of the value matrix: entries in [0,1] and equal to column i of the rows before it."""
+    if any(not 0 <= v <= 1 for v in row):
+        raise ValueError("values must lie in [0,1]")
+    i = len(earlier)
+    if any(above[i] != v for above, v in zip(earlier, row)):
+        raise ValueError("value matrix must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -23,21 +39,12 @@ class StepGraphon:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        bp = self.breakpoints
-        if len(bp) < 2 or bp[0] != 0 or bp[-1] != 1:
-            raise ValueError("breakpoints must run from 0 to 1")
-        if any(a >= b for a, b in zip(bp, bp[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        r = len(bp) - 1
+        _check_breakpoints(self.breakpoints)
+        r = len(self.breakpoints) - 1
         if len(self.values) != r or any(len(row) != r for row in self.values):
             raise ValueError("value matrix must be r x r")
-        for i in range(r):
-            for j in range(r):
-                v = self.values[i][j]
-                if not 0 <= v <= 1:
-                    raise ValueError("values must lie in [0,1]")
-                if v != self.values[j][i]:
-                    raise ValueError("value matrix must be symmetric")
+        for i, row in enumerate(self.values):
+            _check_value_row(self.values[:i], row)
 
     @property
     def steps(self) -> int:
@@ -151,25 +158,31 @@ def parse_step_graphon(text: str) -> StepGraphon:
         raise GraphFormatError(
             number, f"expected a breakpoints line and {r} value rows after the step count, "
                     f"found {len(rest)} lines")
-    (bp_number, bp_tokens), value_rows = rest[0], rest[1:]
+    (number, bp_tokens), value_rows = rest[0], rest[1:]
     try:
-        upper = [Fraction(tok) for tok in bp_tokens]
+        breakpoints = (Fraction(0), *(Fraction(tok) for tok in bp_tokens))
     except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(bp_number, "breakpoints must be rationals like 1/3") from None
-    if len(upper) != r:
-        raise GraphFormatError(bp_number, f"expected {r} breakpoints")
-    values = []
+        raise GraphFormatError(number, "breakpoints must be rationals like 1/3") from None
+    if len(breakpoints) != r + 1:
+        raise GraphFormatError(number, f"expected {r} breakpoints")
+    try:
+        _check_breakpoints(breakpoints)
+    except ValueError as exc:
+        raise GraphFormatError(number, str(exc)) from None
+    values: list[tuple[Fraction, ...]] = []
     for number, toks in value_rows:
         if len(toks) != r:
             raise GraphFormatError(number, f"expected {r} values")
         try:
-            values.append(tuple(Fraction(tok) for tok in toks))
+            row = tuple(Fraction(tok) for tok in toks)
         except (ValueError, ZeroDivisionError):
             raise GraphFormatError(number, "values must be rationals") from None
-    try:
-        return StepGraphon((Fraction(0), *upper), tuple(values))
-    except ValueError as exc:
-        raise GraphFormatError(bp_number, str(exc)) from None
+        try:
+            _check_value_row(values, row)
+        except ValueError as exc:
+            raise GraphFormatError(number, str(exc)) from None
+        values.append(row)
+    return StepGraphon(breakpoints, tuple(values))
 
 
 def format_step_graphon(w: StepGraphon) -> str:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import config
 from .errors import (
@@ -221,16 +221,36 @@ def cut_dist_labeled(g: SimpleGraph, h: SimpleGraph) -> Fraction:
         )
     if n == 0:
         return Fraction(0)
+    # e_G(S, T) - e_H(S, T) is the sum over w in T of
+    # d[w] = |N_G(w) ∩ S| - |N_H(w) ∩ S|, so for fixed S the largest gap
+    # either way is pos or neg, the sums of the positive and negative parts
+    # of d.  S walks all 2^n sets in Gray-code order, so each step flips
+    # one node x, which moves d[w] by one for the w adjacent to x in
+    # exactly one of the graphs.
     ga, ha = g.adjacency, h.adjacency
-    best = 0
-    for s in range(1 << n):
-        pos = neg = 0
-        for w in range(n):
-            d = (ga[w] & s).bit_count() - (ha[w] & s).bit_count()
-            if d > 0:
-                pos += d
+    g_only = [[w for w in range(n) if (ga[x] & ~ha[x]) >> w & 1] for x in range(n)]
+    h_only = [[w for w in range(n) if (ha[x] & ~ga[x]) >> w & 1] for x in range(n)]
+    d = [0] * n
+    pos = neg = best = 0
+    for i in range(1, 1 << n):
+        x = (i & -i).bit_length() - 1
+        # S_i = i ^ (i >> 1) differs from S_(i-1) in bit x, which it has iff bit x+1 of i is 0
+        if i >> (x + 1) & 1:
+            up, down = h_only[x], g_only[x]
+        else:
+            up, down = g_only[x], h_only[x]
+        for w in up:
+            if d[w] < 0:
+                neg -= 1
             else:
-                neg -= d
+                pos += 1
+            d[w] += 1
+        for w in down:
+            if d[w] > 0:
+                pos -= 1
+            else:
+                neg += 1
+            d[w] -= 1
         if pos > best:
             best = pos
         if neg > best:
@@ -252,6 +272,15 @@ def _relabel(g: SimpleGraph, perm: Sequence[int]) -> SimpleGraph:
     return SimpleGraph.make(g.node_count, ((perm[u], perm[v]) for u, v in g.edges))
 
 
+def _candidates(n: int, budget: int, rng: Random) -> Iterator[list[int]]:
+    """The identity, then `budget` seeded shuffles, each drawn when it is needed."""
+    yield list(range(n))
+    for _ in range(budget):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield perm
+
+
 def cut_dist_unlabeled_upper(
     g: SimpleGraph,
     h: SimpleGraph,
@@ -266,13 +295,17 @@ def cut_dist_unlabeled_upper(
     swaps.  For same-size graphs on at most 6 nodes all direct node
     bijections are exhausted as well (blow-ups cannot beat the best
     block-respecting alignment they induce).  One labeled-distance
-    evaluation costs O(2^n * n) on the common blow-up size n, so blow-up
-    pairs above BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get
-    a trimmed random portfolio; the result notes the truncation.  If no
-    search was possible at all, raises BlowUpCapError.
+    evaluation visits all 2^n node sets of the common blow-up size n,
+    each in time proportional to the nodes whose adjacency to the flipped
+    node differs between the graphs, so blow-up pairs above
+    BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get a trimmed
+    random portfolio; the result notes the truncation.  If no search was
+    possible at all, raises BlowUpCapError.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     rng = Random(seed)
     best: Optional[tuple[Fraction, int, tuple[int, ...]]] = None
     truncated = False
@@ -296,12 +329,7 @@ def cut_dist_unlabeled_upper(
         def score(perm: list[int]) -> Fraction:
             return cut_dist_labeled(gb, _relabel(hb, perm))
 
-        candidates = [list(range(n))]
-        for _ in range(budget):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            candidates.append(perm)
-        for perm in candidates:
+        for perm in _candidates(n, budget, rng):
             current = score(perm)
             sweeps = 0
             improved = True

@@ -205,7 +205,7 @@ CONFIGS = {
 # and with rows after the value rows;
 # graph files with an edge in both orientations and with one edge line
 # too many; a valid 8-node graph whose 2-fold blow-up exceeds
-# HOM_TARGET_NODE_CAP
+# HOM_TARGET_NODE_CAP (also a valid cutdist input)
 TEXT_FILES = {
     "zero-breakpoint.txt": "1\n1/0\n1/2\n",
     "zero-value.txt": "1\n1\n1/0\n",
@@ -264,6 +264,8 @@ TEXT_FILES = {
     (["profile", "--family", "tau-blowup", "--graph", "sparse8.txt", "--motif", "K2",
       "--n", "2", "--k", "1"], 3, "cap exceeded:"),
     (["hom", "K2", "--graphon", "extra-row.txt"], 2, "usage error:"),
+    (["cutdist", "sparse8.txt", "sparse8.txt", "--upper-bound", "--trials", "-3"],
+     2, "usage error:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

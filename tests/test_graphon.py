@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,20 @@ def test_parse_errors_name_the_file_line():
         ("1\n# b\n1/3 1\n1/2\n", 3),
     ]:
         with pytest.raises(GraphFormatError) as err:
+            parse_step_graphon(text)
+        assert err.value.line == line, text
+
+
+def test_parse_value_errors_name_the_value_row():
+    for text, line, message in [
+        ("2\n1/2 1\n0 1\n1/2 0\n", 4, "symmetric"),  # checked on the later row
+        ("2\n# b\n1/2 1\n\n0 1\n# v\n1/2 0\n", 7, "symmetric"),
+        ("2\n1/2 1\n0 2\n1 0\n", 3, "[0,1]"),
+        ("2\n1/2 1\n0 1\n1 -1\n", 4, "[0,1]"),
+        ("2\n1 1\n0 1\n1 0\n", 2, "increasing"),
+        ("1\n1/2\n1\n", 2, "from 0 to 1"),
+    ]:
+        with pytest.raises(GraphFormatError, match=re.escape(message)) as err:
             parse_step_graphon(text)
         assert err.value.line == line, text
 

@@ -32,6 +32,7 @@ from quotientlab import (
     tau_oracle,
     weighted_quotient,
 )
+from quotientlab import graphs
 from quotientlab.graphs import format_graph
 from quotientlab.metric import hausdorff
 
@@ -117,6 +118,134 @@ def test_cut_dist_labeled_matches_naive_random():
         g = SimpleGraph.make(n, [e for e in pairs if rng.random() < 0.5])
         h = SimpleGraph.make(n, [e for e in pairs if rng.random() < 0.5])
         assert cut_dist_labeled(g, h) == naive_cut_dist(g, h)
+
+
+def reference_cut_dist_labeled(g, h):
+    """The per-set popcount loop the Gray-code kernel replaces: 2n popcounts for each S."""
+    n = g.node_count
+    if n == 0:
+        return Fraction(0)
+    ga, ha = g.adjacency, h.adjacency
+    best = 0
+    for s in range(1 << n):
+        pos = neg = 0
+        for w in range(n):
+            d = (ga[w] & s).bit_count() - (ha[w] & s).bit_count()
+            if d > 0:
+                pos += d
+            else:
+                neg -= d
+        best = max(best, pos, neg)
+    return Fraction(best, n * n)
+
+
+def random_graph(rng, n, p):
+    return SimpleGraph.make(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def complement(g):
+    return SimpleGraph.make(g.node_count, set(itertools.combinations(range(g.node_count), 2)) - set(g.edges))
+
+
+def relabeled_blowup_pairs(rng, count):
+    """12-node pairs shaped like the sparse-search cutdist inputs, h relabeled at random."""
+    def shaped(nodes, edges):
+        return SimpleGraph.make(nodes, rng.sample(list(itertools.combinations(range(nodes), 2)), edges))
+
+    pairs = []
+    for _ in range(count):
+        g, h = blow_up(shaped(3, 2), 4), blow_up(shaped(4, 3), 3)
+        perm = list(range(12))
+        rng.shuffle(perm)
+        pairs.append((g, SimpleGraph.make(12, ((perm[u], perm[v]) for u, v in h.edges))))
+    return pairs
+
+
+def test_cut_dist_labeled_matches_reference_on_shaped_pairs():
+    rng = random.Random(2024)
+    for n in range(13):
+        g = random_graph(rng, n, rng.random())
+        edges = list(itertools.combinations(range(n), 2))
+        rng.shuffle(edges)
+        half = len(edges) // 2
+        pairs = [
+            (g, g),
+            (g, complement(g)),
+            (SimpleGraph.complete(n), SimpleGraph.empty(n)),
+            (SimpleGraph.empty(n), SimpleGraph.complete(n)),
+            (SimpleGraph.make(n, edges[:half]), SimpleGraph.make(n, edges[half:])),
+        ]
+        pairs += [(random_graph(rng, n, rng.random()), random_graph(rng, n, rng.random()))
+                  for _ in range(3)]
+        for a, b in pairs:
+            assert cut_dist_labeled(a, b) == reference_cut_dist_labeled(a, b), (a.edges, b.edges)
+
+
+def test_cut_dist_labeled_matches_reference_on_relabeled_blowups():
+    for g, h in relabeled_blowup_pairs(random.Random(99), 12):
+        assert cut_dist_labeled(g, h) == reference_cut_dist_labeled(g, h), h.edges
+
+
+@pytest.mark.parametrize("g, h, t_max, trials, seed", [
+    (SimpleGraph.path(3), SimpleGraph.complete(2), 1, 4, 3),
+    (SimpleGraph.complete(3), SimpleGraph.path(3), 2, 2, 5),
+    (SimpleGraph.path(3), SimpleGraph.make(4, [(0, 1), (0, 2), (0, 3)]), 1, 8, 7),
+])
+def test_unlabeled_upper_same_with_reference_kernel(g, h, t_max, trials, seed, monkeypatch):
+    fast = cut_dist_unlabeled_upper(g, h, t_max, trials, seed)
+    monkeypatch.setattr(graphs, "cut_dist_labeled", reference_cut_dist_labeled)
+    assert cut_dist_unlabeled_upper(g, h, t_max, trials, seed) == fast
+
+
+def test_unlabeled_upper_scores_each_candidate_through_the_module_kernel(monkeypatch):
+    # the kernel is looked up on the module for every candidate, so a wrapper
+    # installed there sees each scored bijection (each one relabels h once)
+    counts = {"kernel": 0, "relabel": 0}
+    kernel, relabel = graphs.cut_dist_labeled, graphs._relabel
+
+    def counted_kernel(g, h):
+        counts["kernel"] += 1
+        return kernel(g, h)
+
+    def counted_relabel(g, perm):
+        counts["relabel"] += 1
+        return relabel(g, perm)
+
+    monkeypatch.setattr(graphs, "cut_dist_labeled", counted_kernel)
+    monkeypatch.setattr(graphs, "_relabel", counted_relabel)
+    for g, h, trials in [
+        (SimpleGraph.path(3), SimpleGraph.make(4, [(0, 1), (0, 2), (0, 3)]), 8),
+        (SimpleGraph.complete(3), SimpleGraph.path(3), 2),
+        (SimpleGraph.path(3), SimpleGraph.complete(2), 4),
+    ]:
+        counts.update(kernel=0, relabel=0)
+        cut_dist_unlabeled_upper(g, h, 1, trials, 0)
+        assert counts["kernel"] == counts["relabel"] > trials
+
+
+def test_unlabeled_upper_draws_shuffles_only_when_needed(monkeypatch):
+    shuffles = 0
+    shuffle = random.Random.shuffle
+
+    def counted(self, x):
+        nonlocal shuffles
+        shuffles += 1
+        shuffle(self, x)
+
+    monkeypatch.setattr(random.Random, "shuffle", counted)
+    k2 = SimpleGraph.complete(2)
+    # the identity bijection of the common 8-node blow-up already scores 0
+    assert cut_dist_unlabeled_upper(k2, blow_up(k2, 2), 1, 400_000, 0).value == 0
+    assert shuffles == 0
+    # a positive distance never stops the search, so all the trials are drawn
+    bound = cut_dist_unlabeled_upper(SimpleGraph.path(3), k2, 1, 5, 0)
+    assert bound.value > 0 and shuffles == 5
+
+
+def test_unlabeled_upper_rejects_negative_trials():
+    g = SimpleGraph.path(3)
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        cut_dist_unlabeled_upper(g, g, 1, -3, 0)
 
 
 def test_cut_dist_unlabeled_zero_on_self():
