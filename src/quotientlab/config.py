@@ -15,7 +15,9 @@ QUOTIENT_K_CAP = 8
 # Budget for profile enumeration: the number of assignments visited,
 # one per orbit of the oracle's twin swaps (labeled assignments when it
 # declares no twins) for the exact strategy, and the requested sample
-# count for the sampled one, checked before any evaluation.
+# count for the sampled one, checked before any evaluation.  The
+# unlabeled cut-distance search checks its planned labeled-distance
+# calls against it before the first call.
 ENUM_ITERATION_CAP = 1 << 26
 
 # Exhaustive submodularity / monotonicity checks.

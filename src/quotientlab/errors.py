@@ -22,15 +22,13 @@ class GroundTooLargeError(CapExceededError):
 
 
 class EnumCapError(CapExceededError):
-    """Exact, flats or sampled enumeration would exceed the iteration budget."""
+    """Profile enumeration or the cut-distance search would exceed the iteration budget."""
 
-    def __init__(self, iterations: int, cap: int, detail: str = ""):
+    def __init__(self, iterations: int, cap: int, detail: str):
         self.iterations = iterations
-        self.cap = cap
-        msg = f"enumeration needs {iterations} iterations, cap ENUM_ITERATION_CAP={cap}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(
+            f"enumeration needs {iterations} iterations, cap ENUM_ITERATION_CAP={cap} ({detail})"
+        )
 
 
 class FlatExplosionError(CapExceededError):

@@ -124,9 +124,8 @@ def graphon_cut_capacity_oracle(w: StepGraphon) -> SetFunctionOracle:
     Lets the profile machinery enumerate quotient sets of the graphon;
     parts finer than the current steps require refining first.
     """
-    labels = tuple(f"[{a},{b})" for a, b in zip(w.breakpoints, w.breakpoints[1:]))
     return SetFunctionOracle(
-        GroundSet(w.steps, labels),
+        GroundSet(w.steps),
         lambda m: graphon_cut_capacity(w, m),
         label=f"kappa(step-graphon r={w.steps})",
     )

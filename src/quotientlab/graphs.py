@@ -16,6 +16,7 @@ of the labeled cut distance separable per node.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -25,6 +26,7 @@ from . import config
 from .errors import (
     BlowUpCapError,
     DegenerateNormalizationError,
+    EnumCapError,
     GraphFormatError,
     GroundTooLargeError,
     KTooLargeError,
@@ -301,15 +303,32 @@ def cut_dist_unlabeled_upper(
     BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get a trimmed
     random portfolio; the result notes the truncation.  If no search was
     possible at all, raises BlowUpCapError.
+
+    Before the first labeled distance, the planned number of calls is
+    checked against ENUM_ITERATION_CAP (EnumCapError above it): n! for
+    the exhaustive pass, plus (1 + budget)(1 + 4 C(n, 2)) for each
+    blow-up size n searched, one call per candidate and per swap of its
+    at most four sweeps.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    exhaustive = g.node_count == h.node_count and g.node_count <= 6
+    planned = math.factorial(g.node_count) if exhaustive else 0
+    # n grows by at least one per t unless a graph is empty
+    for t in range(1, min(t_max, config.BLOWUP_NODE_CAP) + 1):
+        n = g.node_count * h.node_count * t
+        if n > config.BLOWUP_NODE_CAP:
+            break
+        budget = trials if n <= 9 else min(trials, 2)
+        planned += (1 + budget) * (1 + 4 * math.comb(n, 2))
+    if planned > config.ENUM_ITERATION_CAP:
+        raise EnumCapError(planned, config.ENUM_ITERATION_CAP, "cut-distance search")
     rng = Random(seed)
     best: Optional[tuple[Fraction, int, tuple[int, ...]]] = None
     truncated = False
-    if g.node_count == h.node_count and g.node_count <= 6:
+    if exhaustive:
         for perm in itertools.permutations(range(h.node_count)):
             value = cut_dist_labeled(g, _relabel(h, perm))
             if best is None or value < best[0]:
@@ -408,9 +427,8 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     (see twin_classes) are declared as interchangeable on the oracle.
     """
     denom = CutNormalization.denominator(g, norm)
-    ground = GroundSet(g.node_count, tuple(str(v) for v in range(g.node_count)))
     return SetFunctionOracle(
-        ground,
+        GroundSet(g.node_count),
         lambda m: Fraction(cut_count(g, m), denom),
         label=f"kappa({g.name or g.node_count};{norm})",
         twins=twin_classes(g),
@@ -435,7 +453,7 @@ def hom_sum(pattern: SimpleGraph, node_weights: Sequence, edge_weight: Callable[
     """
     if pattern.node_count > config.HOM_PATTERN_NODE_CAP:
         raise GroundTooLargeError(
-            f"pattern has {pattern.node_count} nodes, cap {config.HOM_PATTERN_NODE_CAP}"
+            f"pattern has {pattern.node_count} nodes, cap HOM_PATTERN_NODE_CAP={config.HOM_PATTERN_NODE_CAP}"
         )
     check_hom_target(len(node_weights))
     targets = range(len(node_weights))
@@ -484,7 +502,7 @@ def _motif_deletion(
     def density(mask: SubsetMask) -> Fraction:
         return hom_density(pattern, g.without_edges(mask))
 
-    return GroundSet(g.edge_count, tuple(f"{u}-{v}" for u, v in g.edges)), density
+    return GroundSet(g.edge_count), density
 
 
 def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
@@ -606,7 +624,6 @@ def rounding_partition(
     t: int,
     parts: Sequence[int],
     seed: int,
-    norm: str = CutNormalization.EDGES,
 ) -> RoundingResult:
     """Round a partition of the t-fold blow-up so no twin class is split.
 
@@ -631,7 +648,7 @@ def rounding_partition(
                 chosen = i
                 break
         rounded[chosen] |= block
-    oracle = cut_capacity_oracle(gt, norm)
+    oracle = cut_capacity_oracle(gt)
     before = quotient_point(oracle, list(parts))
     after = quotient_point(oracle, rounded)
     deviation = max(abs(a - b) for a, b in zip(before.coords, after.coords))

@@ -2,13 +2,15 @@
 
 Rank calls are exact.  `Matroid.rank` memoizes per subset mask for
 closure, flats, union and richness; a rank oracle evaluates `_rank` under
-its own memo instead, so each value has one cache.  On top of the rank
-the module provides closure and flat enumeration (breadth-first
-closure extension), the flat-pair richness condition, matroid union via
-augmenting paths with a min-formula certificate, and the two lattice
-embeddings between full linear spaces GF(q)^m -> GF(q)^n (zero padding,
-which preserves ranks, and block repetition, which preserves normalized
-ranks when m divides n).
+its own memo instead, so each value has one cache.  Closure is defined
+from rank alone, cl(X) = X + {e : r(X + e) = r(X)}; only the cycle
+matroid overrides it, with one union-find pass in place of one rank call
+per edge.  On top of rank and closure the module provides flat
+enumeration (breadth-first closure extension), the flat-pair richness
+condition, matroid union via augmenting paths with a min-formula
+certificate, and the two lattice embeddings between full linear spaces
+GF(q)^m -> GF(q)^n (zero padding, which preserves ranks, and block
+repetition, which preserves normalized ranks when m divides n).
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ class Matroid:
         return self.rank(self.full_mask)
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
+        """cl(X) = X + {e : r(X + e) = r(X)}, one rank call per element outside X."""
         r = self.rank(mask)
         out = mask
         rest = self.full_mask & ~mask
@@ -105,11 +108,8 @@ class Matroid:
             frontier = nxt
         return tuple(sorted(seen))
 
-    def element_label(self, i: int) -> str:
-        return self.ground.element_label(i)
-
-    def rank_oracle(self, label: str | None = None) -> SetFunctionOracle:
-        return self.normalized_rank_oracle(1, label or f"rank({self._name()})")
+    def rank_oracle(self) -> SetFunctionOracle:
+        return self.normalized_rank_oracle(1, f"rank({self._name()})")
 
     def normalized_rank_oracle(
         self, denominator: int | None = None, label: str | None = None
@@ -135,13 +135,13 @@ class GraphicMatroid(Matroid):
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
-        labels = tuple(f"{u}-{v}" for u, v in graph.edges)
-        super().__init__(GroundSet(len(graph.edges), labels))
+        super().__init__(GroundSet(len(graph.edges)))
 
     def _rank(self, mask: SubsetMask) -> int:
         return spanning_forest(self.graph, mask)[1]
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
+        """The edges whose ends the spanning forest of mask connects, in one pass."""
         find, _ = spanning_forest(self.graph, mask)
         out = 0
         for i, (u, v) in enumerate(self.graph.edges):
@@ -186,13 +186,9 @@ class LinearMatroid(Matroid):
                 raise ValueError("columns must share one dimension")
             if any(not 0 <= x < q for c in cols for x in c):
                 raise ValueError("column entries must lie in 0..q-1")
-        else:
-            dim = 0
-        self.dim = dim
         self.columns = tuple(cols)
         self.name = name
-        labels = tuple("".join(str(x) for x in c) for c in cols)
-        super().__init__(GroundSet(len(cols), labels))
+        super().__init__(GroundSet(len(cols)))
         if q == 2:
             self._bits = tuple(index_from_vector(c, 2) for c in cols)
         else:
@@ -204,15 +200,15 @@ class LinearMatroid(Matroid):
         cols = [vector_from_index(j, q, n) for j in range(q**n)]
         return cls(q, cols, name=f"gf({q})^{n}")
 
-    def _basis_gf2(self, mask: SubsetMask) -> dict[int, int]:
-        basis: dict[int, int] = {}
-        for e in iter_elements(mask):
-            v = _reduce_gf2(basis, self._bits[e])
-            if v:
-                basis[v.bit_length() - 1] = v
-        return basis
-
-    def _basis_general(self, mask: SubsetMask) -> list[tuple[int, list[int]]]:
+    def _rank(self, mask: SubsetMask) -> int:
+        """Size of a basis grown by Gaussian elimination over the columns in mask."""
+        if self._bits is not None:
+            basis: dict[int, int] = {}
+            for e in iter_elements(mask):
+                v = _reduce_gf2(basis, self._bits[e])
+                if v:
+                    basis[v.bit_length() - 1] = v
+            return len(basis)
         f = self.field
         pivots: list[tuple[int, list[int]]] = []
         for e in iter_elements(mask):
@@ -221,22 +217,7 @@ class LinearMatroid(Matroid):
             if lead is not None:
                 scale = f.inv(v[lead])
                 pivots.append((lead, [f.mul(scale, x) for x in v]))
-        return pivots
-
-    def _rank(self, mask: SubsetMask) -> int:
-        if self._bits is not None:
-            return len(self._basis_gf2(mask))
-        return len(self._basis_general(mask))
-
-    def _closure(self, mask: SubsetMask) -> SubsetMask:
-        """Elements whose vector reduces to zero against the basis of mask."""
-        if self._bits is not None:
-            basis = self._basis_gf2(mask)
-            spanned = (not _reduce_gf2(basis, v) for v in self._bits)
-        else:
-            pivots = self._basis_general(mask)
-            spanned = (not any(_reduce_general(self.field, pivots, c)) for c in self.columns)
-        return sum(1 << i for i, ok in enumerate(spanned) if ok)
+        return len(pivots)
 
     def _name(self) -> str:
         return self.name or f"linear(q={self.q},m={self.size})"
@@ -245,35 +226,23 @@ class LinearMatroid(Matroid):
 class DirectSumMatroid(Matroid):
     """Disjoint union of matroids; ranks add across the parts."""
 
-    def __init__(self, parts: Sequence[Matroid], name: str = ""):
+    def __init__(self, parts: Sequence[Matroid]):
         self.parts = tuple(parts)
         self.offsets = []
-        labels = []
         off = 0
-        for idx, part in enumerate(self.parts):
+        for part in self.parts:
             self.offsets.append(off)
-            labels.extend(f"p{idx}:{part.element_label(i)}" for i in range(part.size))
             off += part.size
-        self.name = name
-        super().__init__(GroundSet(off, tuple(labels)))
-
-    def _split(self, mask: SubsetMask) -> list[SubsetMask]:
-        out = []
-        for part, off in zip(self.parts, self.offsets):
-            out.append((mask >> off) & part.full_mask)
-        return out
+        super().__init__(GroundSet(off))
 
     def _rank(self, mask: SubsetMask) -> int:
-        return sum(p.rank(m) for p, m in zip(self.parts, self._split(mask)))
-
-    def _closure(self, mask: SubsetMask) -> SubsetMask:
-        out = 0
-        for part, off, sub in zip(self.parts, self.offsets, self._split(mask)):
-            out |= part.closure(sub) << off
-        return out
+        return sum(
+            part.rank((mask >> off) & part.full_mask)
+            for part, off in zip(self.parts, self.offsets)
+        )
 
     def _name(self) -> str:
-        return self.name or "⊕".join(p._name() for p in self.parts)
+        return "⊕".join(p._name() for p in self.parts)
 
 
 class Restriction(Matroid):

@@ -255,11 +255,9 @@ def profile(
     return ProfileSet(k, mode, strategy.describe(), oracle.label, points)
 
 
-def derived_profile(
-    point: QuotientPoint, k: int, mode: Mode, strategy: Strategy = EXACT
-) -> ProfileSet:
-    """Profile a quotient point, reinterpreted as a setfunction on its parts."""
-    return profile(point.as_oracle(label="derived-point"), k, mode, strategy)
+def derived_profile(point: QuotientPoint, k: int, mode: Mode) -> ProfileSet:
+    """Exact profile of a quotient point, reinterpreted as a setfunction on its parts."""
+    return profile(point.as_oracle(label="derived-point"), k, mode)
 
 
 def compose(inner: ProfileSet, outer_k: int, outer_mode: Mode) -> ProfileSet:

@@ -25,7 +25,7 @@ def point_payload(point) -> list[str]:
 
 
 def profile_payload(pset) -> dict:
-    points = sorted(pset.points, key=lambda p: p.coords)
+    points = pset.sorted_points()
     coords_flat = [c for p in points for c in p.coords]
     summary = {
         "count": len(points),

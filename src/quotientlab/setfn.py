@@ -41,17 +41,14 @@ def check_ground_size(size: int) -> None:
 
 @dataclass(frozen=True)
 class GroundSet:
-    """A finite ground set with elements 0..size-1 and optional display labels."""
+    """A finite ground set with elements 0..size-1; subsets are bitmasks over it."""
 
     size: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.size < 0:
             raise ValueError("ground set size must be nonnegative")
         check_ground_size(self.size)
-        if self.labels is not None and len(self.labels) != self.size:
-            raise ValueError("labels, when present, must have length == size")
 
     @property
     def full_mask(self) -> SubsetMask:
@@ -62,11 +59,6 @@ class GroundSet:
             raise MaskWidthError(
                 f"mask {bin(mask)} does not fit a ground set of size {self.size}"
             )
-
-    def element_label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i)
 
 
 class SetFunctionOracle:

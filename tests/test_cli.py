@@ -205,7 +205,9 @@ CONFIGS = {
 # and with rows after the value rows;
 # graph files with an edge in both orientations and with one edge line
 # too many; a valid 8-node graph whose 2-fold blow-up exceeds
-# HOM_TARGET_NODE_CAP (also a valid cutdist input)
+# HOM_TARGET_NODE_CAP (also a valid cutdist input); P3 and K3, whose
+# cut-distance search with 10^8 trials plans more calls than
+# ENUM_ITERATION_CAP
 TEXT_FILES = {
     "zero-breakpoint.txt": "1\n1/0\n1/2\n",
     "zero-value.txt": "1\n1\n1/0\n",
@@ -213,6 +215,8 @@ TEXT_FILES = {
     "both-orientations.txt": "3 2\n0 1\n1 0\n",
     "extra-edge.txt": "3 1\n0 1\n1 2\n",
     "sparse8.txt": "8 1\n0 1\n",
+    "p3.txt": "3 2\n0 1\n1 2\n",
+    "k3.txt": "3 3\n0 1\n0 2\n1 2\n",
 }
 
 
@@ -266,6 +270,8 @@ TEXT_FILES = {
     (["hom", "K2", "--graphon", "extra-row.txt"], 2, "usage error:"),
     (["cutdist", "sparse8.txt", "sparse8.txt", "--upper-bound", "--trials", "-3"],
      2, "usage error:"),
+    (["cutdist", "p3.txt", "k3.txt", "--upper-bound", "--trials", "100000000"],
+     3, "cap exceeded:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

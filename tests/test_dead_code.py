@@ -1,4 +1,4 @@
-"""Dead-code guard: every top-level name and method in the package has a reader.
+"""Dead-code guard: every top-level name, method and instance attribute has a reader.
 
 A top-level function, class or constant of `src/quotientlab/*.py` must
 be referenced somewhere in `src/` or `tests/` other than its own
@@ -12,6 +12,11 @@ read as an attribute (`x.name`) somewhere in `src/` or `tests/`.  A
 definition is not an attribute read, so this catches methods that only
 define themselves; a subclass override is kept alive by the base class's
 call.
+
+Every instance attribute a package class assigns (`self.x = ...` or
+`object.__setattr__(self, "x", ...)`) must be loaded as an attribute
+somewhere in `src/` or `tests/`; an assignment alone is dead state.
+Dataclass fields are not checked: result records echo their inputs.
 """
 
 import ast
@@ -46,8 +51,35 @@ def _methods(tree):
                         yield f"{node.name}.{item.name}", item.name
 
 
-def _attributes(tree):
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+def _instance_attributes(tree):
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                yield f"{node.name}.{sub.attr}", sub.attr
+            elif (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "__setattr__"
+                and isinstance(sub.func.value, ast.Name)
+                and sub.func.value.id == "object"
+                and isinstance(sub.args[1], ast.Constant)
+            ):
+                yield f"{node.name}.{sub.args[1].value}", sub.args[1].value
+
+
+def _loaded_attributes(tree):
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
 
 
 def _references(tree):
@@ -74,7 +106,7 @@ def unreferenced_names():
 
 def unread_methods():
     trees = _trees(sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")))
-    read = {name for tree in trees.values() for name in _attributes(tree)}
+    read = {name for tree in trees.values() for name in _loaded_attributes(tree)}
     return sorted(
         f"{path.stem}.{qualified}"
         for path, tree in trees.items()
@@ -84,9 +116,27 @@ def unread_methods():
     )
 
 
+def unread_instance_attributes():
+    trees = _trees(sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")))
+    loaded = {name for tree in trees.values() for name in _loaded_attributes(tree)}
+    return sorted(
+        {
+            f"{path.stem}.{qualified}"
+            for path, tree in trees.items()
+            if path.parent == PACKAGE
+            for qualified, name in _instance_attributes(tree)
+            if name not in loaded
+        }
+    )
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
 
 
 def test_every_method_is_read_as_an_attribute():
     assert unread_methods() == []
+
+
+def test_every_instance_attribute_is_read():
+    assert unread_instance_attributes() == []

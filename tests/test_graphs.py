@@ -32,7 +32,8 @@ from quotientlab import (
     tau_oracle,
     weighted_quotient,
 )
-from quotientlab import graphs
+from quotientlab import config, graphs
+from quotientlab.errors import EnumCapError
 from quotientlab.graphs import format_graph
 from quotientlab.metric import hausdorff
 
@@ -240,6 +241,32 @@ def test_unlabeled_upper_draws_shuffles_only_when_needed(monkeypatch):
     # a positive distance never stops the search, so all the trials are drawn
     bound = cut_dist_unlabeled_upper(SimpleGraph.path(3), k2, 1, 5, 0)
     assert bound.value > 0 and shuffles == 5
+
+
+def test_unlabeled_upper_plan_above_cap_raises_before_any_call(monkeypatch):
+    calls = 0
+    kernel = graphs.cut_dist_labeled
+
+    def counted_kernel(g, h):
+        nonlocal calls
+        calls += 1
+        return kernel(g, h)
+
+    monkeypatch.setattr(graphs, "cut_dist_labeled", counted_kernel)
+    p3, k3 = SimpleGraph.path(3), SimpleGraph.complete(3)
+    with pytest.raises(EnumCapError) as info:
+        cut_dist_unlabeled_upper(p3, k3, 1, 10**8, 0)
+    # 3! exhaustive calls, then 1 + 10^8 candidates of 1 + 4 * C(9, 2) calls each
+    assert info.value.iterations == 6 + (1 + 10**8) * 145
+    assert calls == 0
+    # P3 against K2 plans 6 candidates of 1 + 4 * C(6, 2) calls on the 6-node blow-ups
+    monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 365)
+    with pytest.raises(EnumCapError) as info:
+        cut_dist_unlabeled_upper(p3, SimpleGraph.complete(2), 1, 5, 0)
+    assert info.value.iterations == 366 and calls == 0
+    monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 366)
+    assert cut_dist_unlabeled_upper(p3, SimpleGraph.complete(2), 1, 5, 0).value > 0
+    assert 0 < calls <= 366
 
 
 def test_unlabeled_upper_rejects_negative_trials():
