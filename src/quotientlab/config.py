@@ -2,7 +2,9 @@
 
 Caps are module constants rather than hard-coded literals so that error
 messages can name them and callers can see what budget was exceeded.
-Operations read them when called.
+Operations read them when called, each as `config.NAME` at the one check
+before the work it bounds.  The message is formatted in one place,
+`errors.CapExceededError`: `<subject> needs <needed>, cap <NAME>=<limit>`.
 """
 
 # Ground sets are iterated subset-by-subset; above this size exact

@@ -10,7 +10,16 @@ class MaskWidthError(QuotientLabError):
 
 
 class CapExceededError(QuotientLabError):
-    """A configured enumeration budget was exceeded."""
+    """A budget in `config` would be exceeded; raised before the work it bounds.
+
+    Every cap error is built from the cap's name and limit, the amount
+    the operation needs and what needs it, and reads
+    `<subject> needs <needed>, cap <NAME>=<limit>`.
+    """
+
+    def __init__(self, name: str, limit: int, needed: int, subject: str):
+        self.needed = needed
+        super().__init__(f"{subject} needs {needed}, cap {name}={limit}")
 
 
 class KTooLargeError(CapExceededError):
@@ -23,12 +32,6 @@ class GroundTooLargeError(CapExceededError):
 
 class EnumCapError(CapExceededError):
     """Profile enumeration or the cut-distance search would exceed the iteration budget."""
-
-    def __init__(self, iterations: int, cap: int, detail: str):
-        self.iterations = iterations
-        super().__init__(
-            f"enumeration needs {iterations} iterations, cap ENUM_ITERATION_CAP={cap} ({detail})"
-        )
 
 
 class FlatExplosionError(CapExceededError):

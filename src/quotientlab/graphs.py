@@ -218,9 +218,7 @@ def cut_dist_labeled(g: SimpleGraph, h: SimpleGraph) -> Fraction:
         raise ValueError("labeled cut distance needs a common node set")
     n = g.node_count
     if n > config.CUT_DIST_NODE_CAP:
-        raise GroundTooLargeError(
-            f"node count {n} exceeds CUT_DIST_NODE_CAP={config.CUT_DIST_NODE_CAP}"
-        )
+        raise GroundTooLargeError("CUT_DIST_NODE_CAP", config.CUT_DIST_NODE_CAP, n, "labeled cut distance")
     if n == 0:
         return Fraction(0)
     # e_G(S, T) - e_H(S, T) is the sum over w in T of
@@ -301,33 +299,41 @@ def cut_dist_unlabeled_upper(
     each in time proportional to the nodes whose adjacency to the flipped
     node differs between the graphs, so blow-up pairs above
     BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get a trimmed
-    random portfolio; the result notes the truncation.  If no search was
-    possible at all, raises BlowUpCapError.
+    random portfolio; the result notes the truncation.
 
-    Before the first labeled distance, the planned number of calls is
-    checked against ENUM_ITERATION_CAP (EnumCapError above it): n! for
-    the exhaustive pass, plus (1 + budget)(1 + 4 C(n, 2)) for each
-    blow-up size n searched, one call per candidate and per swap of its
-    at most four sweeps.
+    The search is planned before the first labeled distance: one
+    (t, blow-up size, shuffle budget) entry per blow-up searched.  With
+    no entry and no exhaustive pass it raises BlowUpCapError; above
+    ENUM_ITERATION_CAP planned calls, EnumCapError.  The planned calls
+    are n! for the exhaustive pass, plus (1 + budget)(1 + 4 C(n, 2)) per
+    entry, one call per candidate and per swap of its at most four
+    sweeps.  A graph without nodes has a blow-up of the other's size
+    only if the other has none either.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if (g.node_count == 0) != (h.node_count == 0):
+        empty = g if g.node_count == 0 else h
+        raise ValueError(f"graph {empty.name!r} has no nodes, so no blow-up matches the other graph")
     exhaustive = g.node_count == h.node_count and g.node_count <= 6
-    planned = math.factorial(g.node_count) if exhaustive else 0
-    # n grows by at least one per t unless a graph is empty
+    plan = []
+    # n grows by at least one per t unless both graphs are empty
     for t in range(1, min(t_max, config.BLOWUP_NODE_CAP) + 1):
         n = g.node_count * h.node_count * t
         if n > config.BLOWUP_NODE_CAP:
             break
-        budget = trials if n <= 9 else min(trials, 2)
-        planned += (1 + budget) * (1 + 4 * math.comb(n, 2))
-    if planned > config.ENUM_ITERATION_CAP:
-        raise EnumCapError(planned, config.ENUM_ITERATION_CAP, "cut-distance search")
+        plan.append((t, n, trials if n <= 9 else min(trials, 2)))
+    if not plan and not exhaustive:
+        needed = g.node_count * h.node_count
+        raise BlowUpCapError("BLOWUP_NODE_CAP", config.BLOWUP_NODE_CAP, needed, "common blow-up")
+    needed = math.factorial(g.node_count) if exhaustive else 0
+    needed += sum((1 + budget) * (1 + 4 * math.comb(n, 2)) for _, n, budget in plan)
+    if needed > config.ENUM_ITERATION_CAP:
+        raise EnumCapError("ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, needed, "cut-distance search")
     rng = Random(seed)
     best: Optional[tuple[Fraction, int, tuple[int, ...]]] = None
-    truncated = False
     if exhaustive:
         for perm in itertools.permutations(range(h.node_count)):
             value = cut_dist_labeled(g, _relabel(h, perm))
@@ -335,15 +341,9 @@ def cut_dist_unlabeled_upper(
                 best = (value, 1, tuple(perm))
             if best[0] == 0:
                 return CutDistanceBound(best[0], best[1], best[2], False)
-    for t in range(1, t_max + 1):
-        common = g.node_count * h.node_count * t
-        if common > config.BLOWUP_NODE_CAP:
-            truncated = True
-            break
+    for t, n, budget in plan:
         gb = blow_up(g, h.node_count * t)
         hb = blow_up(h, g.node_count * t)
-        n = common
-        budget = trials if n <= 9 else min(trials, 2)
 
         def score(perm: list[int]) -> Fraction:
             return cut_dist_labeled(gb, _relabel(hb, perm))
@@ -368,13 +368,10 @@ def cut_dist_unlabeled_upper(
                 best = (current, t, tuple(perm))
             if best[0] == 0:
                 break
-        if best is not None and best[0] == 0:
+        if best[0] == 0:
             break
-    if best is None:
-        raise BlowUpCapError(
-            f"blow-ups need {g.node_count * h.node_count} nodes, cap BLOWUP_NODE_CAP={config.BLOWUP_NODE_CAP}"
-        )
-    return CutDistanceBound(best[0], best[1], best[2], truncated)
+    # the cap cut the plan short of t_max, and no zero ended the search first
+    return CutDistanceBound(best[0], best[1], best[2], len(plan) < t_max and best[0] > 0)
 
 
 class CutNormalization:
@@ -435,14 +432,6 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     )
 
 
-def check_hom_target(size: int) -> None:
-    # graph nodes and step-graphon steps are the targets of the same kernel
-    if size > config.HOM_TARGET_NODE_CAP:
-        raise GroundTooLargeError(
-            f"target has {size} nodes or steps, cap HOM_TARGET_NODE_CAP={config.HOM_TARGET_NODE_CAP}"
-        )
-
-
 def hom_sum(pattern: SimpleGraph, node_weights: Sequence, edge_weight: Callable[[int, int], object]):
     """Sum over maps phi of prod_v node_weights[phi(v)] * prod_uv edge_weight(phi(u), phi(v)).
 
@@ -451,14 +440,18 @@ def hom_sum(pattern: SimpleGraph, node_weights: Sequence, edge_weight: Callable[
     (the sum is its motif density).  Both caps are checked before the
     edge-weight table is built; a zero factor prunes the branch.
     """
-    if pattern.node_count > config.HOM_PATTERN_NODE_CAP:
-        raise GroundTooLargeError(
-            f"pattern has {pattern.node_count} nodes, cap HOM_PATTERN_NODE_CAP={config.HOM_PATTERN_NODE_CAP}"
-        )
-    check_hom_target(len(node_weights))
-    targets = range(len(node_weights))
-    edge_weights = [[edge_weight(a, b) for b in targets] for a in targets]
     pk = pattern.node_count
+    if pk > config.HOM_PATTERN_NODE_CAP:
+        raise GroundTooLargeError(
+            "HOM_PATTERN_NODE_CAP", config.HOM_PATTERN_NODE_CAP, pk, "homomorphism pattern"
+        )
+    # graph nodes and step-graphon steps are the targets of the same kernel
+    targets = range(len(node_weights))
+    if len(targets) > config.HOM_TARGET_NODE_CAP:
+        raise GroundTooLargeError(
+            "HOM_TARGET_NODE_CAP", config.HOM_TARGET_NODE_CAP, len(targets), "homomorphism target"
+        )
+    edge_weights = [[edge_weight(a, b) for b in targets] for a in targets]
     # neighbors of pattern node v among the nodes assigned before it (edges are u < v)
     earlier = [[u for u, w in pattern.edges if w == v] for v in range(pk)]
     assignment = [0] * pk
@@ -674,9 +667,7 @@ def edge_coloring_quotient(g: SimpleGraph, colors: Sequence[int], num_colors: in
     if num_colors < 1:
         raise ValueError("need at least one color class")
     if num_colors > config.QUOTIENT_K_CAP:
-        raise KTooLargeError(
-            f"{num_colors} colors exceed QUOTIENT_K_CAP={config.QUOTIENT_K_CAP}"
-        )
+        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, num_colors, "edge-coloring quotient")
     if len(colors) != g.edge_count:
         raise ValueError("need one color per edge")
     if any(not 0 <= c < num_colors for c in colors):

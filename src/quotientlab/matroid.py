@@ -86,9 +86,7 @@ class Matroid:
     def flats(self) -> tuple[SubsetMask, ...]:
         """All flats, sorted, found by closing single-element extensions."""
         if self.size > config.FLAT_GROUND_CAP:
-            raise GroundTooLargeError(
-                f"ground size {self.size} exceeds FLAT_GROUND_CAP={config.FLAT_GROUND_CAP}"
-            )
+            raise GroundTooLargeError("FLAT_GROUND_CAP", config.FLAT_GROUND_CAP, self.size, "flat enumeration")
         start = self.closure(0)
         seen = {start}
         frontier = [start]
@@ -103,7 +101,7 @@ class Matroid:
                         nxt.append(bigger)
                         if len(seen) > config.FLAT_COUNT_CAP:
                             raise FlatExplosionError(
-                                f"more than FLAT_COUNT_CAP={config.FLAT_COUNT_CAP} flats"
+                                "FLAT_COUNT_CAP", config.FLAT_COUNT_CAP, len(seen), "flat enumeration"
                             )
             frontier = nxt
         return tuple(sorted(seen))
@@ -305,25 +303,10 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
     n = matroids[0].size
     if any(m.size != n for m in matroids):
         raise ValueError("matroids must share a common ground set")
-    k = len(matroids)
-    parts: list[set[int]] = [set() for _ in range(k)]
-    part_masks = [0] * k
-
-    def circuit_members(i: int, y: int) -> list[int]:
-        # elements x of parts[i] with parts[i] + y - x independent
-        base = part_masks[i] | 1 << y
-        size = len(parts[i])
-        out = []
-        for x in parts[i]:
-            if matroids[i].rank(base ^ (1 << x)) == size:
-                out.append(x)
-        return out
-
+    part_masks = [0] * len(matroids)
     while True:
-        covered = 0
-        for pm in part_masks:
-            covered |= pm
-        sources = [e for e in range(n) if not covered >> e & 1]
+        covered = sum(part_masks)  # the parts are disjoint
+        sources = list(iter_elements(matroids[0].full_mask & ~covered))
         if not sources:
             break
         parent: dict[int, tuple[int, int] | None] = {e: None for e in sources}
@@ -331,43 +314,34 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
         augmented = False
         while queue and not augmented:
             y = queue.popleft()
-            for i in range(k):
-                if y in parts[i]:
+            for i, part in enumerate(part_masks):
+                if part >> y & 1:
                     continue
-                if matroids[i].rank(part_masks[i] | 1 << y) == len(parts[i]) + 1:
+                size = part.bit_count()
+                if matroids[i].rank(part | 1 << y) == size + 1:
                     cur, place = y, i
                     while True:
-                        parts[place].add(cur)
                         part_masks[place] |= 1 << cur
                         prev = parent[cur]
                         if prev is None:
                             break
                         prev_elem, prev_part = prev
-                        parts[prev_part].discard(cur)
                         part_masks[prev_part] &= ~(1 << cur)
                         cur, place = prev_elem, prev_part
                     augmented = True
                     break
-                for x in circuit_members(i, y):
-                    if x not in parent:
+                # x joins the search when part i + y - x is independent
+                for x in iter_elements(part):
+                    if x not in parent and matroids[i].rank(part ^ (1 << x) | 1 << y) == size:
                         parent[x] = (y, i)
                         queue.append(x)
         if not augmented:
-            reachable = 0
-            for e in parent:
-                reachable |= 1 << e
-            cert = matroids[0].full_mask & ~reachable
-            value = cert.bit_count() + sum(
-                m.rank(m.full_mask & ~cert) for m in matroids
-            )
-            return MatroidUnionResult(
-                sum(len(p) for p in parts), tuple(part_masks), cert, value
-            )
+            cert = matroids[0].full_mask & ~sum(1 << e for e in parent)
+            value = cert.bit_count() + sum(m.rank(m.full_mask & ~cert) for m in matroids)
+            return MatroidUnionResult(covered.bit_count(), tuple(part_masks), cert, value)
     # every element covered: Y = E is a valid optimal certificate
     cert = matroids[0].full_mask
-    return MatroidUnionResult(
-        sum(len(p) for p in parts), tuple(part_masks), cert, cert.bit_count()
-    )
+    return MatroidUnionResult(cert.bit_count(), tuple(part_masks), cert, cert.bit_count())
 
 
 def matroid_union_rank_brute(matroids: Sequence[Matroid]) -> tuple[int, SubsetMask]:
@@ -375,7 +349,7 @@ def matroid_union_rank_brute(matroids: Sequence[Matroid]) -> tuple[int, SubsetMa
     n = matroids[0].size
     if n > config.UNION_BRUTE_FORCE_CAP:
         raise GroundTooLargeError(
-            f"ground size {n} exceeds UNION_BRUTE_FORCE_CAP={config.UNION_BRUTE_FORCE_CAP}"
+            "UNION_BRUTE_FORCE_CAP", config.UNION_BRUTE_FORCE_CAP, n, "brute-force union rank"
         )
     full = matroids[0].full_mask
     best, best_y = None, 0

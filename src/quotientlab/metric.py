@@ -30,13 +30,23 @@ def linf_distance(p: QuotientPoint, q: QuotientPoint) -> Fraction:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
-def _canonical(cloud) -> tuple[int, dict[tuple[int, ...], QuotientPoint]]:
-    """A cloud's denominator and its distinct points keyed by integer numerators.
+class _Canonical(dict):
+    """A cloud's distinct points keyed by integer numerators over `den`.
 
-    The denominator is the LCM of the coordinates' denominators.  It is
-    positive, so the numerator tuples sort in the order of the coordinate
-    tuples; the keys come in that order.
+    `den` is the LCM of the coordinates' denominators.  It is positive,
+    so the numerator tuples sort in the order of the coordinate tuples;
+    the keys come in that order.  `len()` is the distinct-point count.
     """
+
+    def __init__(self, den: int, keyed: dict[tuple[int, ...], QuotientPoint]):
+        super().__init__(sorted(keyed.items()))
+        self.den = den
+
+
+def _canonical(cloud) -> _Canonical:
+    """The canonical form of a cloud; an already-canonical cloud is returned as it is."""
+    if isinstance(cloud, _Canonical):
+        return cloud
     points = list(getattr(cloud, "points", cloud))
     if not points:
         raise EmptyProfileError("point cloud is empty")
@@ -46,12 +56,12 @@ def _canonical(cloud) -> tuple[int, dict[tuple[int, ...], QuotientPoint]]:
     keyed: dict[tuple[int, ...], QuotientPoint] = {}
     for p in points:
         keyed.setdefault(tuple(x.numerator * (den // x.denominator) for x in p.coords), p)
-    return den, dict(sorted(keyed.items()))
+    return _Canonical(den, keyed)
 
 
 def _point_list(cloud) -> list[QuotientPoint]:
     """The distinct points of a cloud in coordinate order."""
-    return list(_canonical(cloud)[1].values())
+    return list(_canonical(cloud).values())
 
 
 def _rescaled(rows, factor: int) -> list[tuple[int, ...]]:
@@ -69,14 +79,13 @@ def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
     alone reaches the nearest distance found.  A is scanned in coordinate
     order, so the witness is the smallest maximizer.
     """
-    den_a, a_keyed = _canonical(a_cloud)
-    den_b, b_keyed = _canonical(b_cloud)
+    a_keyed, b_keyed = _canonical(a_cloud), _canonical(b_cloud)
     a_pts = list(a_keyed.values())
     if a_pts[0].k != next(iter(b_keyed.values())).k:
         raise ValueError("clouds live in different dimensions")
-    den = lcm(den_a, den_b)
-    a_rows = _rescaled(a_keyed, den // den_a)
-    b_rows = _rescaled(b_keyed, den // den_b)
+    den = lcm(a_keyed.den, b_keyed.den)
+    a_rows = _rescaled(a_keyed, den // a_keyed.den)
+    b_rows = _rescaled(b_keyed, den // b_keyed.den)
     # a constant axis (the empty set's always, the full set's for
     # partitions) would leave every b inside the window
     axis = max(range(len(b_rows[0])),
@@ -184,6 +193,8 @@ def cauchy_diagnostic(clouds: Sequence) -> ConvergenceDiagnostic:
     count = len(clouds)
     if count < 1:
         raise ValueError("need at least one profile set")
+    # each cloud goes to integer numerators once, not once per pair it is in
+    clouds = [_canonical(cloud) for cloud in clouds]
     matrix = [[Fraction(0)] * count for _ in range(count)]
     for i in range(count):
         for j in range(i + 1, count):

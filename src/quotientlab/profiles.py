@@ -119,16 +119,6 @@ class ProfileSet:
         return sorted(self.points, key=lambda p: p.coords)
 
 
-def _parts_of(k: int, members: Sequence[tuple[int, ...]], picks: Sequence[int]) -> list[SubsetMask]:
-    """Parts of the assignment that puts element e into the parts members[picks[e]]."""
-    parts = [0] * k
-    for e, c in enumerate(picks):
-        bit = 1 << e
-        for i in members[c]:
-            parts[i] |= bit
-    return parts
-
-
 def _members(k: int, mode: Mode) -> list[tuple[int, ...]]:
     return [tuple(i for i in range(k) if pm >> i & 1) for pm in mode.element_choices(k)]
 
@@ -163,7 +153,10 @@ def _exact_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[list
     for cls in classes:
         total *= math.comb(len(cls) + len(members) - 1, len(members) - 1)
     if total > config.ENUM_ITERATION_CAP:
-        raise EnumCapError(total, config.ENUM_ITERATION_CAP, f"n={n}, k={k}, mode={mode.value}")
+        raise EnumCapError(
+            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total,
+            f"exact profile (n={n}, k={k}, mode={mode.value})",
+        )
     full = oracle.full_mask
     shifts = [i * n for i in range(k)]
     for combo in itertools.product(*[_class_options(cls, members, n) for cls in classes]):
@@ -182,7 +175,9 @@ def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple
     flats = matroid.flats()
     total = len(flats) ** k
     if total > config.ENUM_ITERATION_CAP:
-        raise EnumCapError(total, config.ENUM_ITERATION_CAP, f"{len(flats)} flats, k={k}")
+        raise EnumCapError(
+            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total, f"flats profile ({len(flats)} flats, k={k})"
+        )
     full = matroid.full_mask
     feasible: dict[tuple[SubsetMask, ...], bool] = {}
     for tup in itertools.product(flats, repeat=k):
@@ -207,7 +202,7 @@ def _sampled_parts(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
 ) -> Iterator[list[SubsetMask]]:
     if samples > config.ENUM_ITERATION_CAP:
-        raise EnumCapError(samples, config.ENUM_ITERATION_CAP, "sampled strategy")
+        raise EnumCapError("ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, samples, "sampled profile")
     n = oracle.size
     rng = Random(seed)
     members = _members(k, mode)
@@ -229,8 +224,12 @@ def _sampled_parts(
         flats = oracle.matroid.flats()
         for _ in range(min(samples, 32)):
             yield [rng.choice(flats) for _ in range(k)]
+    # each sample is packed like an exact assignment: one option per element, in element order
+    options = [_class_options((e,), members, n) for e in range(n)]
+    shifts = [i * n for i in range(k)]
     for _ in range(samples):
-        yield _parts_of(k, members, [rng.randrange(len(members)) for _ in range(n)])
+        packed = sum(opts[rng.randrange(len(members))] for opts in options)
+        yield [packed >> s & full for s in shifts]
 
 
 def profile(

@@ -22,7 +22,6 @@ from .graphs import (
     CutNormalization,
     SimpleGraph,
     blow_up,
-    check_hom_target,
     cut_capacity_oracle,
     shifted_tau_oracle,
 )
@@ -100,11 +99,13 @@ def complete_cycle_oracle(n: int) -> SetFunctionOracle:
 def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
     if n < 1:
         raise ValueError("family index must be positive")
-    cap = config.GROUND_SIZE_CAP
-    if q <= cap:
+    if q <= config.GROUND_SIZE_CAP:
         field(q)  # rejects q that is not a prime power; a larger q fails the cap unbuilt
-    if q > cap or n > cap or q**n > cap:
-        raise GroundTooLargeError(f"ground set of size {q}^{n} exceeds GROUND_SIZE_CAP={cap}")
+    # q >= 2 here, so gf(q)^n has more elements than its dimension: a
+    # dimension above the cap fails it before any power is taken
+    needed, what = (n, "dimension") if n > config.GROUND_SIZE_CAP else (q**n, "ground set")
+    if needed > config.GROUND_SIZE_CAP:
+        raise GroundTooLargeError("GROUND_SIZE_CAP", config.GROUND_SIZE_CAP, needed, f"gf({q})^{n} {what}")
     matroid = LinearMatroid.full_space(q, n)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(gf({q})^{n})")
 
@@ -123,7 +124,10 @@ def tau_blowup_oracle(motif: SimpleGraph, base: SimpleGraph, n: int) -> SetFunct
     family subtracts that base value (see shifted_tau_oracle).
     """
     check_ground_size(base.edge_count * n * n if n > 0 else 0)  # blow_up rejects n < 1
-    check_hom_target(base.node_count * n)
+    if base.node_count * n > config.HOM_TARGET_NODE_CAP:
+        raise GroundTooLargeError(
+            "HOM_TARGET_NODE_CAP", config.HOM_TARGET_NODE_CAP, base.node_count * n, "homomorphism target"
+        )
     return shifted_tau_oracle(motif, blow_up(base, n))
 
 

@@ -34,9 +34,7 @@ def iter_elements(mask: SubsetMask) -> Iterator[int]:
 
 def check_ground_size(size: int) -> None:
     if size > config.GROUND_SIZE_CAP:
-        raise GroundTooLargeError(
-            f"ground set of size {size} exceeds GROUND_SIZE_CAP={config.GROUND_SIZE_CAP}"
-        )
+        raise GroundTooLargeError("GROUND_SIZE_CAP", config.GROUND_SIZE_CAP, size, "ground set")
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ class QuotientPoint:
         """Reinterpret the point as a setfunction on ground set [k]."""
         if self.k > config.DERIVED_GROUND_CAP:
             raise GroundTooLargeError(
-                f"point with k={self.k} exceeds DERIVED_GROUND_CAP={config.DERIVED_GROUND_CAP}"
+                "DERIVED_GROUND_CAP", config.DERIVED_GROUND_CAP, self.k, "point as a setfunction"
             )
         return oracle_from_table(self.coords, label)
 
@@ -182,7 +180,7 @@ def check_quotient_args(oracle: SetFunctionOracle, k: int) -> None:
     if k < 1:
         raise ValueError(f"k={k}: need at least one part")
     if k > config.QUOTIENT_K_CAP:
-        raise KTooLargeError(f"k={k} exceeds QUOTIENT_K_CAP={config.QUOTIENT_K_CAP}")
+        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, k, "quotient point")
     if oracle.evaluate(0) != 0:
         raise ValueError("quotient vectors are defined only for functions vanishing on the empty set")
 
@@ -210,15 +208,6 @@ class PairViolation:
     slack: Fraction
 
 
-def _require_exhaustive(oracle: SetFunctionOracle, alternative: str) -> int:
-    n = oracle.size
-    if n > config.EXHAUSTIVE_CHECK_CAP:
-        raise GroundTooLargeError(
-            f"ground size {n} exceeds EXHAUSTIVE_CHECK_CAP={config.EXHAUSTIVE_CHECK_CAP}; use {alternative}"
-        )
-    return n
-
-
 def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
     """Exhaustively certify submodularity; return violating pairs if any.
 
@@ -227,7 +216,12 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
     inequality over all pairs; reported violations are genuine pairs
     (X+e, X+f) with negative slack.  Empty result means submodular.
     """
-    n = _require_exhaustive(oracle, "check_submodular_sampled")
+    n = oracle.size
+    if n > config.EXHAUSTIVE_CHECK_CAP:
+        raise GroundTooLargeError(
+            "EXHAUSTIVE_CHECK_CAP", config.EXHAUSTIVE_CHECK_CAP, n,
+            "check_submodular (else check_submodular_sampled)",
+        )
     ev = oracle.evaluate
     violations = []
     for base in range(1 << n):
@@ -246,7 +240,12 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
 
 def check_monotone(oracle: SetFunctionOracle) -> list[PairViolation]:
     """Exhaustively certify monotonicity; violations are pairs X < X+e."""
-    n = _require_exhaustive(oracle, "check_monotone_sampled")
+    n = oracle.size
+    if n > config.EXHAUSTIVE_CHECK_CAP:
+        raise GroundTooLargeError(
+            "EXHAUSTIVE_CHECK_CAP", config.EXHAUSTIVE_CHECK_CAP, n,
+            "check_monotone (else check_monotone_sampled)",
+        )
     ev = oracle.evaluate
     violations = []
     for base in range(1 << n):

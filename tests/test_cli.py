@@ -118,6 +118,17 @@ def test_cutdist_blowup_alignment(tmp_path, k2_file):
     assert payload["results"]["unlabeled_upper_bound"] == "0/1"
 
 
+def test_cutdist_two_empty_graphs_at_once(tmp_path):
+    empty = tmp_path / "empty0.txt"
+    empty.write_text("0 0\n", encoding="utf-8")
+    out = tmp_path / "d.json"
+    assert run(["cutdist", str(empty), str(empty), "--upper-bound", "--t-max", "1000000000",
+                "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["labeled"] == results["unlabeled_upper_bound"] == "0/1"
+    assert results["bound_truncated"] is False
+
+
 def test_cutdist_parse_error_exit_code(tmp_path, k3_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n", encoding="utf-8")
@@ -217,6 +228,7 @@ TEXT_FILES = {
     "sparse8.txt": "8 1\n0 1\n",
     "p3.txt": "3 2\n0 1\n1 2\n",
     "k3.txt": "3 3\n0 1\n0 2\n1 2\n",
+    "empty0.txt": "0 0\n",
 }
 
 
@@ -272,6 +284,8 @@ TEXT_FILES = {
      2, "usage error:"),
     (["cutdist", "p3.txt", "k3.txt", "--upper-bound", "--trials", "100000000"],
      3, "cap exceeded:"),
+    (["cutdist", "empty0.txt", "k3.txt"], 2, "usage error:"),
+    (["cutdist", "k3.txt", "empty0.txt", "--upper-bound"], 2, "usage error:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,6 @@
 """Golden-file tests pinning full report payloads for every subcommand."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ from quotientlab.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
+P3_TEXT = "3 2\n0 1\n1 2\n"
+K2_TEXT = "2 1\n0 1\n"
 HALF_GRAPHON = "1\n1\n1/2\n"
 
 CASES = {
@@ -39,15 +42,49 @@ CASES = {
         "--seed", "0", "--upper-bound",
     ],
     "verify_limit_filter.json": ["verify", "limit-filter"],
+    "profile_complete_cycle_3_covering.json": [
+        "profile", "--family", "complete-cycle", "--n", "3", "--k", "2",
+        "--mode", "covering",
+    ],
+    "profile_example51_4_any.json": [
+        "profile", "--family", "example51", "--n", "4", "--k", "2", "--mode", "any",
+    ],
+    "profile_gf23_flats.json": [
+        "profile", "--family", "gf-space", "--q", "2", "--n", "3", "--k", "2",
+        "--mode", "disjoint", "--strategy", "flats",
+    ],
+    "profile_sampled_any.json": [
+        "profile", "--family", "gf-space", "--q", "2", "--n", "3", "--k", "2",
+        "--mode", "any", "--strategy", "sampled", "--seed", "5", "--samples", "50",
+    ],
+    "profile_gf22.csv": [
+        "profile", "--family", "gf-space", "--q", "2", "--n", "2", "--k", "2",
+        "--format", "csv",
+    ],
+    # trials 0 still searches t = 2 (the 12-node blow-ups), so the bound is truncated
+    "cutdist_p3_k2_truncated.json": [
+        "cutdist", "p3.txt", "k2.txt", "--upper-bound", "--t-max", "3", "--trials", "0",
+    ],
 }
+
+# sha256 of the `verify all` report (14,526 bytes); a digest keeps the repo small
+VERIFY_ALL_SHA256 = "7b2c1130cd66efef06028879b6bfd01e577b052b73d0dcc6618a9611394c9b85"
 
 
 @pytest.mark.parametrize("golden_name", sorted(CASES))
 def test_golden_payloads(golden_name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k3.txt").write_text(K3_TEXT, encoding="utf-8")
+    (tmp_path / "p3.txt").write_text(P3_TEXT, encoding="utf-8")
+    (tmp_path / "k2.txt").write_text(K2_TEXT, encoding="utf-8")
     (tmp_path / "half.txt").write_text(HALF_GRAPHON, encoding="utf-8")
     out = tmp_path / "out.json"
     assert main(CASES[golden_name] + ["--out", str(out)]) == 0
     expected = (GOLDEN / golden_name).read_bytes()
     assert out.read_bytes() == expected
+
+
+def test_verify_all_report_digest(tmp_path):
+    out = tmp_path / "verify_all.json"
+    assert main(["verify", "all", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256

@@ -257,13 +257,13 @@ def test_unlabeled_upper_plan_above_cap_raises_before_any_call(monkeypatch):
     with pytest.raises(EnumCapError) as info:
         cut_dist_unlabeled_upper(p3, k3, 1, 10**8, 0)
     # 3! exhaustive calls, then 1 + 10^8 candidates of 1 + 4 * C(9, 2) calls each
-    assert info.value.iterations == 6 + (1 + 10**8) * 145
+    assert info.value.needed == 6 + (1 + 10**8) * 145
     assert calls == 0
     # P3 against K2 plans 6 candidates of 1 + 4 * C(6, 2) calls on the 6-node blow-ups
     monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 365)
     with pytest.raises(EnumCapError) as info:
         cut_dist_unlabeled_upper(p3, SimpleGraph.complete(2), 1, 5, 0)
-    assert info.value.iterations == 366 and calls == 0
+    assert info.value.needed == 366 and calls == 0
     monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 366)
     assert cut_dist_unlabeled_upper(p3, SimpleGraph.complete(2), 1, 5, 0).value > 0
     assert 0 < calls <= 366
@@ -590,6 +590,32 @@ def test_blowup_cap_error():
     big = SimpleGraph.complete(5)
     with pytest.raises(BlowUpCapError):
         cut_dist_unlabeled_upper(big, SimpleGraph.cycle(7), t_max=1)
+
+
+def test_unlabeled_upper_plan_decides_blowup_cap_before_any_call(monkeypatch):
+    from quotientlab import BlowUpCapError
+
+    calls = 0
+
+    def counted_kernel(g, h):
+        nonlocal calls
+        calls += 1
+        return Fraction(0)
+
+    monkeypatch.setattr(graphs, "cut_dist_labeled", counted_kernel)
+    with pytest.raises(BlowUpCapError) as info:
+        cut_dist_unlabeled_upper(SimpleGraph.complete(5), SimpleGraph.cycle(7), t_max=1)
+    assert info.value.needed == 35 and calls == 0
+
+
+def test_unlabeled_upper_empty_graphs():
+    empty = SimpleGraph.make(0, [], name="nothing")
+    for g, h in ((empty, SimpleGraph.path(3)), (SimpleGraph.path(3), empty)):
+        with pytest.raises(ValueError, match="'nothing' has no nodes"):
+            cut_dist_unlabeled_upper(g, h, t_max=2)
+    # both empty: the exhaustive pass over the one empty bijection ends the search
+    bound = cut_dist_unlabeled_upper(empty, empty, t_max=10**9)
+    assert (bound.value, bound.t, bound.mapping, bound.truncated) == (0, 1, (), False)
 
 
 def test_shifted_tau_matches_raw_up_to_base():

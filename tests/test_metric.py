@@ -272,3 +272,23 @@ def test_cauchy_permutation_covariant():
     for i in range(3):
         for j in range(3):
             assert forward.pairwise[i][j] == backward.pairwise[2 - i][2 - j]
+
+
+def test_cauchy_canonicalizes_each_cloud_once(monkeypatch):
+    from quotientlab import metric
+
+    sets = [profile(example51_oracle(n), 2, Mode.PARTITION, EXACT) for n in (5, 6, 7, 8)]
+    expected = cauchy_diagnostic(sets)
+    built = []
+    real = metric._Canonical.__init__
+
+    def counted(self, den, keyed):
+        built.append(len(keyed))
+        real(self, den, keyed)
+
+    monkeypatch.setattr(metric._Canonical, "__init__", counted)
+    assert cauchy_diagnostic(sets) == expected
+    # one build per cloud, where each directed distance used to build both of its clouds
+    assert built == [len(s) for s in sets]
+    canonical = metric._canonical(sets[0])
+    assert metric._canonical(canonical) is canonical and len(canonical) == len(sets[0])

@@ -65,7 +65,7 @@ def test_enum_cap_error_reports_iterations():
     oracle = gf_space_oracle(2, 4)
     with pytest.raises(EnumCapError) as err:
         profile(oracle, 2, Mode.ANY, EXACT)
-    assert err.value.iterations == 4**16
+    assert err.value.needed == 4**16
 
 
 def test_flats_strategy_needs_matroid():
@@ -365,7 +365,7 @@ def test_orbit_count_above_cap_raises_before_any_evaluation():
     oracle = cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 8))
     with pytest.raises(EnumCapError) as err:
         profile(oracle, 3, Mode.ANY, EXACT)
-    assert err.value.iterations == math.comb(8 + 7, 7) ** 3
+    assert err.value.needed == math.comb(8 + 7, 7) ** 3
     assert oracle._cache == {0: 0}
 
 
@@ -377,7 +377,7 @@ def test_sample_count_above_cap_raises_before_any_evaluation(monkeypatch):
     oracle = cut_capacity_oracle(SimpleGraph.cycle(5))
     with pytest.raises(EnumCapError) as err:
         profile(oracle, 2, Mode.ANY, Sampled(1, 101))
-    assert err.value.iterations == 101
+    assert err.value.needed == 101
     assert oracle._cache == {0: 0}
 
 
