@@ -8,6 +8,7 @@ refine the graphon first so the subset respects step boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -122,12 +123,28 @@ def graphon_cut_capacity_oracle(w: StepGraphon) -> SetFunctionOracle:
     """Cut capacity of a step graphon as a setfunction on its step indices.
 
     Lets the profile machinery enumerate quotient sets of the graphon;
-    parts finer than the current steps require refining first.
+    parts finer than the current steps require refining first.  Each
+    step pair's share w_ij * l_i * l_j / total is an integer multiple of
+    the shares' least common denominator, which the oracle takes as its
+    denominator, so a value's numerator is an int sum over crossing pairs.
     """
+    total = w.total_weight()
+    if total == 0:
+        raise ZeroDivisionError("cut capacity of a graphon needs positive total weight")
+    lens, steps = w.lengths, range(w.steps)
+    shares = [[w.values[i][j] * lens[i] * lens[j] / total for j in steps] for i in steps]
+    den = math.lcm(*(x.denominator for row in shares for x in row))
+    weights = [[x.numerator * (den // x.denominator) for x in row] for row in shares]
+
+    def crossing(mask: int) -> int:
+        return sum(
+            weights[i][j]
+            for i in steps if mask >> i & 1
+            for j in steps if not mask >> j & 1
+        )
+
     return SetFunctionOracle(
-        GroundSet(w.steps),
-        lambda m: graphon_cut_capacity(w, m),
-        label=f"kappa(step-graphon r={w.steps})",
+        GroundSet(w.steps), crossing, den, label=f"kappa(step-graphon r={w.steps})"
     )
 
 

@@ -426,7 +426,8 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     denom = CutNormalization.denominator(g, norm)
     return SetFunctionOracle(
         GroundSet(g.node_count),
-        lambda m: Fraction(cut_count(g, m), denom),
+        lambda m: cut_count(g, m),
+        denom,
         label=f"kappa({g.name or g.node_count};{norm})",
         twins=twin_classes(g),
     )
@@ -489,13 +490,20 @@ def hom_density(pattern: SimpleGraph, target: SimpleGraph) -> Fraction:
 
 def _motif_deletion(
     pattern: SimpleGraph, g: SimpleGraph
-) -> tuple[GroundSet, Callable[[SubsetMask], Fraction]]:
-    """The edge ground set of g and the map X -> t(F, G minus X)."""
+) -> tuple[GroundSet, Callable[[SubsetMask], int], int]:
+    """The edge ground set of g, the map X -> hom(F, G minus X), and the map count.
 
-    def density(mask: SubsetMask) -> Fraction:
-        return hom_density(pattern, g.without_edges(mask))
+    t(F, G minus X) is the homomorphism count over the |V(G)|^|V(F)| maps,
+    so both tau oracles take their numerators over that count.
+    """
+    ground = GroundSet(g.edge_count)
+    if g.node_count == 0:
+        raise ValueError("homomorphism density needs a nonempty target")
 
-    return GroundSet(g.edge_count), density
+    def count(mask: SubsetMask) -> int:
+        return hom_count(pattern, g.without_edges(mask))
+
+    return ground, count, g.node_count ** pattern.node_count
 
 
 def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
@@ -506,10 +514,11 @@ def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
     convention is waived for this oracle; quotient vectors are therefore
     not defined for it, but submodularity and monotonicity checks are.
     """
-    ground, density = _motif_deletion(pattern, g)
+    ground, count, maps = _motif_deletion(pattern, g)
     return SetFunctionOracle(
         ground,
-        lambda m: 1 - density(m),
+        lambda m: maps - count(m),
+        maps,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'})",
         require_zero_empty=False,
     )
@@ -522,12 +531,13 @@ def shifted_tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracl
     monotonicity and makes quotient vectors well defined; the shift
     (the motif density of g) is recorded in the label.
     """
-    ground, density = _motif_deletion(pattern, g)
-    base = density(0)
+    ground, count, maps = _motif_deletion(pattern, g)
+    base = count(0)
     return SetFunctionOracle(
         ground,
-        lambda m: base - density(m),
-        label=f"tau({pattern.name or 'F'};{g.name or 'G'}) rebased at t={base}",
+        lambda m: base - count(m),
+        maps,
+        label=f"tau({pattern.name or 'F'};{g.name or 'G'}) rebased at t={Fraction(base, maps)}",
     )
 
 

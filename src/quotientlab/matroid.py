@@ -1,8 +1,10 @@
 """Matroid oracles: graphic, linear over GF(q), and direct sums.
 
 Rank calls are exact.  `Matroid.rank` memoizes per subset mask for
-closure, flats, union and richness; a rank oracle evaluates `_rank` under
-its own memo instead, so each value has one cache.  Closure is defined
+closure, flats, union and richness; a rank oracle takes `_rank` as its
+int kernel under its own memo instead, so each value has one cache, and
+exact profiles read `rank_table`, which the cycle matroid builds in one
+include/exclude walk over its edges.  Closure is defined
 from rank alone, cl(X) = X + {e : r(X + e) = r(X)}; only the cycle
 matroid overrides it, with one union-find pass in place of one rank call
 per edge.  On top of rank and closure the module provides flat
@@ -16,9 +18,9 @@ repetition, which preserves normalized ranks when m divides n).
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import config
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .gfq import FiniteField, field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
-from .setfn import GroundSet, SetFunctionOracle, SubsetMask, iter_elements
+from .setfn import GroundSet, SetFunctionOracle, SubsetMask, dense_numerators, iter_elements
 
 
 class Matroid:
@@ -61,6 +63,10 @@ class Matroid:
 
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
+
+    def rank_table(self) -> Sequence[int]:
+        """r(X) for every mask X, indexed by mask; one `_rank` call per mask."""
+        return dense_numerators(self._rank, self.size)
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
         """cl(X) = X + {e : r(X + e) = r(X)}, one rank call per element outside X."""
@@ -116,10 +122,10 @@ class Matroid:
         denom = self.full_rank() if denominator is None else denominator
         if denom <= 0:
             raise ValueError("normalization denominator must be positive")
-        rank = self._rank
         return SetFunctionOracle(
             self.ground,
-            lambda m: Fraction(rank(m), denom),
+            self._rank,
+            denom,
             label=label or f"rank({self._name()})/{denom}",
             matroid=self,
         )
@@ -137,6 +143,45 @@ class GraphicMatroid(Matroid):
 
     def _rank(self, mask: SubsetMask) -> int:
         return spanning_forest(self.graph, mask)[1]
+
+    def rank_table(self) -> array:
+        """Forest sizes of every edge mask, from one include/exclude walk over the edges.
+
+        The walk decides edges in index order and keeps a union-find by
+        size without path compression over the edges included so far, so
+        backing out of an edge undoes its union by resetting one parent.
+        """
+        edges = self.graph.edges
+        m = len(edges)
+        table = array("B", bytes(1 << m))  # a rank is at most m <= GROUND_SIZE_CAP
+        parent = list(range(self.graph.node_count))
+        weight = [1] * self.graph.node_count
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def walk(i: int, mask: SubsetMask, rank: int) -> None:
+            if i == m:
+                table[mask] = rank
+                return
+            walk(i + 1, mask, rank)
+            u, v = edges[i]
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                walk(i + 1, mask | 1 << i, rank)
+                return
+            if weight[ru] < weight[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            weight[ru] += weight[rv]
+            walk(i + 1, mask | 1 << i, rank + 1)
+            weight[ru] -= weight[rv]
+            parent[rv] = rv
+
+        walk(0, 0, 0)
+        return table
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
         """The edges whose ends the spanning forest of mask connects, in one pass."""

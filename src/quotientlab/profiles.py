@@ -26,7 +26,12 @@ Three enumeration strategies, each a generator of k-tuples of part masks:
 
 `profile()` is the one place that evaluates the oracle on the unions of
 each tuple's parts and deduplicates the resulting points, by exact
-coordinate equality; no tolerances.
+coordinate equality; no tolerances.  It works on the oracle's int
+numerators, which share one denominator, and builds Fractions only for
+the distinct points.  Exact enumeration reads a dense table of all 2^n
+numerators when it looks up at least as many unions as there are masks
+(orbits * 2^k >= 2^n); otherwise, and for the other strategies, it reads
+the oracle's lazy memo.
 """
 
 from __future__ import annotations
@@ -139,12 +144,15 @@ def _class_options(cls: Sequence[int], members: Sequence[tuple[int, ...]], n: in
     return options
 
 
-def _exact_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[list[SubsetMask]]:
-    """One assignment per orbit of the oracle's twin swaps.
+def _exact_parts(
+    oracle: SetFunctionOracle, k: int, mode: Mode
+) -> tuple[int, Iterator[list[SubsetMask]]]:
+    """The orbit count and one assignment per orbit of the oracle's twin swaps.
 
     Within a twin class only how many members take each choice matters,
     so each class ranges over multisets of choices; without declared twins
     every class is a single element and this is the plain |choices|^n scan.
+    The count is checked against the cap before anything is enumerated.
     """
     n = oracle.size
     members = _members(k, mode)
@@ -159,9 +167,8 @@ def _exact_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[list
         )
     full = oracle.full_mask
     shifts = [i * n for i in range(k)]
-    for combo in itertools.product(*[_class_options(cls, members, n) for cls in classes]):
-        packed = sum(combo)
-        yield [packed >> s & full for s in shifts]
+    combos = itertools.product(*[_class_options(cls, members, n) for cls in classes])
+    return total, ([packed >> s & full for s in shifts] for packed in map(sum, combos))
 
 
 def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple[SubsetMask, ...]]:
@@ -240,17 +247,20 @@ def profile(
 ) -> ProfileSet:
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
     check_quotient_args(oracle, k)
+    value = oracle.numerator
     if isinstance(strategy, Exact):
-        tuples = _exact_parts(oracle, k, mode)
+        orbits, tuples = _exact_parts(oracle, k, mode)
+        if orbits << k >= 1 << oracle.size:
+            value = oracle.numerator_table().__getitem__
     elif isinstance(strategy, FlatsOnly):
         tuples = _flat_parts(oracle, k, mode)
     elif isinstance(strategy, Sampled):
         tuples = _sampled_parts(oracle, k, mode, strategy.seed, strategy.samples)
     else:  # pragma: no cover
         raise TypeError(f"unknown strategy {strategy!r}")
-    ev = oracle.evaluate
-    coords = {tuple(ev(u) for u in union_table(parts)) for parts in tuples}
-    points = frozenset(QuotientPoint(k, c) for c in coords)
+    nums = {tuple(map(value, union_table(parts))) for parts in tuples}
+    den = oracle.den
+    points = frozenset(QuotientPoint(k, tuple(Fraction(x, den) for x in c)) for c in nums)
     return ProfileSet(k, mode, strategy.describe(), oracle.label, points)
 
 

@@ -1,7 +1,10 @@
 """Ground sets, subset masks, exact setfunction oracles, quotient vectors.
 
 Subsets of a ground set of size n are encoded as integer bitmasks:
-element i belongs to the subset iff bit i is set.  Values are
+element i belongs to the subset iff bit i is set.  Inside the package an
+oracle's values are int numerators over one positive denominator of the
+oracle (rank over d, cut count over its normalization, hom count over
+n^p), so hot loops hash and compare ints; at the API `evaluate` returns
 `fractions.Fraction`, so every computation downstream (deduplication,
 Hausdorff distances, bound checks) is exact; floats appear only when
 reports are rendered.
@@ -13,6 +16,8 @@ The serialization format relies on this convention, do not change it.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -59,14 +64,28 @@ class GroundSet:
             )
 
 
+def dense_numerators(num: Callable[[SubsetMask], int], n: int) -> Sequence[int]:
+    """num(X) for every mask X of an n-element ground, indexed by mask; one call per mask."""
+    masks = range(1 << n)
+    try:
+        return array("q", map(num, masks))
+    except OverflowError:  # a numerator beyond 64 bits
+        return list(map(num, masks))
+
+
 class SetFunctionOracle:
     """A total, deterministic, exactly-valued function on all subsets.
 
-    Values are cached per mask; the evaluation callable must be pure.
-    Oracles are immutable after construction (the cache only memoizes)
-    and safe to share.  By default the function must vanish on the empty
-    set; pass require_zero_empty=False for shifted functions such as the
+    The value on X is num(X) / den: `num` is a pure int kernel and `den` a
+    positive int shared by every value.  Numerators are memoized per mask
+    as ints; `evaluate` returns the Fraction.  Oracles are immutable after
+    construction (the memo only memoizes) and safe to share.  By default
+    the function must vanish on the empty set; pass
+    require_zero_empty=False for shifted functions such as the
     motif-deletion functions, which start at a nonzero base value.
+
+    `matroid`, when given, is the matroid whose rank the numerators are;
+    the flats strategy reads its flats and `numerator_table` its rank table.
 
     `twins` optionally partitions the ground set into classes of
     interchangeable elements: swapping any two members of a class must
@@ -75,12 +94,13 @@ class SetFunctionOracle:
     assignment per orbit of these swaps.
     """
 
-    __slots__ = ("ground", "label", "matroid", "twins", "_eval_fn", "_cache")
+    __slots__ = ("ground", "den", "label", "matroid", "twins", "_num", "_memo")
 
     def __init__(
         self,
         ground: GroundSet,
-        eval_fn: Callable[[SubsetMask], Fraction],
+        num: Callable[[SubsetMask], int],
+        den: int = 1,
         label: str = "",
         matroid=None,
         require_zero_empty: bool = True,
@@ -88,15 +108,20 @@ class SetFunctionOracle:
     ):
         if twins and sorted(e for cls in twins for e in cls) != list(range(ground.size)):
             raise ValueError("twin classes must partition the ground set")
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        empty = num(0)
+        if not isinstance(empty, int):
+            raise TypeError(f"numerators must be ints, got {type(empty).__name__}")
+        if require_zero_empty and empty != 0:
+            raise ValueError(f"setfunction must vanish on the empty set, got {Fraction(empty, den)}")
         self.ground = ground
+        self.den = den
         self.label = label
         self.matroid = matroid
         self.twins = twins
-        self._eval_fn = eval_fn
-        empty = Fraction(eval_fn(0))
-        if require_zero_empty and empty != 0:
-            raise ValueError(f"setfunction must vanish on the empty set, got {empty}")
-        self._cache: dict[int, Fraction] = {0: empty}
+        self._num = num
+        self._memo: dict[int, int] = {0: empty}
 
     @property
     def size(self) -> int:
@@ -106,25 +131,40 @@ class SetFunctionOracle:
     def full_mask(self) -> SubsetMask:
         return self.ground.full_mask
 
-    def evaluate(self, mask: SubsetMask) -> Fraction:
+    def numerator(self, mask: SubsetMask) -> int:
+        """den * f(mask), memoized."""
         self.ground.check_mask(mask)
-        cached = self._cache.get(mask)
-        if cached is None:
-            cached = Fraction(self._eval_fn(mask))
-            self._cache[mask] = cached
-        return cached
+        value = self._memo.get(mask)
+        if value is None:
+            value = self._memo[mask] = self._num(mask)
+        return value
+
+    def evaluate(self, mask: SubsetMask) -> Fraction:
+        return Fraction(self.numerator(mask), self.den)
+
+    def numerator_table(self) -> Sequence[int]:
+        """Every numerator, indexed by mask, built fresh and not memoized."""
+        if self.matroid is not None:
+            return self.matroid.rank_table()
+        return dense_numerators(self._num, self.size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SetFunctionOracle({self.label or 'anonymous'}, n={self.size})"
 
 
 def oracle_from_table(values: Sequence[Fraction | int], label: str = "table") -> SetFunctionOracle:
-    """Build an oracle from a dense table indexed by subset mask."""
+    """Build an oracle from a dense table indexed by subset mask.
+
+    Numerators are taken over the least common multiple of the values'
+    denominators.
+    """
     n = (len(values) - 1).bit_length()
     if len(values) != 1 << n:
         raise ValueError("table length must be a power of two")
-    table = tuple(Fraction(v) for v in values)
-    return SetFunctionOracle(GroundSet(n), lambda m: table[m], label=label)
+    fractions = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fractions))
+    table = tuple(f.numerator * (den // f.denominator) for f in fractions)
+    return SetFunctionOracle(GroundSet(n), table.__getitem__, den, label=label)
 
 
 @dataclass(frozen=True)
@@ -181,7 +221,7 @@ def check_quotient_args(oracle: SetFunctionOracle, k: int) -> None:
         raise ValueError(f"k={k}: need at least one part")
     if k > config.QUOTIENT_K_CAP:
         raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, k, "quotient point")
-    if oracle.evaluate(0) != 0:
+    if oracle.numerator(0) != 0:
         raise ValueError("quotient vectors are defined only for functions vanishing on the empty set")
 
 
@@ -215,6 +255,8 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
     X and distinct e, f outside X, which is equivalent to the two-set
     inequality over all pairs; reported violations are genuine pairs
     (X+e, X+f) with negative slack.  Empty result means submodular.
+    All values share the oracle's denominator, so the scan compares
+    numerators; a slack becomes a Fraction only for a violation.
     """
     n = oracle.size
     if n > config.EXHAUSTIVE_CHECK_CAP:
@@ -222,7 +264,7 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
             "EXHAUSTIVE_CHECK_CAP", config.EXHAUSTIVE_CHECK_CAP, n,
             "check_submodular (else check_submodular_sampled)",
         )
-    ev = oracle.evaluate
+    ev, den = oracle.numerator, oracle.den
     violations = []
     for base in range(1 << n):
         free = [i for i in range(n) if not base >> i & 1]
@@ -234,19 +276,19 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
                 xf = base | 1 << f_
                 slack = fxe + ev(xf) - fb - ev(xe | 1 << f_)
                 if slack < 0:
-                    violations.append(PairViolation(xe, xf, slack))
+                    violations.append(PairViolation(xe, xf, Fraction(slack, den)))
     return violations
 
 
 def check_monotone(oracle: SetFunctionOracle) -> list[PairViolation]:
-    """Exhaustively certify monotonicity; violations are pairs X < X+e."""
+    """Exhaustively certify monotonicity on numerators; violations are pairs X < X+e."""
     n = oracle.size
     if n > config.EXHAUSTIVE_CHECK_CAP:
         raise GroundTooLargeError(
             "EXHAUSTIVE_CHECK_CAP", config.EXHAUSTIVE_CHECK_CAP, n,
             "check_monotone (else check_monotone_sampled)",
         )
-    ev = oracle.evaluate
+    ev, den = oracle.numerator, oracle.den
     violations = []
     for base in range(1 << n):
         fb = ev(base)
@@ -255,7 +297,7 @@ def check_monotone(oracle: SetFunctionOracle) -> list[PairViolation]:
                 continue
             bigger = ev(base | 1 << e)
             if bigger < fb:
-                violations.append(PairViolation(base, base | 1 << e, bigger - fb))
+                violations.append(PairViolation(base, base | 1 << e, Fraction(bigger - fb, den)))
     return violations
 
 

@@ -24,7 +24,7 @@ from quotientlab.errors import CapExceededError
 
 
 def _cardinality(n):
-    return SetFunctionOracle(GroundSet(n), lambda m: Fraction(m.bit_count()))
+    return SetFunctionOracle(GroundSet(n), int.bit_count)
 
 
 # (constant, value to patch in or None, the cheapest call that exceeds it)

@@ -12,6 +12,7 @@ GOLDEN = Path(__file__).parent / "golden"
 K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 P3_TEXT = "3 2\n0 1\n1 2\n"
 K2_TEXT = "2 1\n0 1\n"
+P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 HALF_GRAPHON = "1\n1\n1/2\n"
 
 CASES = {
@@ -65,6 +66,23 @@ CASES = {
     "cutdist_p3_k2_truncated.json": [
         "cutdist", "p3.txt", "k2.txt", "--upper-bound", "--t-max", "3", "--trials", "0",
     ],
+    # the blow-up families declare twins; P4 has none, so its exact profiles read every mask
+    "profile_cutcap_blowup_p3_2_covering.json": [
+        "profile", "--family", "cutcap-blowup", "--graph", "p3.txt", "--n", "2", "--k", "2",
+        "--mode", "covering",
+    ],
+    "profile_tau_blowup_p3_2.json": [
+        "profile", "--family", "tau-blowup", "--graph", "p3.txt", "--motif", "P3", "--n", "2",
+        "--k", "2", "--mode", "partition",
+    ],
+    "profile_cutcap_files_p4_disjoint.json": [
+        "profile", "--family", "cutcap-files", "--graphs", "k3.txt", "p4.txt", "--n", "2",
+        "--k", "3", "--mode", "disjoint", "--norm", "twice-edges",
+    ],
+    "profile_tau_files_k3_any.json": [
+        "profile", "--family", "tau-files", "--motif", "P3", "--graphs", "p4.txt", "k3.txt",
+        "--n", "2", "--k", "2", "--mode", "any",
+    ],
 }
 
 # sha256 of the `verify all` report (14,526 bytes); a digest keeps the repo small
@@ -77,6 +95,7 @@ def test_golden_payloads(golden_name, tmp_path, monkeypatch):
     (tmp_path / "k3.txt").write_text(K3_TEXT, encoding="utf-8")
     (tmp_path / "p3.txt").write_text(P3_TEXT, encoding="utf-8")
     (tmp_path / "k2.txt").write_text(K2_TEXT, encoding="utf-8")
+    (tmp_path / "p4.txt").write_text(P4_TEXT, encoding="utf-8")
     (tmp_path / "half.txt").write_text(HALF_GRAPHON, encoding="utf-8")
     out = tmp_path / "out.json"
     assert main(CASES[golden_name] + ["--out", str(out)]) == 0

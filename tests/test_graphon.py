@@ -196,3 +196,17 @@ def test_graphon_cut_capacity_oracle_profiles_match_graph():
         pw = {p.coords for p in profile(w_oracle, 2, mode)}
         pg = {p.coords for p in profile(g_oracle, 2, mode)}
         assert pw == pg
+
+
+def test_graphon_oracle_numerators_match_cut_capacity():
+    from quotientlab.graphon import graphon_cut_capacity_oracle
+
+    rng = random.Random(8)
+    for _ in range(10):
+        w = random_step_graphon(rng, rng.randrange(1, 6))
+        if w.total_weight() == 0:
+            continue
+        oracle = graphon_cut_capacity_oracle(w)
+        for mask in range(1 << w.steps):
+            assert type(oracle.numerator(mask)) is int
+            assert oracle.evaluate(mask) == graphon_cut_capacity(w, mask)

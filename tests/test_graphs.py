@@ -630,3 +630,40 @@ def test_shifted_tau_matches_raw_up_to_base():
         assert shifted.evaluate(mask) == raw.evaluate(mask) - base
     assert check_submodular(shifted) == []
     assert check_monotone(shifted) == []
+
+
+INT_KERNEL_GRAPHS = (
+    SimpleGraph.path(5),
+    SimpleGraph.cycle(5),
+    SimpleGraph.complete_bipartite(2, 3),
+    blow_up(SimpleGraph.path(3), 2),
+)
+
+
+def test_cut_capacity_numerators_match_fraction_values():
+    from quotientlab.graphs import cut_count
+
+    for g in INT_KERNEL_GRAPHS:
+        for norm in CutNormalization.ALL:
+            oracle = cut_capacity_oracle(g, norm)
+            denominator = CutNormalization.denominator(g, norm)
+            for mask in range(1 << g.node_count):
+                num = oracle.numerator(mask)
+                assert type(num) is int
+                expected = Fraction(cut_count(g, mask), denominator)
+                assert Fraction(num, oracle.den) == oracle.evaluate(mask) == expected
+
+
+def test_tau_numerators_match_fraction_values():
+    from quotientlab import shifted_tau_oracle
+
+    for motif in (SimpleGraph.complete(2), SimpleGraph.path(3), SimpleGraph.complete(3)):
+        for g in INT_KERNEL_GRAPHS[:3]:
+            raw, shifted = tau_oracle(motif, g), shifted_tau_oracle(motif, g)
+            assert raw.den == shifted.den == g.node_count ** motif.node_count
+            base = hom_density(motif, g)
+            for mask in range(1 << g.edge_count):
+                density = hom_density(motif, g.without_edges(mask))
+                assert type(raw.numerator(mask)) is type(shifted.numerator(mask)) is int
+                assert Fraction(raw.numerator(mask), raw.den) == raw.evaluate(mask) == 1 - density
+                assert shifted.evaluate(mask) == base - density

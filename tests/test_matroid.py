@@ -371,3 +371,29 @@ def test_disjoint_bases_exist_whenever_richness_holds():
         big = [f for f in matroid.flats() if matroid.rank(f) >= m]
         for tup in itertools.product(big, repeat=k):
             assert disjoint_bases(matroid, list(tup)).bases is not None
+
+
+GRAPHIC_FAMILIES = [("complete-cycle", n) for n in range(1, 5)] + [
+    ("example51", n) for n in range(1, 9)
+]
+
+
+@pytest.mark.parametrize("family,n", GRAPHIC_FAMILIES)
+def test_graphic_rank_table_matches_rank_on_every_mask(family, n):
+    from quotientlab.sequences import complete_cycle_oracle, example51_oracle
+
+    build = complete_cycle_oracle if family == "complete-cycle" else example51_oracle
+    matroid = build(n).matroid
+    table = matroid.rank_table()
+    assert len(table) == 1 << matroid.size
+    assert list(table) == [matroid._rank(mask) for mask in range(1 << matroid.size)]
+    assert matroid._rank_cache == {0: 0}
+
+
+def test_default_rank_table_is_one_rank_per_mask():
+    for matroid in (
+        LinearMatroid.full_space(3, 2),
+        DirectSumMatroid([GraphicMatroid(SimpleGraph.complete(3)), LinearMatroid.full_space(2, 2)]),
+    ):
+        table = matroid.rank_table()
+        assert list(table) == [matroid.rank(mask) for mask in range(1 << matroid.size)]

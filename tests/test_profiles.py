@@ -27,9 +27,10 @@ from quotientlab import (
     quotient_point,
     verify_inclusions,
 )
-from quotientlab.graphs import blow_up, cut_capacity_oracle
+from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
+from quotientlab.profiles import Exact, _exact_parts, _flat_parts, _sampled_parts
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
-from quotientlab.setfn import GroundSet, SetFunctionOracle, oracle_from_table
+from quotientlab.setfn import GroundSet, SetFunctionOracle, oracle_from_table, union_table
 
 
 def coords_set(pset):
@@ -361,31 +362,137 @@ def test_twins_must_partition_the_ground():
         SetFunctionOracle(GroundSet(3), lambda m: 0, twins=((0, 1),))
 
 
-def test_orbit_count_above_cap_raises_before_any_evaluation():
+def _forbid_dense_tables(monkeypatch):
+    def refuse(oracle):
+        raise AssertionError(f"dense table built for {oracle.label}")
+
+    monkeypatch.setattr(SetFunctionOracle, "numerator_table", refuse)
+
+
+def _count_dense_tables(monkeypatch):
+    built = []
+    real = SetFunctionOracle.numerator_table
+
+    def spy(oracle):
+        built.append(oracle.label)
+        return real(oracle)
+
+    monkeypatch.setattr(SetFunctionOracle, "numerator_table", spy)
+    return built
+
+
+def test_orbit_count_above_cap_raises_before_any_evaluation(monkeypatch):
+    _forbid_dense_tables(monkeypatch)
     oracle = cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 8))
     with pytest.raises(EnumCapError) as err:
         profile(oracle, 3, Mode.ANY, EXACT)
     assert err.value.needed == math.comb(8 + 7, 7) ** 3
-    assert oracle._cache == {0: 0}
+    assert oracle._memo == {0: 0}
 
 
 def test_sample_count_above_cap_raises_before_any_evaluation(monkeypatch):
     from quotientlab import config
 
+    _forbid_dense_tables(monkeypatch)
     monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 100)
     assert len(profile(cut_capacity_oracle(SimpleGraph.cycle(5)), 2, Mode.ANY, Sampled(1, 100)))
     oracle = cut_capacity_oracle(SimpleGraph.cycle(5))
     with pytest.raises(EnumCapError) as err:
         profile(oracle, 2, Mode.ANY, Sampled(1, 101))
     assert err.value.needed == 101
-    assert oracle._cache == {0: 0}
+    assert oracle._memo == {0: 0}
 
 
-def test_rank_oracle_is_the_only_memo_of_its_values():
+def test_rank_oracle_is_the_only_memo_of_its_values(monkeypatch):
+    built = _count_dense_tables(monkeypatch)
     oracle = example51_oracle(6)
     matroid = oracle.matroid
     before = dict(matroid._rank_cache)
     profile(oracle, 2, Mode.PARTITION)
     assert oracle.size == 10
-    assert len(oracle._cache) == 1 << 10
+    # the exact profile reads a fresh rank table and memoizes nothing
+    assert built == [oracle.label]
+    assert oracle._memo == {0: 0}
     assert matroid._rank_cache == before
+    profile(oracle, 2, Mode.PARTITION, Sampled(3, 50))
+    assert len(oracle._memo) > 1
+    assert all(type(v) is int for v in oracle._memo.values())
+    assert matroid._rank_cache == before
+
+
+def test_sampled_and_flats_never_build_a_dense_table(monkeypatch):
+    _forbid_dense_tables(monkeypatch)
+    for oracle in (complete_cycle_oracle(4), gf_space_oracle(2, 3)):
+        for mode in (Mode.ANY, Mode.DISJOINT, Mode.COVERING):
+            assert len(profile(oracle, 2, mode, FLATS))
+        for mode in Mode:
+            assert len(profile(oracle, 2, mode, Sampled(1, 200)))
+
+
+# The Fraction dedup profile() ran before values moved to int numerators:
+# every union of every tuple evaluated as a Fraction through the public
+# oracle, and the coordinate tuples deduplicated as Fractions.
+
+
+def fraction_reference(oracle, k, mode, strategy=EXACT):
+    if isinstance(strategy, Exact):
+        _, tuples = _exact_parts(oracle, k, mode)
+    elif isinstance(strategy, Sampled):
+        tuples = _sampled_parts(oracle, k, mode, strategy.seed, strategy.samples)
+    else:
+        tuples = _flat_parts(oracle, k, mode)
+    ev = oracle.evaluate
+    return {tuple(ev(u) for u in union_table(parts)) for parts in tuples}
+
+
+# twins shrink the orbit count below 2^n / 2^k in every mode, so the
+# exact profile reads the lazy memo
+LAZY_TWIN_BLOWUP = blow_up(SimpleGraph.complete(2), 9)
+
+DENSE_ORACLES = {
+    "ex51(5)": lambda: example51_oracle(5),
+    "cycle:K4": lambda: complete_cycle_oracle(3),
+    "gf(3)^2": lambda: gf_space_oracle(3, 2),
+    "cut:P5": lambda: cut_capacity_oracle(SimpleGraph.path(5), "nodes-squared"),
+    "tau:P3 in C4": lambda: shifted_tau_oracle(SimpleGraph.path(3), SimpleGraph.cycle(4)),
+    "table": _random_table_oracle,
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_profile_matches_fraction_reference_on_lazy_twin_blowup(mode, monkeypatch):
+    _forbid_dense_tables(monkeypatch)
+    oracle = cut_capacity_oracle(LAZY_TWIN_BLOWUP)
+    assert len(oracle.twins) == 2
+    assert coords_set(profile(oracle, 2, mode, EXACT)) == fraction_reference(oracle, 2, mode)
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_ORACLES))
+def test_profile_matches_fraction_reference_on_dense_tables(name, monkeypatch):
+    built = _count_dense_tables(monkeypatch)
+    oracle = DENSE_ORACLES[name]()
+    assert len(oracle.twins) in (0, oracle.size)
+    compared = 0
+    for k in (2, 3):
+        for mode in Mode:
+            if len(mode.element_choices(k)) ** oracle.size > 20_000:
+                continue
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == fraction_reference(oracle, k, mode), (name, k, mode)
+            compared += 1
+            assert len(built) == compared
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_sampled_and_flats_match_fraction_reference(mode):
+    oracles = [complete_cycle_oracle(3), cut_capacity_oracle(LAZY_TWIN_BLOWUP)]
+    for oracle in oracles:
+        strategy = Sampled(7, 300)
+        got = coords_set(profile(oracle, 2, mode, strategy))
+        assert got == fraction_reference(oracle, 2, mode, strategy)
+    if mode is not Mode.PARTITION:
+        oracle = gf_space_oracle(2, 3)
+        assert coords_set(profile(oracle, 2, mode, FLATS)) == fraction_reference(
+            oracle, 2, mode, FLATS
+        )

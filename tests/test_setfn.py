@@ -1,5 +1,6 @@
 """Core setfunction oracle, quotient vectors, shape checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from quotientlab import (
     check_submodular_sampled,
     blow_up,
     cut_capacity_oracle,
+    profile,
     quotient_point,
 )
 from quotientlab.sequences import gf_space_oracle
@@ -79,9 +81,9 @@ def test_evaluate_mask_width():
 
 def test_nonzero_empty_rejected_unless_waived():
     with pytest.raises(ValueError):
-        SetFunctionOracle(GroundSet(1), lambda m: Fraction(1))
+        SetFunctionOracle(GroundSet(1), lambda m: 1)
     shifted = SetFunctionOracle(
-        GroundSet(1), lambda m: Fraction(1 + m.bit_count()), require_zero_empty=False
+        GroundSet(1), lambda m: 1 + m.bit_count(), require_zero_empty=False
     )
     assert shifted.evaluate(0) == 1
     with pytest.raises(ValueError):
@@ -155,7 +157,7 @@ def test_submodular_cut_capacity_square():
 
 
 def test_supermodular_squares_detected():
-    squares = SetFunctionOracle(GroundSet(3), lambda m: Fraction(m.bit_count() ** 2))
+    squares = SetFunctionOracle(GroundSet(3), lambda m: m.bit_count() ** 2)
     violations = check_submodular(squares)
     assert violations
     x, y = violations[0].x, violations[0].y
@@ -178,12 +180,12 @@ def test_exchange_check_agrees_with_naive_pair_scan():
 def test_monotone_checks():
     rank = GraphicMatroid(SimpleGraph.complete(3)).rank_oracle()
     assert check_monotone(rank) == []
-    decreasing = SetFunctionOracle(GroundSet(3), lambda m: Fraction(-m.bit_count()))
+    decreasing = SetFunctionOracle(GroundSet(3), lambda m: -m.bit_count())
     assert check_monotone(decreasing)
 
 
 def test_sampled_checks_find_gross_violations():
-    squares = SetFunctionOracle(GroundSet(8), lambda m: Fraction(m.bit_count() ** 2))
+    squares = SetFunctionOracle(GroundSet(8), lambda m: m.bit_count() ** 2)
     assert check_submodular_sampled(squares, seed=3, samples=300)
     rank = GraphicMatroid(SimpleGraph.complete(4)).rank_oracle()
     assert check_submodular_sampled(rank, seed=3, samples=300) == []
@@ -248,7 +250,7 @@ def test_quotient_coords_monotone_for_monotone_oracles():
 
     oracles = [
         GraphicMatroid(SimpleGraph.complete(4)).rank_oracle(),
-        SetFunctionOracle(GroundSet(5), lambda m: Fraction(m.bit_count())),
+        SetFunctionOracle(GroundSet(5), int.bit_count),
     ]
     rng = random.Random(13)
     for oracle in oracles:
@@ -304,3 +306,49 @@ def test_quotient_points_of_submodular_functions_are_submodular():
     point = quotient_point(supermodular, [0b01, 0b10])
     assert point.coords == (0, 0, 0, 1)
     assert check_submodular(point.as_oracle()) != []
+
+
+def test_numerators_are_ints_over_one_denominator():
+    with pytest.raises(TypeError):
+        SetFunctionOracle(GroundSet(1), lambda m: Fraction(0))
+    with pytest.raises(ValueError):
+        SetFunctionOracle(GroundSet(1), lambda m: 0, 0)
+    halves = SetFunctionOracle(GroundSet(2), lambda m: m.bit_count(), 2)
+    assert [halves.evaluate(m) for m in range(4)] == [0, Fraction(1, 2), Fraction(1, 2), 1]
+    with pytest.raises(MaskWidthError):
+        halves.numerator(0b100)
+    # the scans compare numerators; each recorded slack is the Fraction margin
+    squares = SetFunctionOracle(GroundSet(3), lambda m: m.bit_count() ** 2, 3)
+    ev = squares.evaluate
+    violations = check_submodular(squares)
+    assert violations
+    for v in violations:
+        assert v.slack == ev(v.x) + ev(v.y) - ev(v.x & v.y) - ev(v.x | v.y) < 0
+    decreasing = check_monotone(SetFunctionOracle(GroundSet(2), lambda m: -m.bit_count(), 4))
+    assert [v.slack for v in decreasing] == [Fraction(-1, 4)] * 4
+
+
+def test_table_oracle_numerators_match_fraction_values():
+    rng = random.Random(4)
+    for trial in range(20):
+        n = rng.randint(0, 4)
+        values = [Fraction(0)] + [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range((1 << n) - 1)
+        ]
+        oracle = oracle_from_table(values)
+        assert oracle.den == math.lcm(*(v.denominator for v in values))
+        for mask, value in enumerate(values):
+            assert type(oracle.numerator(mask)) is int
+            assert Fraction(oracle.numerator(mask), oracle.den) == oracle.evaluate(mask) == value
+        assert list(oracle.numerator_table()) == [oracle.numerator(m) for m in range(1 << n)]
+
+
+def test_numerators_beyond_64_bits_fill_a_list():
+    values = [0, Fraction(1, 2**70), Fraction(3, 4), Fraction(5, 2**70 + 1)]
+    oracle = oracle_from_table(values)
+    assert oracle.den > 2**128
+    table = oracle.numerator_table()
+    assert list(table) == [oracle.numerator(m) for m in range(4)]
+    assert [Fraction(x, oracle.den) for x in table] == values
+    pset = profile(oracle, 2, Mode.ANY)
+    assert len(pset) == len({quotient_point(oracle, [a, b]).coords for a in range(4) for b in range(4)})
