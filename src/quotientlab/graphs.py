@@ -36,7 +36,6 @@ from .setfn import (
     QuotientPoint,
     SetFunctionOracle,
     SubsetMask,
-    iter_elements,
     quotient_point,
 )
 
@@ -127,11 +126,18 @@ def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[in
 
     merges = 0
     edges = g.edges
-    for e in iter_elements(edge_mask):
-        u, v = edges[e]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+    rest = edge_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u, v = edges[low.bit_length() - 1]
+        # find(u) and find(v) inlined, with the same path halving
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
             merges += 1
     return find, merges
 
@@ -301,13 +307,21 @@ def cut_dist_unlabeled_upper(
     BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get a trimmed
     random portfolio; the result notes the truncation.
 
+    A bijection between the blow-ups is scored by its overlay table, whose
+    cell (i, j) counts the twins of h's node j mapped onto twins of g's
+    node i.  Swapping twins inside a blow-up class is an automorphism of
+    that blow-up, so bijections with one table have one labeled distance
+    (the tables are the double cosets of two Young subgroups), and each
+    plan entry computes it once per distinct table.
+
     The search is planned before the first labeled distance: one
     (t, blow-up size, shuffle budget) entry per blow-up searched.  With
     no entry and no exhaustive pass it raises BlowUpCapError; above
     ENUM_ITERATION_CAP planned calls, EnumCapError.  The planned calls
     are n! for the exhaustive pass, plus (1 + budget)(1 + 4 C(n, 2)) per
-    entry, one call per candidate and per swap of its at most four
-    sweeps.  A graph without nodes has a blow-up of the other's size
+    entry, one per candidate and per swap of its at most four sweeps;
+    they bound the labeled distances computed, which are one per distinct
+    table.  A graph without nodes has a blow-up of the other's size
     only if the other has none either.
     """
     if t_max < 1:
@@ -344,9 +358,20 @@ def cut_dist_unlabeled_upper(
     for t, n, budget in plan:
         gb = blow_up(g, h.node_count * t)
         hb = blow_up(h, g.node_count * t)
+        # cell of the overlay table that hb node v falls into when mapped to gb node w
+        row = [w // (h.node_count * t) * h.node_count for w in range(n)]
+        col = [v // (g.node_count * t) for v in range(n)]
+        scores: dict[tuple[int, ...], Fraction] = {}
 
         def score(perm: list[int]) -> Fraction:
-            return cut_dist_labeled(gb, _relabel(hb, perm))
+            table = [0] * (g.node_count * h.node_count)
+            for v, w in enumerate(perm):
+                table[row[w] + col[v]] += 1
+            key = tuple(table)
+            value = scores.get(key)
+            if value is None:
+                value = scores[key] = cut_dist_labeled(gb, _relabel(hb, perm))
+            return value
 
         for perm in _candidates(n, budget, rng):
             current = score(perm)

@@ -302,29 +302,30 @@ def check_monotone(oracle: SetFunctionOracle) -> list[PairViolation]:
 
 
 def check_submodular_sampled(oracle: SetFunctionOracle, seed: int, samples: int) -> list[PairViolation]:
-    """Seeded random-pair submodularity probe for larger grounds."""
+    """Seeded random-pair submodularity probe for larger grounds, on numerators."""
     rng = Random(seed)
     full = oracle.full_mask
-    ev = oracle.evaluate
+    ev, den = oracle.numerator, oracle.den
     violations = []
     for _ in range(samples):
         x = rng.randint(0, full)
         y = rng.randint(0, full)
         slack = ev(x) + ev(y) - ev(x & y) - ev(x | y)
         if slack < 0:
-            violations.append(PairViolation(x, y, slack))
+            violations.append(PairViolation(x, y, Fraction(slack, den)))
     return violations
 
 
 def check_monotone_sampled(oracle: SetFunctionOracle, seed: int, samples: int) -> list[PairViolation]:
-    """Seeded random-chain monotonicity probe for larger grounds."""
+    """Seeded random-chain monotonicity probe for larger grounds, on numerators."""
     rng = Random(seed)
     full = oracle.full_mask
-    ev = oracle.evaluate
+    ev, den = oracle.numerator, oracle.den
     violations = []
     for _ in range(samples):
         x = rng.randint(0, full)
         y = x | rng.randint(0, full)
-        if ev(y) < ev(x):
-            violations.append(PairViolation(x, y, ev(y) - ev(x)))
+        fx, fy = ev(x), ev(y)
+        if fy < fx:
+            violations.append(PairViolation(x, y, Fraction(fy - fx, den)))
     return violations

@@ -13,6 +13,7 @@ K3_TEXT = "3 3\n0 1\n0 2\n1 2\n"
 P3_TEXT = "3 2\n0 1\n1 2\n"
 K2_TEXT = "2 1\n0 1\n"
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
+STAR4_TEXT = "4 3\n0 1\n0 2\n0 3\n"
 HALF_GRAPHON = "1\n1\n1/2\n"
 
 CASES = {
@@ -83,6 +84,16 @@ CASES = {
         "profile", "--family", "tau-files", "--motif", "P3", "--graphs", "p4.txt", "k3.txt",
         "--n", "2", "--k", "2", "--mode", "any",
     ],
+    # the sparse-search shape: a 3-node against a 4-node graph, 12-node blow-ups at t = 1
+    "cutdist_p3_star4_t1.json": [
+        "cutdist", "p3.txt", "s4.txt", "--upper-bound", "--t-max", "1", "--trials", "1",
+        "--seed", "3",
+    ],
+    # t = 1 (6-node blow-ups) finds the bound, t = 2 (12 nodes) is searched and does not improve it
+    "cutdist_k2_p3_t2.json": [
+        "cutdist", "k2.txt", "p3.txt", "--upper-bound", "--t-max", "2", "--trials", "1",
+        "--seed", "1",
+    ],
 }
 
 # sha256 of the `verify all` report (14,526 bytes); a digest keeps the repo small
@@ -96,6 +107,7 @@ def test_golden_payloads(golden_name, tmp_path, monkeypatch):
     (tmp_path / "p3.txt").write_text(P3_TEXT, encoding="utf-8")
     (tmp_path / "k2.txt").write_text(K2_TEXT, encoding="utf-8")
     (tmp_path / "p4.txt").write_text(P4_TEXT, encoding="utf-8")
+    (tmp_path / "s4.txt").write_text(STAR4_TEXT, encoding="utf-8")
     (tmp_path / "half.txt").write_text(HALF_GRAPHON, encoding="utf-8")
     out = tmp_path / "out.json"
     assert main(CASES[golden_name] + ["--out", str(out)]) == 0

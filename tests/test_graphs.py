@@ -67,6 +67,41 @@ def test_pair_count_double_counts_inside_intersection():
         assert pair_count(g, s, t) == naive_pair_count(g, s, t)
 
 
+def plain_components(g, edge_mask):
+    """Merges and node labels of a union-find without path compression, edge by edge."""
+    parent = list(range(g.node_count))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    merges = 0
+    for i, (u, v) in enumerate(g.edges):
+        if edge_mask >> i & 1 and root(u) != root(v):
+            parent[root(u)] = root(v)
+            merges += 1
+    return merges, [root(x) for x in range(g.node_count)]
+
+
+def same_partition(labels_a, labels_b):
+    n = len(labels_a)
+    return all((labels_a[x] == labels_a[y]) == (labels_b[x] == labels_b[y])
+               for x in range(n) for y in range(x + 1, n))
+
+
+def test_spanning_forest_matches_plain_union_find():
+    k5, k7 = SimpleGraph.complete(5), SimpleGraph.complete(7)
+    rng = random.Random(8)
+    masks = [(k5, m) for m in range(1 << k5.edge_count)]
+    masks += [(k7, rng.getrandbits(k7.edge_count)) for _ in range(2000)]
+    for g, mask in masks:
+        find, merges = graphs.spanning_forest(g, mask)
+        plain_merges, labels = plain_components(g, mask)
+        assert merges == plain_merges, (g.name, mask)
+        assert same_partition([find(x) for x in range(g.node_count)], labels), (g.name, mask)
+
+
 def test_blow_up_identity():
     g = SimpleGraph.cycle(4)
     assert blow_up(g, 1).edges == g.edges
@@ -198,9 +233,121 @@ def test_unlabeled_upper_same_with_reference_kernel(g, h, t_max, trials, seed, m
     assert cut_dist_unlabeled_upper(g, h, t_max, trials, seed) == fast
 
 
+def reference_unlabeled_upper(g, h, t_max, trials, seed, scored):
+    """The bijection search scoring every bijection with cut_dist_labeled, without a memo.
+
+    Appends (plan entry, bijection) to `scored` for each bijection scored;
+    the exhaustive pass over direct bijections is entry 0, blow-up t is entry t.
+    """
+    def relabeled(graph, perm):
+        return SimpleGraph.make(graph.node_count, ((perm[u], perm[v]) for u, v in graph.edges))
+
+    best = None
+    if g.node_count == h.node_count <= 6:
+        for perm in itertools.permutations(range(h.node_count)):
+            scored.append((0, perm))
+            value = cut_dist_labeled(g, relabeled(h, perm))
+            if best is None or value < best[0]:
+                best = (value, 1, perm)
+            if best[0] == 0:
+                return graphs.CutDistanceBound(best[0], 1, best[2], False)
+    rng = random.Random(seed)
+    entries = [t for t in range(1, t_max + 1)
+               if g.node_count * h.node_count * t <= config.BLOWUP_NODE_CAP]
+    for t in entries:
+        n = g.node_count * h.node_count * t
+        gb, hb = blow_up(g, h.node_count * t), blow_up(h, g.node_count * t)
+
+        def score(perm):
+            scored.append((t, tuple(perm)))
+            return cut_dist_labeled(gb, relabeled(hb, perm))
+
+        for candidate in range(1 + (trials if n <= 9 else min(trials, 2))):
+            perm = list(range(n))
+            if candidate:
+                rng.shuffle(perm)
+            current = score(perm)
+            for _ in range(4):
+                if current == 0:
+                    break
+                improved = False
+                for i, j in itertools.combinations(range(n), 2):
+                    perm[i], perm[j] = perm[j], perm[i]
+                    trial = score(perm)
+                    if trial < current:
+                        current, improved = trial, True
+                    else:
+                        perm[i], perm[j] = perm[j], perm[i]
+                if not improved:
+                    break
+            if best is None or current < best[0]:
+                best = (current, t, tuple(perm))
+            if best[0] == 0:
+                return graphs.CutDistanceBound(best[0], t, best[2], False)
+    return graphs.CutDistanceBound(best[0], best[1], best[2], len(entries) < t_max)
+
+
+def overlay_table(g, h, t, perm):
+    """Sorted (class of the image in g's blow-up, class in h's blow-up) pair of every node."""
+    return tuple(sorted((w // (h.node_count * t), v // (g.node_count * t)) for v, w in enumerate(perm)))
+
+
+def distinct_tables(g, h, scored):
+    """Distinct (plan entry, overlay table) pairs; direct bijections are their own tables."""
+    return {(t, perm if t == 0 else overlay_table(g, h, t, perm)) for t, perm in scored}
+
+
+def test_unlabeled_upper_matches_unmemoized_reference():
+    rng = random.Random(404)
+    # (g, h, t_max, trials); the unmemoized reference takes about 0.5 s on a
+    # 3-node against a 4-node graph, so random pairs stay below 9 nodes at t = 1,
+    # and 12-node blow-ups get at most one shuffle
+    cases = [
+        (SimpleGraph.path(3), SimpleGraph.make(4, [(0, 1), (0, 2), (0, 3)]), 1, 1),
+        (SimpleGraph.path(4), SimpleGraph.path(3), 1, 0),
+        (SimpleGraph.complete(2), SimpleGraph.path(3), 2, 1),
+    ]
+    while len(cases) < 16:
+        a, b, t_max = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 2)
+        if a * b < 9:
+            trials = rng.randint(0, 2 if a * b * t_max <= 9 else 1)
+            cases.append((random_graph(rng, a, 0.5), random_graph(rng, b, 0.5), t_max, trials))
+    twin_sizes = {max(map(len, graphs.twin_classes(x))) > 1 for case in cases for x in case[:2]}
+    assert twin_sizes == {False, True}
+    assert {t_max for *_, t_max, _ in cases} == {1, 2}
+    for g, h, t_max, trials in cases:
+        seed = rng.randint(0, 99)
+        expected = reference_unlabeled_upper(g, h, t_max, trials, seed, [])
+        assert cut_dist_unlabeled_upper(g, h, t_max, trials, seed) == expected, (g.edges, h.edges)
+
+
+def test_twin_shuffles_keep_the_table_and_the_labeled_distance():
+    rng = random.Random(77)
+    for g, h, t in [
+        (SimpleGraph.path(3), SimpleGraph.make(4, [(0, 1), (0, 2), (0, 3)]), 1),
+        (SimpleGraph.complete(2), SimpleGraph.path(3), 2),
+        (SimpleGraph.path(3), SimpleGraph.cycle(4), 1),
+    ]:
+        n = g.node_count * h.node_count * t
+        gb, hb = blow_up(g, h.node_count * t), blow_up(h, g.node_count * t)
+        g_size, h_size = h.node_count * t, g.node_count * t
+        for _ in range(5):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            # shuffle inside each class of hb before mapping, and inside each class of gb after
+            before = [c * h_size + x for c in range(n // h_size)
+                      for x in rng.sample(range(h_size), h_size)]
+            after = [c * g_size + x for c in range(n // g_size)
+                     for x in rng.sample(range(g_size), g_size)]
+            twin = [after[perm[before[v]]] for v in range(n)]
+            assert overlay_table(g, h, t, twin) == overlay_table(g, h, t, perm)
+            assert (cut_dist_labeled(gb, graphs._relabel(hb, twin))
+                    == cut_dist_labeled(gb, graphs._relabel(hb, perm)))
+
+
 def test_unlabeled_upper_scores_each_candidate_through_the_module_kernel(monkeypatch):
-    # the kernel is looked up on the module for every candidate, so a wrapper
-    # installed there sees each scored bijection (each one relabels h once)
+    # the kernel and the relabeling are looked up on the module, once per
+    # distinct overlay table of the bijections the search scores
     counts = {"kernel": 0, "relabel": 0}
     kernel, relabel = graphs.cut_dist_labeled, graphs._relabel
 
@@ -212,16 +359,23 @@ def test_unlabeled_upper_scores_each_candidate_through_the_module_kernel(monkeyp
         counts["relabel"] += 1
         return relabel(g, perm)
 
-    monkeypatch.setattr(graphs, "cut_dist_labeled", counted_kernel)
-    monkeypatch.setattr(graphs, "_relabel", counted_relabel)
-    for g, h, trials in [
-        (SimpleGraph.path(3), SimpleGraph.make(4, [(0, 1), (0, 2), (0, 3)]), 8),
-        (SimpleGraph.complete(3), SimpleGraph.path(3), 2),
-        (SimpleGraph.path(3), SimpleGraph.complete(2), 4),
+    star = SimpleGraph.make(4, [(0, 1), (0, 2), (0, 3)])
+    for g, h, t_max, trials in [
+        (SimpleGraph.path(3), star, 1, 8),
+        (SimpleGraph.complete(3), SimpleGraph.path(3), 1, 2),
+        (SimpleGraph.path(3), SimpleGraph.complete(2), 1, 4),
+        (SimpleGraph.complete(2), SimpleGraph.path(3), 2, 1),
     ]:
+        scored = []
+        expected = reference_unlabeled_upper(g, h, t_max, trials, 0, scored)
         counts.update(kernel=0, relabel=0)
-        cut_dist_unlabeled_upper(g, h, 1, trials, 0)
-        assert counts["kernel"] == counts["relabel"] > trials
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "cut_dist_labeled", counted_kernel)
+            m.setattr(graphs, "_relabel", counted_relabel)
+            assert cut_dist_unlabeled_upper(g, h, t_max, trials, 0) == expected
+        assert counts["kernel"] == counts["relabel"] == len(distinct_tables(g, h, scored)) > trials
+        if h is star:
+            assert counts["kernel"] < len(scored)
 
 
 def test_unlabeled_upper_draws_shuffles_only_when_needed(monkeypatch):

@@ -206,6 +206,48 @@ def test_sampled_monotone_probe_both_directions():
     assert check_monotone_sampled(space, seed=5, samples=400) == []
 
 
+def fraction_submodular_sampled(oracle, seed, samples):
+    """The Fraction probe the numerator scan replaces: four evaluate calls per pair."""
+    rng = random.Random(seed)
+    full, ev = oracle.full_mask, oracle.evaluate
+    out = []
+    for _ in range(samples):
+        x, y = rng.randint(0, full), rng.randint(0, full)
+        slack = ev(x) + ev(y) - ev(x & y) - ev(x | y)
+        if slack < 0:
+            out.append((x, y, slack))
+    return out
+
+
+def fraction_monotone_sampled(oracle, seed, samples):
+    rng = random.Random(seed)
+    full, ev = oracle.full_mask, oracle.evaluate
+    out = []
+    for _ in range(samples):
+        x = rng.randint(0, full)
+        y = x | rng.randint(0, full)
+        if ev(y) < ev(x):
+            out.append((x, y, ev(y) - ev(x)))
+    return out
+
+
+def test_sampled_checks_match_fraction_reference():
+    rng = random.Random(31)
+    for n in (3, 5, 7):
+        # random values over mixed denominators: neither submodular nor monotone
+        table = [Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6)))
+                                 for _ in range((1 << n) - 1)]
+        oracle = oracle_from_table(table)
+        assert oracle.den > 1
+        for seed in range(3):
+            sub = check_submodular_sampled(oracle, seed, 200)
+            mono = check_monotone_sampled(oracle, seed, 200)
+            assert sub and mono
+            assert [(v.x, v.y, v.slack) for v in sub] == fraction_submodular_sampled(oracle, seed, 200)
+            assert [(v.x, v.y, v.slack) for v in mono] == fraction_monotone_sampled(oracle, seed, 200)
+            assert all(type(v.slack) is Fraction for v in sub + mono)
+
+
 def test_exact_arithmetic_is_reproducible():
     oracle = GraphicMatroid(SimpleGraph.cycle(5)).normalized_rank_oracle()
     for mask in (0b10101, 0b01110, 0b11111):
