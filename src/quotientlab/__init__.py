@@ -88,7 +88,6 @@ from .profiles import (
     verify_inclusions,
 )
 from .setfn import (
-    GroundSet,
     QuotientPoint,
     SetFunctionOracle,
     check_monotone,

@@ -47,7 +47,7 @@ class DivisibilityError(QuotientLabError):
 
 
 class DegenerateNormalizationError(QuotientLabError):
-    """Edge-count normalization requested for a graph without edges."""
+    """A cut normalization divides by the edges or nodes of a graph that has none."""
 
 
 class EmptyProfileError(QuotientLabError):

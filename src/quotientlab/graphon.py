@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
 from .graphs import SimpleGraph, hom_sum, token_rows
-from .setfn import GroundSet, SetFunctionOracle
+from .setfn import SetFunctionOracle
 
 
 def _check_breakpoints(bp: tuple[Fraction, ...]) -> None:
@@ -143,9 +143,7 @@ def graphon_cut_capacity_oracle(w: StepGraphon) -> SetFunctionOracle:
             for j in steps if not mask >> j & 1
         )
 
-    return SetFunctionOracle(
-        GroundSet(w.steps), crossing, den, label=f"kappa(step-graphon r={w.steps})"
-    )
+    return SetFunctionOracle(w.steps, crossing, den, label=f"kappa(step-graphon r={w.steps})")
 
 
 def hom_density_step(pattern: SimpleGraph, w: StepGraphon) -> Fraction:

@@ -32,10 +32,10 @@ from .errors import (
     KTooLargeError,
 )
 from .setfn import (
-    GroundSet,
     QuotientPoint,
     SetFunctionOracle,
     SubsetMask,
+    check_ground_size,
     quotient_point,
 )
 
@@ -415,6 +415,8 @@ class CutNormalization:
                 raise DegenerateNormalizationError("edge normalization needs at least one edge")
             return g.edge_count * (2 if norm == CutNormalization.TWICE_EDGES else 1)
         if norm == CutNormalization.NODES_SQUARED:
+            if g.node_count == 0:
+                raise DegenerateNormalizationError("nodes-squared normalization needs at least one node")
             return g.node_count * g.node_count
         raise ValueError(f"unknown normalization {norm!r}")
 
@@ -450,7 +452,7 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     """
     denom = CutNormalization.denominator(g, norm)
     return SetFunctionOracle(
-        GroundSet(g.node_count),
+        g.node_count,
         lambda m: cut_count(g, m),
         denom,
         label=f"kappa({g.name or g.node_count};{norm})",
@@ -515,20 +517,20 @@ def hom_density(pattern: SimpleGraph, target: SimpleGraph) -> Fraction:
 
 def _motif_deletion(
     pattern: SimpleGraph, g: SimpleGraph
-) -> tuple[GroundSet, Callable[[SubsetMask], int], int]:
-    """The edge ground set of g, the map X -> hom(F, G minus X), and the map count.
+) -> tuple[int, Callable[[SubsetMask], int], int]:
+    """The edge count of g, the map X -> hom(F, G minus X), and the map count.
 
     t(F, G minus X) is the homomorphism count over the |V(G)|^|V(F)| maps,
     so both tau oracles take their numerators over that count.
     """
-    ground = GroundSet(g.edge_count)
+    check_ground_size(g.edge_count)  # before any homomorphism is counted
     if g.node_count == 0:
         raise ValueError("homomorphism density needs a nonempty target")
 
     def count(mask: SubsetMask) -> int:
         return hom_count(pattern, g.without_edges(mask))
 
-    return ground, count, g.node_count ** pattern.node_count
+    return g.edge_count, count, g.node_count ** pattern.node_count
 
 
 def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
@@ -539,9 +541,9 @@ def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
     convention is waived for this oracle; quotient vectors are therefore
     not defined for it, but submodularity and monotonicity checks are.
     """
-    ground, count, maps = _motif_deletion(pattern, g)
+    size, count, maps = _motif_deletion(pattern, g)
     return SetFunctionOracle(
-        ground,
+        size,
         lambda m: maps - count(m),
         maps,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'})",
@@ -556,10 +558,10 @@ def shifted_tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracl
     monotonicity and makes quotient vectors well defined; the shift
     (the motif density of g) is recorded in the label.
     """
-    ground, count, maps = _motif_deletion(pattern, g)
+    size, count, maps = _motif_deletion(pattern, g)
     base = count(0)
     return SetFunctionOracle(
-        ground,
+        size,
         lambda m: base - count(m),
         maps,
         label=f"tau({pattern.name or 'F'};{g.name or 'G'}) rebased at t={Fraction(base, maps)}",

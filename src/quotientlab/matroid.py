@@ -2,17 +2,18 @@
 
 Rank calls are exact.  `Matroid.rank` memoizes per subset mask for
 closure, flats, union and richness; a rank oracle takes `_rank` as its
-int kernel under its own memo instead, so each value has one cache, and
-exact profiles read `rank_table`, which the cycle matroid builds in one
-include/exclude walk over its edges.  Closure is defined
-from rank alone, cl(X) = X + {e : r(X + e) = r(X)}; only the cycle
-matroid overrides it, with one union-find pass in place of one rank call
-per edge.  On top of rank and closure the module provides flat
-enumeration (breadth-first closure extension), the flat-pair richness
-condition, matroid union via augmenting paths with a min-formula
-certificate, and the two lattice embeddings between full linear spaces
-GF(q)^m -> GF(q)^n (zero padding, which preserves ranks, and block
-repetition, which preserves normalized ranks when m divides n).
+int kernel under its own memo instead, and a restriction reads its
+base's memo, so each value has one cache.  Exact profiles read
+`rank_table`, which the cycle matroid builds in one include/exclude walk
+over its edges.  Closure is defined from rank alone,
+cl(X) = X + {e : r(X + e) = r(X)}; only the cycle matroid overrides it,
+with one union-find pass in place of one rank call per edge.  On top of
+rank and closure the module provides flat enumeration (breadth-first
+closure extension), the flat-pair richness condition, matroid union via
+augmenting paths with a min-formula certificate, and the two lattice
+embeddings between full linear spaces GF(q)^m -> GF(q)^n (zero padding,
+which preserves ranks, and block repetition, which preserves normalized
+ranks when m divides n).
 """
 
 from __future__ import annotations
@@ -31,30 +32,24 @@ from .errors import (
 )
 from .gfq import FiniteField, field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
-from .setfn import GroundSet, SetFunctionOracle, SubsetMask, dense_numerators, iter_elements
+from .setfn import SetFunctionOracle, SubsetMask, check_ground_size, check_mask, dense_numerators, iter_elements
 
 
 class Matroid:
     """Base class: subclasses implement _rank(mask) on ground 0..size-1."""
 
-    def __init__(self, ground: GroundSet):
-        self.ground = ground
+    def __init__(self, size: int):
+        check_ground_size(size)
+        self.size = size
+        self.full_mask = (1 << size) - 1
         self._rank_cache: dict[int, int] = {0: 0}
         self._closure_cache: dict[int, int] = {}
-
-    @property
-    def size(self) -> int:
-        return self.ground.size
-
-    @property
-    def full_mask(self) -> SubsetMask:
-        return self.ground.full_mask
 
     def _rank(self, mask: SubsetMask) -> int:  # pragma: no cover
         raise NotImplementedError
 
     def rank(self, mask: SubsetMask) -> int:
-        self.ground.check_mask(mask)
+        check_mask(mask, self.size)
         cached = self._rank_cache.get(mask)
         if cached is None:
             cached = self._rank(mask)
@@ -79,7 +74,7 @@ class Matroid:
         return out
 
     def closure(self, mask: SubsetMask) -> SubsetMask:
-        self.ground.check_mask(mask)
+        check_mask(mask, self.size)
         cached = self._closure_cache.get(mask)
         if cached is None:
             cached = self._closure(mask)
@@ -123,7 +118,7 @@ class Matroid:
         if denom <= 0:
             raise ValueError("normalization denominator must be positive")
         return SetFunctionOracle(
-            self.ground,
+            self.size,
             self._rank,
             denom,
             label=label or f"rank({self._name()})/{denom}",
@@ -139,7 +134,7 @@ class GraphicMatroid(Matroid):
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
-        super().__init__(GroundSet(len(graph.edges)))
+        super().__init__(len(graph.edges))
 
     def _rank(self, mask: SubsetMask) -> int:
         return spanning_forest(self.graph, mask)[1]
@@ -231,7 +226,7 @@ class LinearMatroid(Matroid):
                 raise ValueError("column entries must lie in 0..q-1")
         self.columns = tuple(cols)
         self.name = name
-        super().__init__(GroundSet(len(cols)))
+        super().__init__(len(cols))
         if q == 2:
             self._bits = tuple(index_from_vector(c, 2) for c in cols)
         else:
@@ -276,7 +271,7 @@ class DirectSumMatroid(Matroid):
         for part in self.parts:
             self.offsets.append(off)
             off += part.size
-        super().__init__(GroundSet(off))
+        super().__init__(off)
 
     def _rank(self, mask: SubsetMask) -> int:
         return sum(
@@ -289,13 +284,21 @@ class DirectSumMatroid(Matroid):
 
 
 class Restriction(Matroid):
-    """The base matroid with every element outside `support` turned into a loop."""
+    """The base matroid with every element outside `support` turned into a loop.
+
+    `rank` reads the base's memo, so a rank is memoized once however many
+    restrictions of one base ask for it.
+    """
 
     def __init__(self, base: Matroid, support: SubsetMask):
-        base.ground.check_mask(support)
+        check_mask(support, base.size)
         self.base = base
         self.support = support
-        super().__init__(base.ground)
+        super().__init__(base.size)
+
+    def rank(self, mask: SubsetMask) -> int:
+        check_mask(mask, self.size)
+        return self.base.rank(mask & self.support)
 
     def _rank(self, mask: SubsetMask) -> int:
         return self.base.rank(mask & self.support)

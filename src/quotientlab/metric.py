@@ -140,6 +140,8 @@ class HausdorffReport:
 
 def hausdorff(a_cloud, b_cloud) -> HausdorffReport:
     """Exact Hausdorff distance between two nonempty point clouds."""
+    # each cloud goes to integer numerators once, not once per direction
+    a_cloud, b_cloud = _canonical(a_cloud), _canonical(b_cloud)
     d_ab, w_ab = directed_distance(a_cloud, b_cloud)
     d_ba, w_ba = directed_distance(b_cloud, a_cloud)
     return HausdorffReport(max(d_ab, d_ba), d_ab, d_ba, w_ab, w_ba)

@@ -45,7 +45,7 @@ from random import Random
 from typing import Iterator, Optional, Sequence
 
 from . import config
-from .errors import EnumCapError, StrategyError
+from .errors import EnumCapError, FlatExplosionError, GroundTooLargeError, StrategyError
 from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
@@ -228,9 +228,13 @@ def _sampled_parts(
             parts[pos % k] |= 1 << e
         yield parts
     if oracle.matroid is not None and mode is Mode.ANY:
-        flats = oracle.matroid.flats()
-        for _ in range(min(samples, 32)):
-            yield [rng.choice(flats) for _ in range(k)]
+        try:
+            flats = oracle.matroid.flats()
+        except (GroundTooLargeError, FlatExplosionError):
+            pass  # no flat portfolio when the flats do not enumerate within their caps
+        else:
+            for _ in range(min(samples, 32)):
+                yield [rng.choice(flats) for _ in range(k)]
     # each sample is packed like an exact assignment: one option per element, in element order
     options = [_class_options((e,), members, n) for e in range(n)]
     shifts = [i * n for i in range(k)]

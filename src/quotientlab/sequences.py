@@ -80,8 +80,9 @@ def example51_trees(n: int) -> tuple[int, int]:
 
 
 def example51_oracle(n: int) -> SetFunctionOracle:
-    # odd members and n = 2 are paths with n - 1 edges, even n >= 4 add a second tree
-    check_ground_size(n - 1 if n % 2 or n < 4 else 2 * (n - 1))
+    # odd members and n = 2 are paths with n - 1 edges, even n >= 4 add a second tree;
+    # example51_graph rejects n < 1
+    check_ground_size(max(n - 1 if n % 2 or n < 4 else 2 * (n - 1), 0))
     g = example51_graph(n)
     matroid = GraphicMatroid(g)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(ex51[{n}])")
@@ -113,7 +114,7 @@ def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
 def cutcap_blowup_oracle(
     base: SimpleGraph, n: int, norm: str = CutNormalization.EDGES
 ) -> SetFunctionOracle:
-    check_ground_size(base.node_count * n)
+    check_ground_size(base.node_count * max(n, 0))  # blow_up rejects n < 1
     return cut_capacity_oracle(blow_up(base, n), norm)
 
 

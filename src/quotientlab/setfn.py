@@ -1,13 +1,13 @@
-"""Ground sets, subset masks, exact setfunction oracles, quotient vectors.
+"""Subset masks, exact setfunction oracles, quotient vectors.
 
-Subsets of a ground set of size n are encoded as integer bitmasks:
-element i belongs to the subset iff bit i is set.  Inside the package an
-oracle's values are int numerators over one positive denominator of the
-oracle (rank over d, cut count over its normalization, hom count over
-n^p), so hot loops hash and compare ints; at the API `evaluate` returns
-`fractions.Fraction`, so every computation downstream (deduplication,
-Hausdorff distances, bound checks) is exact; floats appear only when
-reports are rendered.
+A ground set is its size n, with elements 0..n-1, and its subsets are
+encoded as integer bitmasks: element i belongs to the subset iff bit i
+is set.  Inside the package an oracle's values are int numerators over
+one positive denominator of the oracle (rank over d, cut count over its
+normalization, hom count over n^p), so hot loops hash and compare ints;
+at the API `evaluate` returns `fractions.Fraction`, so every computation
+downstream (deduplication, Hausdorff distances, bound checks) is exact;
+floats appear only when reports are rendered.
 
 Quotient vectors over k labeled parts use the same index convention: the
 value for a set I of part indices sits at position sum(2**i for i in I).
@@ -38,30 +38,15 @@ def iter_elements(mask: SubsetMask) -> Iterator[int]:
 
 
 def check_ground_size(size: int) -> None:
+    if size < 0:
+        raise ValueError("ground set size must be nonnegative")
     if size > config.GROUND_SIZE_CAP:
         raise GroundTooLargeError("GROUND_SIZE_CAP", config.GROUND_SIZE_CAP, size, "ground set")
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """A finite ground set with elements 0..size-1; subsets are bitmasks over it."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError("ground set size must be nonnegative")
-        check_ground_size(self.size)
-
-    @property
-    def full_mask(self) -> SubsetMask:
-        return (1 << self.size) - 1
-
-    def check_mask(self, mask: SubsetMask) -> None:
-        if mask < 0 or mask >> self.size:
-            raise MaskWidthError(
-                f"mask {bin(mask)} does not fit a ground set of size {self.size}"
-            )
+def check_mask(mask: SubsetMask, size: int) -> None:
+    if mask < 0 or mask >> size:
+        raise MaskWidthError(f"mask {bin(mask)} does not fit a ground set of size {size}")
 
 
 def dense_numerators(num: Callable[[SubsetMask], int], n: int) -> Sequence[int]:
@@ -94,11 +79,11 @@ class SetFunctionOracle:
     assignment per orbit of these swaps.
     """
 
-    __slots__ = ("ground", "den", "label", "matroid", "twins", "_num", "_memo")
+    __slots__ = ("size", "full_mask", "den", "label", "matroid", "twins", "_num", "_memo")
 
     def __init__(
         self,
-        ground: GroundSet,
+        size: int,
         num: Callable[[SubsetMask], int],
         den: int = 1,
         label: str = "",
@@ -106,7 +91,8 @@ class SetFunctionOracle:
         require_zero_empty: bool = True,
         twins: tuple[tuple[int, ...], ...] = (),
     ):
-        if twins and sorted(e for cls in twins for e in cls) != list(range(ground.size)):
+        check_ground_size(size)
+        if twins and sorted(e for cls in twins for e in cls) != list(range(size)):
             raise ValueError("twin classes must partition the ground set")
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
@@ -115,7 +101,8 @@ class SetFunctionOracle:
             raise TypeError(f"numerators must be ints, got {type(empty).__name__}")
         if require_zero_empty and empty != 0:
             raise ValueError(f"setfunction must vanish on the empty set, got {Fraction(empty, den)}")
-        self.ground = ground
+        self.size = size
+        self.full_mask = (1 << size) - 1
         self.den = den
         self.label = label
         self.matroid = matroid
@@ -123,17 +110,9 @@ class SetFunctionOracle:
         self._num = num
         self._memo: dict[int, int] = {0: empty}
 
-    @property
-    def size(self) -> int:
-        return self.ground.size
-
-    @property
-    def full_mask(self) -> SubsetMask:
-        return self.ground.full_mask
-
     def numerator(self, mask: SubsetMask) -> int:
         """den * f(mask), memoized."""
-        self.ground.check_mask(mask)
+        check_mask(mask, self.size)
         value = self._memo.get(mask)
         if value is None:
             value = self._memo[mask] = self._num(mask)
@@ -164,7 +143,7 @@ def oracle_from_table(values: Sequence[Fraction | int], label: str = "table") ->
     fractions = [Fraction(v) for v in values]
     den = math.lcm(*(f.denominator for f in fractions))
     table = tuple(f.numerator * (den // f.denominator) for f in fractions)
-    return SetFunctionOracle(GroundSet(n), table.__getitem__, den, label=label)
+    return SetFunctionOracle(n, table.__getitem__, den, label=label)
 
 
 @dataclass(frozen=True)
@@ -234,7 +213,7 @@ def quotient_point(oracle: SetFunctionOracle, parts: Sequence[SubsetMask]) -> Qu
     k = len(parts)
     check_quotient_args(oracle, k)
     for p in parts:
-        oracle.ground.check_mask(p)
+        check_mask(p, oracle.size)
     ev = oracle.evaluate
     return QuotientPoint(k, tuple(ev(u) for u in union_table(parts)))
 

@@ -54,7 +54,6 @@ from .sequences import (
     gf_space_oracle,
 )
 from .setfn import (
-    GroundSet,
     QuotientPoint,
     SetFunctionOracle,
     check_monotone,
@@ -174,8 +173,8 @@ def _random_table_oracle(seed: int, n: int) -> SetFunctionOracle:
 
 
 def bundled_oracles() -> list[SetFunctionOracle]:
-    squares = SetFunctionOracle(GroundSet(4), lambda m: m.bit_count() ** 2, label="cardinality-squared")
-    cardinality = SetFunctionOracle(GroundSet(5), int.bit_count, label="cardinality")
+    squares = SetFunctionOracle(4, lambda m: m.bit_count() ** 2, label="cardinality-squared")
+    cardinality = SetFunctionOracle(5, int.bit_count, label="cardinality")
     return [
         GraphicMatroid(SimpleGraph.complete(3)).normalized_rank_oracle(),
         GraphicMatroid(SimpleGraph.complete(4)).normalized_rank_oracle(),

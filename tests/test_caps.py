@@ -6,7 +6,6 @@ import pytest
 
 from quotientlab import (
     GraphicMatroid,
-    GroundSet,
     LinearMatroid,
     Mode,
     QuotientPoint,
@@ -24,12 +23,12 @@ from quotientlab.errors import CapExceededError
 
 
 def _cardinality(n):
-    return SetFunctionOracle(GroundSet(n), int.bit_count)
+    return SetFunctionOracle(n, int.bit_count)
 
 
 # (constant, value to patch in or None, the cheapest call that exceeds it)
 CAP_ROWS = [
-    ("GROUND_SIZE_CAP", None, lambda: GroundSet(25)),
+    ("GROUND_SIZE_CAP", None, lambda: SetFunctionOracle(25, int.bit_count)),
     ("QUOTIENT_K_CAP", None, lambda: profile(_cardinality(2), 9, Mode.ANY)),
     ("ENUM_ITERATION_CAP", None, lambda: profile(_cardinality(20), 3, Mode.ANY)),
     ("EXHAUSTIVE_CHECK_CAP", None, lambda: check_submodular(_cardinality(13))),

@@ -286,6 +286,9 @@ TEXT_FILES = {
      3, "cap exceeded:"),
     (["cutdist", "empty0.txt", "k3.txt"], 2, "usage error:"),
     (["cutdist", "k3.txt", "empty0.txt", "--upper-bound"], 2, "usage error:"),
+    (["cutcap", "empty0.txt", "--norm", "nodes-squared"], 2, "error: nodes-squared"),
+    (["profile", "--family", "cutcap-files", "--graphs", "empty0.txt", "--n", "1",
+      "--norm", "nodes-squared"], 2, "error: nodes-squared"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -297,6 +300,17 @@ def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, m
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("family, n", [("complete-cycle", "6"), ("example51", "12"),
+                                       ("example51", "19")])
+def test_sampled_any_profile_skips_flats_beyond_their_caps(family, n, tmp_path):
+    # 21 and 22 elements exceed FLAT_GROUND_CAP; ex51[19] has more than FLAT_COUNT_CAP flats
+    out = tmp_path / "p.json"
+    assert run(["profile", "--family", family, "--n", n, "--k", "2", "--mode", "any",
+                "--strategy", "sampled", "--seed", "1", "--samples", "10",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"]["profile"]["summary"]["count"] > 0
 
 
 def test_k3_blowup_t6_profile_within_cap(tmp_path, k3_file):

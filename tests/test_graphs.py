@@ -468,8 +468,9 @@ def test_cut_capacity_submodular_and_symmetric():
 
 
 def test_cut_capacity_degenerate_normalization():
-    with pytest.raises(DegenerateNormalizationError):
-        cut_capacity_oracle(SimpleGraph.empty(3), CutNormalization.EDGES)
+    for nodes, norm in ((3, CutNormalization.EDGES), (0, CutNormalization.NODES_SQUARED)):
+        with pytest.raises(DegenerateNormalizationError):
+            cut_capacity_oracle(SimpleGraph.empty(nodes), norm)
     oracle = cut_capacity_oracle(SimpleGraph.empty(3), CutNormalization.NODES_SQUARED)
     assert oracle.evaluate(0b101) == 0
 

@@ -30,7 +30,7 @@ from quotientlab import (
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
 from quotientlab.profiles import Exact, _exact_parts, _flat_parts, _sampled_parts
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
-from quotientlab.setfn import GroundSet, SetFunctionOracle, oracle_from_table, union_table
+from quotientlab.setfn import SetFunctionOracle, oracle_from_table, union_table
 
 
 def coords_set(pset):
@@ -359,7 +359,7 @@ def test_blowup_classes_are_twin_classes():
 
 def test_twins_must_partition_the_ground():
     with pytest.raises(ValueError):
-        SetFunctionOracle(GroundSet(3), lambda m: 0, twins=((0, 1),))
+        SetFunctionOracle(3, lambda m: 0, twins=((0, 1),))
 
 
 def _forbid_dense_tables(monkeypatch):

@@ -57,15 +57,15 @@ def test_complete_cycle_oracle():
     assert oracle.evaluate(oracle.full_mask) == 1
     oracle4 = complete_cycle_oracle(4)
     assert oracle4.evaluate(oracle4.full_mask) == 1
-    assert oracle4.ground.size == 10
+    assert oracle4.size == 10
 
 
 def test_gf_space_oracle():
     oracle = gf_space_oracle(2, 3)
-    assert oracle.ground.size == 8
+    assert oracle.size == 8
     assert oracle.evaluate(oracle.full_mask) == 1
     oracle3 = gf_space_oracle(3, 2)
-    assert oracle3.ground.size == 9
+    assert oracle3.size == 9
     assert oracle3.evaluate(oracle3.full_mask) == 1
 
 
@@ -73,7 +73,7 @@ def test_cutcap_blowup_oracle():
     from quotientlab import SimpleGraph
 
     oracle = cutcap_blowup_oracle(SimpleGraph.complete(2), 2)
-    assert oracle.ground.size == 4
+    assert oracle.size == 4
     # nodes {0,1} are the twins of one endpoint: every edge crosses
     assert oracle.evaluate(0b0011) == Fraction(1)
 
@@ -133,3 +133,13 @@ def test_ground_cap_admits_members_at_the_cap():
 def test_gf_space_rejects_nonpositive_index():
     with pytest.raises(ValueError, match="family index must be positive"):
         gf_space_oracle(2, 0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: example51_oracle(0), "family index must be positive"),
+    (lambda: example51_oracle(-5), "family index must be positive"),
+    (lambda: cutcap_blowup_oracle(SimpleGraph.complete(3), -1), "blow-up factor must be positive"),
+], ids=["example51-0", "example51-negative", "cutcap-blowup-negative"])
+def test_nonpositive_index_is_named_before_the_ground_check(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

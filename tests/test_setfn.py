@@ -8,12 +8,14 @@ import pytest
 
 from quotientlab import (
     CutNormalization,
-    GroundSet,
+    DirectSumMatroid,
     GraphicMatroid,
     LinearMatroid,
     MaskWidthError,
+    Matroid,
     Mode,
     QuotientPoint,
+    Restriction,
     SetFunctionOracle,
     SimpleGraph,
     GroundTooLargeError,
@@ -25,6 +27,7 @@ from quotientlab import (
     cut_capacity_oracle,
     profile,
     quotient_point,
+    shifted_tau_oracle,
 )
 from quotientlab.sequences import gf_space_oracle
 from quotientlab.setfn import oracle_from_table, union_table
@@ -81,9 +84,9 @@ def test_evaluate_mask_width():
 
 def test_nonzero_empty_rejected_unless_waived():
     with pytest.raises(ValueError):
-        SetFunctionOracle(GroundSet(1), lambda m: 1)
+        SetFunctionOracle(1, lambda m: 1)
     shifted = SetFunctionOracle(
-        GroundSet(1), lambda m: 1 + m.bit_count(), require_zero_empty=False
+        1, lambda m: 1 + m.bit_count(), require_zero_empty=False
     )
     assert shifted.evaluate(0) == 1
     with pytest.raises(ValueError):
@@ -157,7 +160,7 @@ def test_submodular_cut_capacity_square():
 
 
 def test_supermodular_squares_detected():
-    squares = SetFunctionOracle(GroundSet(3), lambda m: m.bit_count() ** 2)
+    squares = SetFunctionOracle(3, lambda m: m.bit_count() ** 2)
     violations = check_submodular(squares)
     assert violations
     x, y = violations[0].x, violations[0].y
@@ -180,12 +183,12 @@ def test_exchange_check_agrees_with_naive_pair_scan():
 def test_monotone_checks():
     rank = GraphicMatroid(SimpleGraph.complete(3)).rank_oracle()
     assert check_monotone(rank) == []
-    decreasing = SetFunctionOracle(GroundSet(3), lambda m: -m.bit_count())
+    decreasing = SetFunctionOracle(3, lambda m: -m.bit_count())
     assert check_monotone(decreasing)
 
 
 def test_sampled_checks_find_gross_violations():
-    squares = SetFunctionOracle(GroundSet(8), lambda m: m.bit_count() ** 2)
+    squares = SetFunctionOracle(8, lambda m: m.bit_count() ** 2)
     assert check_submodular_sampled(squares, seed=3, samples=300)
     rank = GraphicMatroid(SimpleGraph.complete(4)).rank_oracle()
     assert check_submodular_sampled(rank, seed=3, samples=300) == []
@@ -292,7 +295,7 @@ def test_quotient_coords_monotone_for_monotone_oracles():
 
     oracles = [
         GraphicMatroid(SimpleGraph.complete(4)).rank_oracle(),
-        SetFunctionOracle(GroundSet(5), int.bit_count),
+        SetFunctionOracle(5, int.bit_count),
     ]
     rng = random.Random(13)
     for oracle in oracles:
@@ -352,21 +355,21 @@ def test_quotient_points_of_submodular_functions_are_submodular():
 
 def test_numerators_are_ints_over_one_denominator():
     with pytest.raises(TypeError):
-        SetFunctionOracle(GroundSet(1), lambda m: Fraction(0))
+        SetFunctionOracle(1, lambda m: Fraction(0))
     with pytest.raises(ValueError):
-        SetFunctionOracle(GroundSet(1), lambda m: 0, 0)
-    halves = SetFunctionOracle(GroundSet(2), lambda m: m.bit_count(), 2)
+        SetFunctionOracle(1, lambda m: 0, 0)
+    halves = SetFunctionOracle(2, lambda m: m.bit_count(), 2)
     assert [halves.evaluate(m) for m in range(4)] == [0, Fraction(1, 2), Fraction(1, 2), 1]
     with pytest.raises(MaskWidthError):
         halves.numerator(0b100)
     # the scans compare numerators; each recorded slack is the Fraction margin
-    squares = SetFunctionOracle(GroundSet(3), lambda m: m.bit_count() ** 2, 3)
+    squares = SetFunctionOracle(3, lambda m: m.bit_count() ** 2, 3)
     ev = squares.evaluate
     violations = check_submodular(squares)
     assert violations
     for v in violations:
         assert v.slack == ev(v.x) + ev(v.y) - ev(v.x & v.y) - ev(v.x | v.y) < 0
-    decreasing = check_monotone(SetFunctionOracle(GroundSet(2), lambda m: -m.bit_count(), 4))
+    decreasing = check_monotone(SetFunctionOracle(2, lambda m: -m.bit_count(), 4))
     assert [v.slack for v in decreasing] == [Fraction(-1, 4)] * 4
 
 
@@ -394,3 +397,60 @@ def test_numerators_beyond_64_bits_fill_a_list():
     assert [Fraction(x, oracle.den) for x in table] == values
     pset = profile(oracle, 2, Mode.ANY)
     assert len(pset) == len({quotient_point(oracle, [a, b]).coords for a in range(4) for b in range(4)})
+
+
+def _loops(n):
+    return LinearMatroid(2, [(0,)] * n)
+
+
+def _mask_too_wide(n):
+    return MaskWidthError, f"mask {bin(1 << n)} does not fit a ground set of size {n}"
+
+
+TOO_LARGE = GroundTooLargeError, "ground set needs 25, cap GROUND_SIZE_CAP=24"
+NEGATIVE = ValueError, "ground set size must be nonnegative"
+
+# (constructor, input, the call, expected error type and message); sizes enter
+# only through SetFunctionOracle and Matroid, so each reports as they do
+SIZE_AND_MASK_ROWS = [
+    ("SetFunctionOracle", "size 25", lambda: SetFunctionOracle(25, int.bit_count), TOO_LARGE),
+    ("SetFunctionOracle", "size -1", lambda: SetFunctionOracle(-1, int.bit_count), NEGATIVE),
+    ("SetFunctionOracle", "wide mask", lambda: SetFunctionOracle(3, int.bit_count).numerator(8),
+     _mask_too_wide(3)),
+    ("Matroid", "size 25", lambda: Matroid(25), TOO_LARGE),
+    ("Matroid", "size -1", lambda: Matroid(-1), NEGATIVE),
+    ("Matroid", "wide rank mask", lambda: Matroid(3).rank(8), _mask_too_wide(3)),
+    ("Matroid", "wide closure mask", lambda: Matroid(3).closure(8), _mask_too_wide(3)),
+    ("GraphicMatroid", "size 25",
+     lambda: GraphicMatroid(SimpleGraph.make(26, [(0, v) for v in range(1, 26)])), TOO_LARGE),
+    ("GraphicMatroid", "wide mask", lambda: GraphicMatroid(SimpleGraph.complete(3)).rank(8),
+     _mask_too_wide(3)),
+    ("LinearMatroid", "size 25", lambda: _loops(25), TOO_LARGE),
+    ("LinearMatroid", "wide mask", lambda: LinearMatroid.full_space(2, 2).rank(16),
+     _mask_too_wide(4)),
+    ("DirectSumMatroid", "size 25", lambda: DirectSumMatroid([_loops(12), _loops(13)]), TOO_LARGE),
+    ("DirectSumMatroid", "wide mask", lambda: DirectSumMatroid([_loops(1), _loops(2)]).rank(8),
+     _mask_too_wide(3)),
+    ("Restriction", "wide support", lambda: Restriction(_loops(3), 8), _mask_too_wide(3)),
+    ("Restriction", "wide query mask", lambda: Restriction(_loops(3), 0b11).rank(8),
+     _mask_too_wide(3)),
+    ("oracle_from_table", "wide mask", lambda: oracle_from_table([0, 1, 1, 2]).numerator(4),
+     _mask_too_wide(2)),
+    ("cut_capacity_oracle", "size 25", lambda: cut_capacity_oracle(SimpleGraph.path(25)), TOO_LARGE),
+    ("cut_capacity_oracle", "wide mask",
+     lambda: cut_capacity_oracle(SimpleGraph.complete(3)).numerator(8), _mask_too_wide(3)),
+    ("shifted_tau_oracle", "size 25, before the 16-node hom cap",
+     lambda: shifted_tau_oracle(SimpleGraph.complete(2), SimpleGraph.make(
+         16, [(0, v) for v in range(1, 16)] + [(v, v + 1) for v in range(1, 11)])), TOO_LARGE),
+    ("quotient_point", "wide mask",
+     lambda: quotient_point(SetFunctionOracle(3, int.bit_count), [1, 8]), _mask_too_wide(3)),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[2:] for row in SIZE_AND_MASK_ROWS],
+                         ids=[f"{row[0]}-{row[1]}" for row in SIZE_AND_MASK_ROWS])
+def test_size_and_mask_errors_keep_type_and_message(call, expected):
+    error, message = expected
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
