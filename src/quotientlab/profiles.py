@@ -7,13 +7,13 @@ Four tuple disciplines:
 * COVERING:  every element in at least one part;
 * ANY:       arbitrary k-tuples of subsets, overlaps allowed.
 
-Three enumeration strategies, each a generator of k-tuples of part masks:
+Three enumeration strategies:
 
-* Exact       -- iterate one assignment per orbit of the oracle's twin
-                 swaps (choices per element depend on the mode): a
-                 twin class ranges over multisets of choices, so an
-                 oracle without twins gets all labeled assignments;
-                 the orbit count is capped by ENUM_ITERATION_CAP;
+* Exact       -- one assignment per orbit of the oracle's twin swaps
+                 (choices per element depend on the mode): a twin class
+                 ranges over multisets of choices, so an oracle without
+                 twins gets all labeled assignments; the orbit count is
+                 capped by ENUM_ITERATION_CAP;
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
                  the sample count is capped by ENUM_ITERATION_CAP;
@@ -24,14 +24,21 @@ Three enumeration strategies, each a generator of k-tuples of part masks:
                  admit disjoint spanning sets, decided by matroid union).
                  Invalid for PARTITION, where no flat reduction is sound.
 
-`profile()` is the one place that evaluates the oracle on the unions of
-each tuple's parts and deduplicates the resulting points, by exact
-coordinate equality; no tolerances.  It works on the oracle's int
-numerators, which share one denominator, and builds Fractions only for
-the distinct points.  Exact enumeration reads a dense table of all 2^n
-numerators when it looks up at least as many unions as there are masks
-(orbits * 2^k >= 2^n); otherwise, and for the other strategies, it reads
-the oracle's lazy memo.
+Each assignment is handled as a packed union table: one int whose bit
+I*n + e is set when element e lies in U_I, the union of the parts named
+by the index set I.  An element's choice contributes a fixed spread of
+bits, so a table is a sum of per-element (or per-twin-class) options.
+
+`profile()` is the one place that evaluates the oracle on the unions
+U_I and deduplicates the resulting points, by exact coordinate equality;
+no tolerances.  It works on the oracle's int numerators, which share one
+denominator, and builds Fractions only for the distinct points.  Exact
+enumeration is a blocked scan: the twin classes split into an outer and
+an inner block of about sqrt(orbits) tables each, and every outer table
+looks up a whole inner column per index set in one C-level pass.  It
+reads a dense table of all 2^n numerators when it looks up at least as
+many unions as there are masks (orbits * 2^k >= 2^n); otherwise, and for
+the other strategies, it reads the oracle's lazy memo.
 """
 
 from __future__ import annotations
@@ -124,51 +131,85 @@ class ProfileSet:
         return sorted(self.points, key=lambda p: p.coords)
 
 
-def _members(k: int, mode: Mode) -> list[tuple[int, ...]]:
-    return [tuple(i for i in range(k) if pm >> i & 1) for pm in mode.element_choices(k)]
+def _spread(k: int, mode: Mode, n: int) -> list[int]:
+    """Per choice, the packed union table of element 0 taking it.
 
-
-def _class_options(cls: Sequence[int], members: Sequence[tuple[int, ...]], n: int) -> list[int]:
-    """One packed int per multiset of choices for a twin class.
-
-    Bit i*n + e of an option is set when element e lies in part i; the
-    class's members take the multiset's choices in order.
+    Bit I*n of a choice's entry is set when the choice meets the index
+    set I, i.e. when element 0 lies in the union of the parts I names;
+    shifted left by e, it places element e instead.
     """
-    options = []
-    for combo in itertools.combinations_with_replacement(range(len(members)), len(cls)):
-        packed = 0
-        for e, c in zip(cls, combo):
-            for i in members[c]:
-                packed |= 1 << (i * n + e)
-        options.append(packed)
-    return options
+    return [
+        sum(1 << i * n for i in range(1, 1 << k) if i & pm)
+        for pm in mode.element_choices(k)
+    ]
 
 
-def _exact_parts(
-    oracle: SetFunctionOracle, k: int, mode: Mode
-) -> tuple[int, Iterator[list[SubsetMask]]]:
-    """The orbit count and one assignment per orbit of the oracle's twin swaps.
+def _union_options(cls: Sequence[int], spread: Sequence[int]) -> Iterator[int]:
+    """One packed union table per multiset of choices for a twin class, lazily.
+
+    The class's members take the multiset's choices in order; members of
+    different classes never share a bit, so tables of disjoint classes add.
+    """
+    return (
+        sum(c << e for e, c in zip(cls, combo))
+        for combo in itertools.combinations_with_replacement(spread, len(cls))
+    )
+
+
+def _tables(classes: Sequence[Sequence[int]], spread: Sequence[int]) -> list[int]:
+    """The packed union tables of every choice of one option per class."""
+    tables = [0]
+    for cls in classes:
+        tables = [t + c for c in _union_options(cls, spread) for t in tables]
+    return tables
+
+
+def _exact_numerators(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tuple[int, ...]]:
+    """The distinct numerator tuples (U_I for I >= 1) over one assignment per twin orbit.
 
     Within a twin class only how many members take each choice matters,
     so each class ranges over multisets of choices; without declared twins
     every class is a single element and this is the plain |choices|^n scan.
-    The count is checked against the cap before anything is enumerated.
+    The orbit count is checked against the cap before anything is
+    evaluated.  The classes split into an outer prefix, kept as a list of
+    at most isqrt(orbits) + 2 packed tables, and the shortest suffix whose
+    product reaches isqrt(orbits).  The suffix's first class may alone be
+    far larger, so its options stream past a list of the rest's tables,
+    and the suffix is read in blocks of isqrt(orbits) tables.  Each
+    block's union masks are unpacked once per index set; each outer table
+    then ORs its own mask onto a whole column and looks the column up in
+    one C-level pass.
     """
     n = oracle.size
-    members = _members(k, mode)
+    spread = _spread(k, mode, n)
     classes = oracle.twins or tuple((e,) for e in range(n))
-    total = 1
-    for cls in classes:
-        total *= math.comb(len(cls) + len(members) - 1, len(members) - 1)
-    if total > config.ENUM_ITERATION_CAP:
+    counts = [math.comb(len(cls) + len(spread) - 1, len(cls)) for cls in classes]
+    orbits = math.prod(counts)
+    if orbits > config.ENUM_ITERATION_CAP:
         raise EnumCapError(
-            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total,
+            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, orbits,
             f"exact profile (n={n}, k={k}, mode={mode.value})",
         )
+    value = oracle.numerator
+    if orbits << k >= 1 << n:
+        value = oracle.numerator_table().__getitem__
+    block = math.isqrt(orbits)
+    split, size = len(classes), 1
+    while size < block:
+        split -= 1
+        size *= counts[split]
+    outer = _tables(classes[:split], spread)
+    rest = _tables(classes[split + 1:], spread)
+    pivot = _union_options(classes[split], spread) if split < len(classes) else (0,)
+    inner = (c + t for c in pivot for t in rest)
     full = oracle.full_mask
-    shifts = [i * n for i in range(k)]
-    combos = itertools.product(*[_class_options(cls, members, n) for cls in classes])
-    return total, ([packed >> s & full for s in shifts] for packed in map(sum, combos))
+    shifts = [i * n for i in range(1, 1 << k)]
+    nums: set[tuple[int, ...]] = set()
+    while chunk := list(itertools.islice(inner, block)):
+        cols = [(s, [t >> s & full for t in chunk]) for s in shifts]
+        for u in outer:
+            nums.update(zip(*[map(value, map((u >> s & full).__or__, col)) for s, col in cols]))
+    return nums
 
 
 def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple[SubsetMask, ...]]:
@@ -205,42 +246,48 @@ def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple
         yield tup
 
 
-def _sampled_parts(
+def _pack(parts: Sequence[SubsetMask], n: int) -> int:
+    """The packed union table of explicit parts: bit I*n + e set when e lies in U_I."""
+    return sum(u << i * n for i, u in enumerate(union_table(parts)))
+
+
+def _sampled_tables(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
-) -> Iterator[list[SubsetMask]]:
+) -> Iterator[int]:
     if samples > config.ENUM_ITERATION_CAP:
         raise EnumCapError("ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, samples, "sampled profile")
     n = oracle.size
     rng = Random(seed)
-    members = _members(k, mode)
     full = oracle.full_mask
     # structured portfolio: whole ground in one part, then balanced round-robins;
     # both are partitions, hence legal in every mode
     for i in range(k):
         parts = [0] * k
         parts[i] = full
-        yield parts
+        yield _pack(parts, n)
     for _ in range(3):
         order = list(range(n))
         rng.shuffle(order)
         parts = [0] * k
         for pos, e in enumerate(order):
             parts[pos % k] |= 1 << e
-        yield parts
-    if oracle.matroid is not None and mode is Mode.ANY:
+        yield _pack(parts, n)
+    matroid = oracle.matroid
+    # the closures of a basis's 2^rank subsets are distinct flats, so above
+    # the cap flats() could only fail, after enumerating the cap's worth
+    if matroid is not None and mode is Mode.ANY and 1 << matroid.full_rank() <= config.FLAT_COUNT_CAP:
         try:
-            flats = oracle.matroid.flats()
+            flats = matroid.flats()
         except (GroundTooLargeError, FlatExplosionError):
             pass  # no flat portfolio when the flats do not enumerate within their caps
         else:
             for _ in range(min(samples, 32)):
-                yield [rng.choice(flats) for _ in range(k)]
-    # each sample is packed like an exact assignment: one option per element, in element order
-    options = [_class_options((e,), members, n) for e in range(n)]
-    shifts = [i * n for i in range(k)]
+                yield _pack([rng.choice(flats) for _ in range(k)], n)
+    # each sample draws one choice per element, in element order, as an exact assignment would
+    spread = _spread(k, mode, n)
+    options = [[c << e for c in spread] for e in range(n)]
     for _ in range(samples):
-        packed = sum(opts[rng.randrange(len(members))] for opts in options)
-        yield [packed >> s & full for s in shifts]
+        yield sum(opts[rng.randrange(len(spread))] for opts in options)
 
 
 def profile(
@@ -251,20 +298,23 @@ def profile(
 ) -> ProfileSet:
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
     check_quotient_args(oracle, k)
-    value = oracle.numerator
     if isinstance(strategy, Exact):
-        orbits, tuples = _exact_parts(oracle, k, mode)
-        if orbits << k >= 1 << oracle.size:
-            value = oracle.numerator_table().__getitem__
-    elif isinstance(strategy, FlatsOnly):
-        tuples = _flat_parts(oracle, k, mode)
-    elif isinstance(strategy, Sampled):
-        tuples = _sampled_parts(oracle, k, mode, strategy.seed, strategy.samples)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown strategy {strategy!r}")
-    nums = {tuple(map(value, union_table(parts))) for parts in tuples}
+        nums = _exact_numerators(oracle, k, mode)
+    else:
+        n = oracle.size
+        if isinstance(strategy, FlatsOnly):
+            tables = (_pack(parts, n) for parts in _flat_parts(oracle, k, mode))
+        elif isinstance(strategy, Sampled):
+            tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
+        else:  # pragma: no cover
+            raise TypeError(f"unknown strategy {strategy!r}")
+        value, full = oracle.numerator, oracle.full_mask
+        shifts = [i * n for i in range(1, 1 << k)]
+        nums = {tuple(map(value, map(full.__and__, map(t.__rshift__, shifts)))) for t in tables}
+    # U_0 is empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up
     den = oracle.den
-    points = frozenset(QuotientPoint(k, tuple(Fraction(x, den) for x in c)) for c in nums)
+    zero = Fraction(0)
+    points = frozenset(QuotientPoint(k, (zero, *(Fraction(x, den) for x in c))) for c in nums)
     return ProfileSet(k, mode, strategy.describe(), oracle.label, points)
 
 

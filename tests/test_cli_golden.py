@@ -94,6 +94,15 @@ CASES = {
         "cutdist", "k2.txt", "p3.txt", "--upper-bound", "--t-max", "2", "--trials", "1",
         "--seed", "1",
     ],
+    # twin classes at k = 3 partitions, the enum-blowup shape
+    "profile_cutcap_blowup_k3_2_k3_partition.json": [
+        "profile", "--family", "cutcap-blowup", "--graph", "k3.txt", "--n", "2", "--k", "3",
+        "--mode", "partition",
+    ],
+    # k = 4: 15 unions per point
+    "profile_example51_3_k4_partition.json": [
+        "profile", "--family", "example51", "--n", "3", "--k", "4", "--mode", "partition",
+    ],
 }
 
 # sha256 of the `verify all` report (14,526 bytes); a digest keeps the repo small

@@ -27,8 +27,9 @@ from quotientlab import (
     quotient_point,
     verify_inclusions,
 )
+from quotientlab import config
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
-from quotientlab.profiles import Exact, _exact_parts, _flat_parts, _sampled_parts
+from quotientlab.profiles import Exact, _flat_parts, _sampled_tables
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 from quotientlab.setfn import SetFunctionOracle, oracle_from_table, union_table
 
@@ -429,19 +430,60 @@ def test_sampled_and_flats_never_build_a_dense_table(monkeypatch):
             assert len(profile(oracle, 2, mode, Sampled(1, 200)))
 
 
+# The labeled enumeration profile() ran before the blocked scan: one list
+# of k part masks per orbit of the twin swaps, unpacked from a sum of
+# per-class options whose bit i*n + e means "element e lies in part i".
+
+
+def _members(k, mode):
+    return [tuple(i for i in range(k) if pm >> i & 1) for pm in mode.element_choices(k)]
+
+
+def _class_options(cls, members, n):
+    options = []
+    for combo in itertools.combinations_with_replacement(range(len(members)), len(cls)):
+        packed = 0
+        for e, c in zip(cls, combo):
+            for i in members[c]:
+                packed |= 1 << (i * n + e)
+        options.append(packed)
+    return options
+
+
+def plain_exact_parts(oracle, k, mode):
+    n = oracle.size
+    members = _members(k, mode)
+    classes = oracle.twins or tuple((e,) for e in range(n))
+    total = 1
+    for cls in classes:
+        total *= math.comb(len(cls) + len(members) - 1, len(members) - 1)
+    if total > config.ENUM_ITERATION_CAP:
+        raise EnumCapError(
+            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total,
+            f"exact profile (n={n}, k={k}, mode={mode.value})",
+        )
+    full = oracle.full_mask
+    shifts = [i * n for i in range(k)]
+    combos = itertools.product(*[_class_options(cls, members, n) for cls in classes])
+    return total, ([packed >> s & full for s in shifts] for packed in map(sum, combos))
+
+
 # The Fraction dedup profile() ran before values moved to int numerators:
 # every union of every tuple evaluated as a Fraction through the public
-# oracle, and the coordinate tuples deduplicated as Fractions.
+# oracle, and the coordinate tuples deduplicated as Fractions.  Sampled
+# draws arrive as packed union tables (bit I*n + e: element e lies in U_I).
 
 
 def fraction_reference(oracle, k, mode, strategy=EXACT):
+    ev = oracle.evaluate
+    if isinstance(strategy, Sampled):
+        n, full = oracle.size, oracle.full_mask
+        tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
+        return {tuple(ev(t >> i * n & full) for i in range(1 << k)) for t in tables}
     if isinstance(strategy, Exact):
-        _, tuples = _exact_parts(oracle, k, mode)
-    elif isinstance(strategy, Sampled):
-        tuples = _sampled_parts(oracle, k, mode, strategy.seed, strategy.samples)
+        _, tuples = plain_exact_parts(oracle, k, mode)
     else:
         tuples = _flat_parts(oracle, k, mode)
-    ev = oracle.evaluate
     return {tuple(ev(u) for u in union_table(parts)) for parts in tuples}
 
 
@@ -496,3 +538,134 @@ def test_sampled_and_flats_match_fraction_reference(mode):
         assert coords_set(profile(oracle, 2, mode, FLATS)) == fraction_reference(
             oracle, 2, mode, FLATS
         )
+
+
+# Differential tests of the blocked scan against plain_exact_parts.  Each
+# case records whether profile() read a dense table, so both lookup paths
+# are seen with and without twins.
+
+
+def _popcount(mask):
+    return bin(mask).count("1")
+
+
+def _one_class_oracle(n):
+    """Rank of the uniform matroid U(2, n): every element is a twin of every other."""
+    return SetFunctionOracle(n, lambda m: min(_popcount(m), 2), label="U(2,n)", twins=(tuple(range(n)),))
+
+
+def _big_class_plus_one_oracle():
+    """Element 0 alone, elements 1..6 one twin class; not submodular, which profiles ignore."""
+    rest = 0b1111110
+
+    def num(m):
+        inside = _popcount(m & rest)
+        return inside * 3 % 5 + (m & 1) * inside
+
+    return SetFunctionOracle(7, num, label="big-class", twins=((0,), tuple(range(1, 7))))
+
+
+DIFFERENTIAL_ORACLES = {
+    "K2(4)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(2), 4)),
+    "K3(2)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 2)),
+    "true-twins": lambda: cut_capacity_oracle(TRUE_TWINS),
+    "ex51(4)": lambda: example51_oracle(4),
+    "gf(2)^2": lambda: gf_space_oracle(2, 2),
+    "table": _random_table_oracle,
+}
+
+
+def _orbits(oracle, k, mode):
+    c = len(mode.element_choices(k))
+    classes = oracle.twins or tuple((e,) for e in range(oracle.size))
+    return math.prod(math.comb(len(cls) + c - 1, len(cls)) for cls in classes)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_ORACLES))
+def test_blocked_scan_matches_plain_enumeration(name, monkeypatch):
+    built = _count_dense_tables(monkeypatch)
+    oracle = DIFFERENTIAL_ORACLES[name]()
+    paths = set()
+    for k in (1, 2, 3):
+        for mode in Mode:
+            if _orbits(oracle, k, mode) > 5000:
+                continue
+            before = len(built)
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == fraction_reference(oracle, k, mode), (name, k, mode)
+            dense = len(built) > before
+            assert dense == (_orbits(oracle, k, mode) << k >= 1 << oracle.size), (name, k, mode)
+            paths.add(dense)
+    # k = 1 partitions have one orbit, which reads the lazy memo on any ground of 2+ elements
+    assert paths == {True, False}, name
+
+
+def test_blocked_scan_on_the_empty_ground():
+    oracle = SetFunctionOracle(0, lambda m: 0, label="empty")
+    for k in range(1, config.QUOTIENT_K_CAP + 1):
+        for mode in Mode:
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == {(Fraction(0),) * (1 << k)} == fraction_reference(oracle, k, mode)
+
+
+def test_blocked_scan_up_to_the_k_cap_on_one_element():
+    oracle = oracle_from_table([0, Fraction(2, 3)])
+    for k in range(1, config.QUOTIENT_K_CAP + 1):
+        for mode in Mode:
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == fraction_reference(oracle, k, mode), (k, mode)
+            assert len(got) == {Mode.PARTITION: k, Mode.DISJOINT: k + 1}.get(
+                mode, (1 << k) - (mode is Mode.COVERING)
+            )
+
+
+def test_blocked_scan_on_one_oversized_twin_class():
+    oracle = _one_class_oracle(10)
+    # 19,448 multisets in the one class, far more than isqrt(19,448) = 139
+    assert _orbits(oracle, 3, Mode.ANY) == 19_448
+    for k, mode in ((3, Mode.ANY), (3, Mode.COVERING), (2, Mode.DISJOINT)):
+        got = coords_set(profile(oracle, k, mode, EXACT))
+        assert got == fraction_reference(oracle, k, mode), (k, mode)
+
+
+def test_blocked_scan_with_an_outer_class_and_an_oversized_inner_one():
+    oracle = _big_class_plus_one_oracle()
+    # k = 3 ANY: 8 outer tables, then 1,716 inner ones read in blocks of isqrt(13,728) = 117
+    assert _orbits(oracle, 3, Mode.ANY) == 8 * 1716
+    for k in (1, 2, 3):
+        for mode in Mode:
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == fraction_reference(oracle, k, mode), (k, mode)
+
+
+def test_sampled_any_skips_a_flat_portfolio_above_the_flat_cap(monkeypatch):
+    from quotientlab import FlatExplosionError
+    from quotientlab.matroid import Matroid
+
+    real_flats = Matroid.flats
+    calls = []
+
+    def exploding_flats(matroid):
+        calls.append(matroid.size)
+        raise FlatExplosionError("FLAT_COUNT_CAP", config.FLAT_COUNT_CAP, config.FLAT_COUNT_CAP + 1, "flats")
+
+    def counted_flats(matroid):
+        calls.append(matroid.size)
+        return real_flats(matroid)
+
+    # rank 18: the closures of a basis's subsets are 2^18 distinct flats
+    oracle = example51_oracle(19)
+    assert 1 << oracle.matroid.full_rank() > config.FLAT_COUNT_CAP
+    strategy = Sampled(1, 10)
+    monkeypatch.setattr(Matroid, "flats", exploding_flats)
+    # a cap of 2^18 lets the portfolio call flats(), which fails as the real one does
+    with monkeypatch.context() as patched:
+        patched.setattr(config, "FLAT_COUNT_CAP", 1 << 18)
+        tried = profile(oracle, 2, Mode.ANY, strategy).points
+    assert calls == [18]
+    assert profile(example51_oracle(19), 2, Mode.ANY, strategy).points == tried
+    assert calls == [18]
+    # rank 4: 16 flats, so the portfolio still draws from them
+    monkeypatch.setattr(Matroid, "flats", counted_flats)
+    profile(example51_oracle(5), 2, Mode.ANY, strategy)
+    assert calls == [18, 4]
