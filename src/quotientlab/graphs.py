@@ -114,9 +114,12 @@ def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[in
 
     Returns the root lookup of the resulting forest (two nodes share a
     root iff they are connected) and the number of merges, which is the
-    rank of edge_mask in the cycle matroid.
+    rank of edge_mask in the cycle matroid.  The scan stops after
+    node_count - 1 merges: the forest spans the graph by then, so the
+    remaining edges could only close cycles.
     """
     parent = list(range(g.node_count))
+    spanning = g.node_count - 1
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -139,6 +142,8 @@ def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[in
         if u != v:
             parent[u] = v
             merges += 1
+            if merges == spanning:
+                break
     return find, merges
 
 

@@ -10,7 +10,9 @@ cl(X) = X + {e : r(X + e) = r(X)}; only the cycle matroid overrides it,
 with one union-find pass in place of one rank call per edge.  On top of
 rank and closure the module provides flat enumeration (breadth-first
 closure extension), the flat-pair richness condition, matroid union via
-augmenting paths with a min-formula certificate, and the two lattice
+augmenting paths with a min-formula certificate (searched only from
+elements that are not loops in every matroid, and stopped once the
+union reaches min(their count, sum_i r_i(E))), and the two lattice
 embeddings between full linear spaces GF(q)^m -> GF(q)^n (zero padding,
 which preserves ranks, and block repetition, which preserves normalized
 ranks when m divides n).
@@ -334,8 +336,11 @@ def check_richness(matroid: Matroid, k: int, m: int) -> RichnessReport:
 class MatroidUnionResult:
     """Largest set partitionable into per-matroid independent parts.
 
-    `certificate` is a set Y attaining rank == |Y| + sum_i r_i(E \\ Y),
-    read off the final failed search (unreachable elements).
+    `certificate` is a set Y attaining rank == |Y| + sum_i r_i(E \\ Y).
+    With live = the elements that are not loops in every matroid, Y is
+    the live elements the final, failed search did not reach or, when
+    the rank meets its bound min(|live|, sum_i r_i(E)), live itself
+    (if |live| is the bound) or the empty set.
     """
 
     rank: int
@@ -345,18 +350,28 @@ class MatroidUnionResult:
 
 
 def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
-    """Matroid union by breadth-first augmenting paths over element swaps."""
+    """Matroid union by breadth-first augmenting paths over element swaps.
+
+    Only live elements, those independent in at least one matroid, can
+    join a part, so the searches start from uncovered live elements only.
+    The union's rank is at most min(|live|, sum_i r_i(E)), and the
+    augmentation stops as soon as the covered count reaches that bound:
+    Y = live (when |live| is the smaller) or Y = 0 then attains it.  A
+    search that finds no augmenting path leaves Y = the live elements it
+    did not reach.
+    """
     if not matroids:
         raise ValueError("need at least one matroid")
     n = matroids[0].size
     if any(m.size != n for m in matroids):
         raise ValueError("matroids must share a common ground set")
+    live = sum(1 << e for e in range(n) if any(m.rank(1 << e) for m in matroids))
+    bound = min(live.bit_count(), sum(m.full_rank() for m in matroids))
     part_masks = [0] * len(matroids)
-    while True:
-        covered = sum(part_masks)  # the parts are disjoint
-        sources = list(iter_elements(matroids[0].full_mask & ~covered))
-        if not sources:
-            break
+    covered = 0
+    cert = live if bound == live.bit_count() else 0
+    while covered.bit_count() < bound:
+        sources = list(iter_elements(live & ~covered))
         parent: dict[int, tuple[int, int] | None] = {e: None for e in sources}
         queue = deque(sources)
         augmented = False
@@ -384,12 +399,12 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
                         parent[x] = (y, i)
                         queue.append(x)
         if not augmented:
-            cert = matroids[0].full_mask & ~sum(1 << e for e in parent)
-            value = cert.bit_count() + sum(m.rank(m.full_mask & ~cert) for m in matroids)
-            return MatroidUnionResult(covered.bit_count(), tuple(part_masks), cert, value)
-    # every element covered: Y = E is a valid optimal certificate
-    cert = matroids[0].full_mask
-    return MatroidUnionResult(cert.bit_count(), tuple(part_masks), cert, cert.bit_count())
+            cert = live & ~sum(1 << e for e in parent)
+            break
+        covered = sum(part_masks)  # the parts are disjoint
+    full = matroids[0].full_mask
+    value = cert.bit_count() + sum(m.rank(full & ~cert) for m in matroids)
+    return MatroidUnionResult(covered.bit_count(), tuple(part_masks), cert, value)
 
 
 def matroid_union_rank_brute(matroids: Sequence[Matroid]) -> tuple[int, SubsetMask]:
@@ -417,8 +432,10 @@ class DisjointBasesResult:
 def disjoint_bases(matroid: Matroid, flats: Sequence[SubsetMask]) -> DisjointBasesResult:
     """Disjoint sets B_i inside the given flats, each spanning its flat.
 
-    Runs matroid union on the restrictions to the flats.  On failure the
-    certificate Y satisfies |Y| + sum_i r(A_i \\ Y) < sum_i r(A_i).
+    Runs matroid union on the restrictions to the flats.  Their full
+    ranks sum to the target sum_i r(A_i), so a feasible union stops at
+    its last augmentation.  On failure the certificate Y satisfies
+    |Y| + sum_i r(A_i \\ Y) < sum_i r(A_i).
     """
     for a in flats:
         if not matroid.is_flat(a):

@@ -16,7 +16,10 @@ Three enumeration strategies:
                  capped by ENUM_ITERATION_CAP;
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
-                 the sample count is capped by ENUM_ITERATION_CAP;
+                 the sample count is capped by ENUM_ITERATION_CAP; the
+                 choices come from one lazy C-level stream of accepted
+                 draws, getrandbits(c.bit_length()) kept when below the
+                 choice count c, which is the stream randrange(c) makes;
 * FlatsOnly   -- for matroid rank oracles, iterate k-tuples of flats.
                  Exact for ANY (closures do not change any value of the
                  tuple), for COVERING (filter: the flats' union must be
@@ -149,11 +152,30 @@ def _union_options(cls: Sequence[int], spread: Sequence[int]) -> Iterator[int]:
 
     The class's members take the multiset's choices in order; members of
     different classes never share a bit, so tables of disjoint classes add.
+    The multisets come in `combinations_with_replacement` order.  Each
+    table is the previous one with only the members whose choice changed
+    replaced, and the last member's run of choices is one C-level pass.
     """
-    return (
-        sum(c << e for e, c in zip(cls, combo))
-        for combo in itertools.combinations_with_replacement(spread, len(cls))
-    )
+    if not cls:
+        yield 0
+        return
+    *head, last = cls
+    tail = [c << last for c in spread]
+    top = len(spread) - 1
+    picks = [0] * len(head)  # choice index of each head member, nondecreasing
+    table = sum(spread[0] << e for e in head)
+    while True:
+        yield from map(table.__add__, tail[picks[-1] if picks else 0:])
+        j = len(head) - 1
+        while j >= 0 and picks[j] == top:
+            j -= 1
+        if j < 0:
+            return
+        # the next multiset raises member j by one and resets the members after it to match
+        v = picks[j] + 1
+        for p in range(j, len(head)):
+            table += (spread[v] - spread[picks[p]]) << head[p]
+            picks[p] = v
 
 
 def _tables(classes: Sequence[Sequence[int]], spread: Sequence[int]) -> list[int]:
@@ -283,11 +305,16 @@ def _sampled_tables(
         else:
             for _ in range(min(samples, 32)):
                 yield _pack([rng.choice(flats) for _ in range(k)], n)
-    # each sample draws one choice per element, in element order, as an exact assignment would
+    # each sample draws one choice per element, in element order, as an exact
+    # assignment would; a choice is rng.randrange(c), which draws
+    # getrandbits(c.bit_length()) until the value is below c, so the stream
+    # of accepted draws is the same one randrange would make
     spread = _spread(k, mode, n)
     options = [[c << e for c in spread] for e in range(n)]
+    c = len(spread)
+    stream = filter(c.__gt__, map(rng.getrandbits, itertools.repeat(c.bit_length())))
     for _ in range(samples):
-        yield sum(opts[rng.randrange(len(spread))] for opts in options)
+        yield sum(map(list.__getitem__, options, itertools.islice(stream, n)))
 
 
 def profile(

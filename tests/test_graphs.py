@@ -90,16 +90,33 @@ def same_partition(labels_a, labels_b):
                for x in range(n) for y in range(x + 1, n))
 
 
+# K4 and a triangle side by side, plus an isolated node: no mask spans it
+SPLIT_GRAPH = SimpleGraph.make(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
+
+
 def test_spanning_forest_matches_plain_union_find():
     k5, k7 = SimpleGraph.complete(5), SimpleGraph.complete(7)
     rng = random.Random(8)
-    masks = [(k5, m) for m in range(1 << k5.edge_count)]
+    masks = [(g, m) for g in (k5, SPLIT_GRAPH) for m in range(1 << g.edge_count)]
     masks += [(k7, rng.getrandbits(k7.edge_count)) for _ in range(2000)]
+    # dense masks, about one edge in eight left out, span K7 well before their last edge
+    m = k7.edge_count
+    masks += [(k7, (1 << m) - 1 & ~(rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m)))
+              for _ in range(500)]
     for g, mask in masks:
         find, merges = graphs.spanning_forest(g, mask)
         plain_merges, labels = plain_components(g, mask)
         assert merges == plain_merges, (g.name, mask)
         assert same_partition([find(x) for x in range(g.node_count)], labels), (g.name, mask)
+
+
+def test_graphic_closure_matches_rank_closure_on_every_mask():
+    from quotientlab.matroid import Matroid
+
+    for g in (SimpleGraph.complete(5), SPLIT_GRAPH):
+        matroid = GraphicMatroid(g)
+        for mask in range(1 << g.edge_count):
+            assert matroid._closure(mask) == Matroid._closure(matroid, mask), (g.name, mask)
 
 
 def test_blow_up_identity():

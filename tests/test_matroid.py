@@ -12,6 +12,7 @@ from quotientlab import (
     GraphicMatroid,
     LinearMatroid,
     Matroid,
+    Restriction,
     SimpleGraph,
     check_richness,
     disjoint_bases,
@@ -397,3 +398,141 @@ def test_default_rank_table_is_one_rank_per_mask():
     ):
         table = matroid.rank_table()
         assert list(table) == [matroid.rank(mask) for mask in range(1 << matroid.size)]
+
+
+# The augmenting-path union matroid_union ran before it searched from live
+# elements only and stopped at its rank bound: every uncovered element seeds
+# each search, and the loop ends with a search that finds no path.
+
+
+def reference_matroid_union(matroids):
+    from collections import deque
+
+    full = matroids[0].full_mask
+    part_masks = [0] * len(matroids)
+    while True:
+        covered = sum(part_masks)
+        sources = list(iter_elements(full & ~covered))
+        if not sources:
+            return covered.bit_count(), tuple(part_masks), full
+        parent = {e: None for e in sources}
+        queue = deque(sources)
+        augmented = False
+        while queue and not augmented:
+            y = queue.popleft()
+            for i, part in enumerate(part_masks):
+                if part >> y & 1:
+                    continue
+                size = part.bit_count()
+                if matroids[i].rank(part | 1 << y) == size + 1:
+                    cur, place = y, i
+                    while True:
+                        part_masks[place] |= 1 << cur
+                        prev = parent[cur]
+                        if prev is None:
+                            break
+                        part_masks[prev[1]] &= ~(1 << cur)
+                        cur, place = prev
+                    augmented = True
+                    break
+                for x in iter_elements(part):
+                    if x not in parent and matroids[i].rank(part ^ (1 << x) | 1 << y) == size:
+                        parent[x] = (y, i)
+                        queue.append(x)
+        if not augmented:
+            return covered.bit_count(), tuple(part_masks), full & ~sum(1 << e for e in parent)
+
+
+def _random_union_instance(rng):
+    """Matroids on one ground, some of them restrictions of one base to random supports."""
+    ground = rng.randrange(0, 11)
+    pairs = list(itertools.combinations(range(5), 2))
+    base = rng.choice([
+        GraphicMatroid(SimpleGraph.make(5, rng.sample(pairs, ground))),
+        LinearMatroid(2, [tuple(rng.randrange(2) for _ in range(3)) for _ in range(ground)]),
+    ])
+    # about a quarter of the elements lie outside every support, so the
+    # restrictions share loops
+    shared = rng.getrandbits(ground) | rng.getrandbits(ground)
+    mats = [
+        Restriction(base, shared & (rng.getrandbits(ground) | rng.getrandbits(ground)))
+        for _ in range(rng.randrange(1, 4))
+    ]
+    if rng.random() < 0.3:
+        mats.append(LinearMatroid(2, [tuple(rng.randrange(2) for _ in range(2)) for _ in range(ground)]))
+    return mats
+
+
+def _assert_union_agrees(mats):
+    result = matroid_union(mats)
+    rank, parts, cert = reference_matroid_union(mats)
+    assert result.rank == rank == matroid_union_rank_brute(mats)[0]
+    # the searches run in the same order, so they make the same augmentations
+    assert result.parts == parts
+    taken = 0
+    for m, pm in zip(mats, result.parts):
+        assert pm & taken == 0
+        taken |= pm
+        assert m.rank(pm) == pm.bit_count()
+    assert taken.bit_count() == result.rank
+    full = mats[0].full_mask
+    y = result.certificate
+    assert result.certificate_value == y.bit_count() + sum(m.rank(full & ~y) for m in mats)
+    assert result.certificate_value == result.rank
+    live = sum(1 << e for e in range(mats[0].size) if any(m.rank(1 << e) for m in mats))
+    if result.rank == live.bit_count():
+        assert y == live == cert
+    elif result.rank == sum(m.full_rank() for m in mats):
+        assert y == 0
+    else:
+        assert y == cert  # a failed search: the live elements it did not reach
+
+
+def test_union_matches_reference_with_shared_loops():
+    rng = random.Random(16)
+    for _ in range(300):
+        _assert_union_agrees(_random_union_instance(rng))
+
+
+def test_union_of_all_loops_and_of_the_empty_ground():
+    k4 = GraphicMatroid(SimpleGraph.complete(4))
+    loops = LinearMatroid(2, [(0, 0)] * 5)
+    for mats in (
+        [Restriction(k4, 0), Restriction(k4, 0)],
+        [loops],
+        [loops, Restriction(loops, 0b101)],
+        [LinearMatroid(2, [])],
+        [LinearMatroid(2, []), GraphicMatroid(SimpleGraph.make(3, []))],
+    ):
+        _assert_union_agrees(mats)
+        assert matroid_union(mats).rank == 0
+
+
+@pytest.mark.parametrize(
+    "q,n,k,tuples,infeasible",
+    [(2, 3, 2, 136, 14), (3, 2, 2, 21, 0), (2, 4, 2, 2278, 50), (2, 3, 3, 816, 253)],
+)
+def test_disjoint_bases_feasibility_matches_reference(q, n, k, tuples, infeasible):
+    space = LinearMatroid.full_space(q, n)
+    full = space.full_mask
+    flat_tuples = list(itertools.combinations_with_replacement(space.flats(), k))
+    assert len(flat_tuples) == tuples
+    failures = 0
+    for tup in flat_tuples:
+        target = sum(space.rank(a) for a in tup)
+        rank, _, cert = reference_matroid_union([Restriction(space, a) for a in tup])
+        result = disjoint_bases(space, tup)
+        assert (result.bases is not None) == (rank == target), tup
+        if result.bases is None:
+            failures += 1
+            y = result.certificate
+            assert y == cert, tup
+            assert y.bit_count() + sum(space.rank(a & full & ~y) for a in tup) < target, tup
+        else:
+            assert result.certificate is None
+            taken = 0
+            for a, b in zip(tup, result.bases):
+                assert b & ~a == 0 and b & taken == 0
+                taken |= b
+                assert space.rank(b) == b.bit_count() == space.rank(a)
+    assert failures == infeasible

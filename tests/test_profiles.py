@@ -29,7 +29,7 @@ from quotientlab import (
 )
 from quotientlab import config
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
-from quotientlab.profiles import Exact, _flat_parts, _sampled_tables
+from quotientlab.profiles import Exact, _flat_parts, _pack, _sampled_tables, _spread, _union_options
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 from quotientlab.setfn import SetFunctionOracle, oracle_from_table, union_table
 
@@ -669,3 +669,80 @@ def test_sampled_any_skips_a_flat_portfolio_above_the_flat_cap(monkeypatch):
     monkeypatch.setattr(Matroid, "flats", counted_flats)
     profile(example51_oracle(5), 2, Mode.ANY, strategy)
     assert calls == [18, 4]
+
+
+# The per-element draw _sampled_tables made before its accepted-choice
+# stream: one rng.randrange per element per sample, after the same portfolio.
+
+
+def randrange_sampled_tables(oracle, k, mode, seed, samples):
+    from quotientlab import FlatExplosionError
+
+    n = oracle.size
+    rng = Random(seed)
+    for i in range(k):
+        parts = [0] * k
+        parts[i] = oracle.full_mask
+        yield _pack(parts, n)
+    for _ in range(3):
+        order = list(range(n))
+        rng.shuffle(order)
+        parts = [0] * k
+        for pos, e in enumerate(order):
+            parts[pos % k] |= 1 << e
+        yield _pack(parts, n)
+    matroid = oracle.matroid
+    if matroid is not None and mode is Mode.ANY and 1 << matroid.full_rank() <= config.FLAT_COUNT_CAP:
+        try:
+            flats = matroid.flats()
+        except (GroundTooLargeError, FlatExplosionError):
+            pass
+        else:
+            for _ in range(min(samples, 32)):
+                yield _pack([rng.choice(flats) for _ in range(k)], n)
+    spread = _spread(k, mode, n)
+    options = [[c << e for c in spread] for e in range(n)]
+    for _ in range(samples):
+        yield sum(opts[rng.randrange(len(spread))] for opts in options)
+
+
+STREAM_ORACLES = {
+    "empty": lambda: SetFunctionOracle(0, lambda m: 0, label="empty"),
+    "edgeless-graphic": lambda: GraphicMatroid(SimpleGraph.make(3, [])).rank_oracle(),
+    "cycle:K4": lambda: complete_cycle_oracle(3),
+    "cut:K2(4)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(2), 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_ORACLES))
+def test_sampled_stream_matches_randrange_draws(name):
+    oracle = STREAM_ORACLES[name]()
+    portfolios = set()
+    for k in range(1, 5):
+        for mode in Mode:
+            # k = 1 PARTITION draws getrandbits(1) and rejects 1; k = 3 ANY draws 4 bits for 8 choices
+            got = list(_sampled_tables(oracle, k, mode, 41, 120))
+            assert got == list(randrange_sampled_tables(oracle, k, mode, 41, 120)), (k, mode)
+            portfolios.add(len(got) - (k + 3 + 120))
+    # a matroid oracle's ANY profiles draw rng.choice flat tuples before the samples
+    assert portfolios == ({0, 32} if oracle.matroid is not None else {0})
+
+
+def combinations_union_options(cls, spread):
+    """The tables _union_options yielded before it built them incrementally."""
+    return [
+        sum(c << e for e, c in zip(cls, combo))
+        for combo in itertools.combinations_with_replacement(spread, len(cls))
+    ]
+
+
+def test_union_options_match_combinations_with_replacement():
+    rng = Random(12)
+    n = 9
+    spreads = [_spread(k, Mode.PARTITION, n) for k in range(1, 9)] + [_spread(3, Mode.ANY, n)]
+    for spread in spreads:
+        for size in range(7):
+            cls = tuple(sorted(rng.sample(range(n), size)))
+            got = list(_union_options(cls, spread))
+            assert got == combinations_union_options(cls, spread), (len(spread), cls)
+            assert len(got) == math.comb(size + len(spread) - 1, size)
