@@ -1,21 +1,24 @@
 """Matroid oracles: graphic, linear over GF(q), and direct sums.
 
-Rank calls are exact.  `Matroid.rank` memoizes per subset mask for
-closure, flats, union and richness; a rank oracle takes `_rank` as its
-int kernel under its own memo instead, and a restriction reads its
-base's memo, so each value has one cache.  Exact profiles read
-`rank_table`, which the cycle matroid builds in one include/exclude walk
-over its edges.  Closure is defined from rank alone,
+Rank calls are exact.  `Matroid.rank` and `Matroid.closure` read
+memos that compute their misses (`setfn.Memo` over `_rank` and
+`_closure`); the rank memo serves closure, flats, union and richness.  A
+rank oracle takes `_rank` as its int kernel under its own memo instead,
+and a restriction reads its base's memo, so each value has one cache.
+The oracle's `lookup` reads the closure memo of each half of a mask's
+non-coloop elements and keys its memo by their union.  Exact profiles read `rank_table`, which
+the cycle matroid and GF(2) linear matroids build in one include/exclude
+walk over their elements.  Closure is defined from rank alone,
 cl(X) = X + {e : r(X + e) = r(X)}; only the cycle matroid overrides it,
-with one union-find pass in place of one rank call per edge.  On top of
-rank and closure the module provides flat enumeration (breadth-first
-closure extension), the flat-pair richness condition, matroid union via
-augmenting paths with a min-formula certificate (searched only from
-elements that are not loops in every matroid, and stopped once the
-union reaches min(their count, sum_i r_i(E))), and the two lattice
-embeddings between full linear spaces GF(q)^m -> GF(q)^n (zero padding,
-which preserves ranks, and block repetition, which preserves normalized
-ranks when m divides n).
+with one union-find pass and one root lookup per node in place of one
+rank call per edge.  On top of rank and closure the module provides flat
+enumeration (breadth-first closure extension), the flat-pair richness
+condition, matroid union via augmenting paths with a min-formula
+certificate (searched only from elements that are not loops in every
+matroid, and stopped once the union reaches min(their count,
+sum_i r_i(E))), and the two lattice embeddings between full linear
+spaces GF(q)^m -> GF(q)^n (zero padding, which preserves ranks, and
+block repetition, which preserves normalized ranks when m divides n).
 """
 
 from __future__ import annotations
@@ -34,7 +37,15 @@ from .errors import (
 )
 from .gfq import FiniteField, field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
-from .setfn import SetFunctionOracle, SubsetMask, check_ground_size, check_mask, dense_numerators, iter_elements
+from .setfn import (
+    Memo,
+    SetFunctionOracle,
+    SubsetMask,
+    check_ground_size,
+    check_mask,
+    dense_numerators,
+    iter_elements,
+)
 
 
 class Matroid:
@@ -44,19 +55,15 @@ class Matroid:
         check_ground_size(size)
         self.size = size
         self.full_mask = (1 << size) - 1
-        self._rank_cache: dict[int, int] = {0: 0}
-        self._closure_cache: dict[int, int] = {}
+        self._rank_cache = Memo(self._rank, {0: 0})
+        self._closure_cache = Memo(self._closure)
 
     def _rank(self, mask: SubsetMask) -> int:  # pragma: no cover
         raise NotImplementedError
 
     def rank(self, mask: SubsetMask) -> int:
         check_mask(mask, self.size)
-        cached = self._rank_cache.get(mask)
-        if cached is None:
-            cached = self._rank(mask)
-            self._rank_cache[mask] = cached
-        return cached
+        return self._rank_cache[mask]
 
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
@@ -77,11 +84,7 @@ class Matroid:
 
     def closure(self, mask: SubsetMask) -> SubsetMask:
         check_mask(mask, self.size)
-        cached = self._closure_cache.get(mask)
-        if cached is None:
-            cached = self._closure(mask)
-            self._closure_cache[mask] = cached
-        return cached
+        return self._closure_cache[mask]
 
     def is_flat(self, mask: SubsetMask) -> bool:
         return self.closure(mask) == mask
@@ -181,13 +184,10 @@ class GraphicMatroid(Matroid):
         return table
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
-        """The edges whose ends the spanning forest of mask connects, in one pass."""
+        """The edges whose ends the spanning forest of mask connects: one root lookup per node."""
         find, _ = spanning_forest(self.graph, mask)
-        out = 0
-        for i, (u, v) in enumerate(self.graph.edges):
-            if find(u) == find(v):
-                out |= 1 << i
-        return out
+        root = list(map(find, range(self.graph.node_count)))
+        return sum([1 << i for i, (u, v) in enumerate(self.graph.edges) if root[u] == root[v]])
 
     def _name(self) -> str:
         return f"cycle[{self.graph.name or self.graph.node_count}]"
@@ -258,6 +258,38 @@ class LinearMatroid(Matroid):
                 scale = f.inv(v[lead])
                 pivots.append((lead, [f.mul(scale, x) for x in v]))
         return len(pivots)
+
+    def rank_table(self) -> Sequence[int]:
+        """Ranks of every mask; over GF(2) from one include/exclude walk over the columns.
+
+        The GF(2) walk decides columns in index order and keeps the
+        included columns' reduced basis keyed by leading bit, so backing
+        out of a column pops the one vector it pushed.  Other fields take
+        one elimination per mask.
+        """
+        bits = self._bits
+        if bits is None:
+            return super().rank_table()
+        m = len(bits)
+        table = array("B", bytes(1 << m))  # a rank is at most m <= GROUND_SIZE_CAP
+        basis: dict[int, int] = {}
+
+        def walk(i: int, mask: SubsetMask) -> None:
+            if i == m:
+                table[mask] = len(basis)
+                return
+            walk(i + 1, mask)
+            v = _reduce_gf2(basis, bits[i])
+            if v:
+                lead = v.bit_length() - 1
+                basis[lead] = v
+                walk(i + 1, mask | 1 << i)
+                del basis[lead]
+            else:
+                walk(i + 1, mask | 1 << i)
+
+        walk(0, 0)
+        return table
 
     def _name(self) -> str:
         return self.name or f"linear(q={self.q},m={self.size})"

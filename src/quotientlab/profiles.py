@@ -41,7 +41,9 @@ an inner block of about sqrt(orbits) tables each, and every outer table
 looks up a whole inner column per index set in one C-level pass.  It
 reads a dense table of all 2^n numerators when it looks up at least as
 many unions as there are masks (orbits * 2^k >= 2^n); otherwise, and for
-the other strategies, it reads the oracle's lazy memo.
+the other strategies, it reads the oracle's lazy memo through its
+unchecked `lookup`, which a rank oracle keys by the closures of two
+halves of the mask.
 """
 
 from __future__ import annotations
@@ -212,7 +214,7 @@ def _exact_numerators(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tupl
             "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, orbits,
             f"exact profile (n={n}, k={k}, mode={mode.value})",
         )
-    value = oracle.numerator
+    value = oracle.lookup
     if orbits << k >= 1 << n:
         value = oracle.numerator_table().__getitem__
     block = math.isqrt(orbits)
@@ -335,7 +337,7 @@ def profile(
             tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
         else:  # pragma: no cover
             raise TypeError(f"unknown strategy {strategy!r}")
-        value, full = oracle.numerator, oracle.full_mask
+        value, full = oracle.lookup, oracle.full_mask
         shifts = [i * n for i in range(1, 1 << k)]
         nums = {tuple(map(value, map(full.__and__, map(t.__rshift__, shifts)))) for t in tables}
     # U_0 is empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up

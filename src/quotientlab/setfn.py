@@ -49,6 +49,23 @@ def check_mask(mask: SubsetMask, size: int) -> None:
         raise MaskWidthError(f"mask {bin(mask)} does not fit a ground set of size {size}")
 
 
+class Memo(dict):
+    """A dict that computes a missing key's value with `kernel` and keeps it.
+
+    A hit is one C-level `dict.__getitem__`; only a miss calls into Python.
+    """
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel: Callable[[int], int], known: dict[int, int] | None = None):
+        super().__init__(known or ())
+        self.kernel = kernel
+
+    def __missing__(self, key: int) -> int:
+        value = self[key] = self.kernel(key)
+        return value
+
+
 def dense_numerators(num: Callable[[SubsetMask], int], n: int) -> Sequence[int]:
     """num(X) for every mask X of an n-element ground, indexed by mask; one call per mask."""
     masks = range(1 << n)
@@ -69,8 +86,19 @@ class SetFunctionOracle:
     require_zero_empty=False for shifted functions such as the
     motif-deletion functions, which start at a nonzero base value.
 
+    `lookup(mask)` is `numerator` without the mask check, for callers that
+    build their masks inside the ground set.  It reads the memo directly.
+
     `matroid`, when given, is the matroid whose rank the numerators are;
     the flats strategy reads its flats and `numerator_table` its rank table.
+    Its `lookup` then keys the memo by (X & C) | cl(X & L) | cl(X & H), where
+    C is the coloops, L the lower half of the other elements and H the
+    rest: X lies between that union and cl(X), so the rank is the same,
+    and masks with equal half closures share one entry.  A coloop lies in
+    a closure only when it lies in the set closed, so leaving the coloops
+    out of the halves spares closures that could not merge any keys.  A
+    miss computes the rank of X itself and stores it under that key, so
+    every entry stays the exact value of its key.
 
     `twins` optionally partitions the ground set into classes of
     interchangeable elements: swapping any two members of a class must
@@ -79,7 +107,7 @@ class SetFunctionOracle:
     assignment per orbit of these swaps.
     """
 
-    __slots__ = ("size", "full_mask", "den", "label", "matroid", "twins", "_num", "_memo")
+    __slots__ = ("size", "full_mask", "den", "label", "matroid", "twins", "lookup", "_memo")
 
     def __init__(
         self,
@@ -107,16 +135,31 @@ class SetFunctionOracle:
         self.label = label
         self.matroid = matroid
         self.twins = twins
-        self._num = num
-        self._memo: dict[int, int] = {0: empty}
+        memo = self._memo = Memo(num, {0: empty})
+        if matroid is None:
+            self.lookup = memo.__getitem__
+            return
+        cl, get = matroid._closure_cache, memo.get
+        full = self.full_mask
+        rank = num(full)
+        coloops = sum(1 << e for e in range(size) if num(full ^ 1 << e) < rank)
+        rest = list(iter_elements(full ^ coloops))
+        low = sum(1 << e for e in rest[:len(rest) // 2])
+        high = full ^ coloops ^ low
+
+        def lookup(mask: SubsetMask) -> int:
+            key = mask & coloops | cl[mask & low] | cl[mask & high]
+            value = get(key)
+            if value is None:
+                value = memo[key] = num(mask)
+            return value
+
+        self.lookup = lookup
 
     def numerator(self, mask: SubsetMask) -> int:
         """den * f(mask), memoized."""
         check_mask(mask, self.size)
-        value = self._memo.get(mask)
-        if value is None:
-            value = self._memo[mask] = self._num(mask)
-        return value
+        return self._memo[mask]
 
     def evaluate(self, mask: SubsetMask) -> Fraction:
         return Fraction(self.numerator(mask), self.den)
@@ -125,7 +168,7 @@ class SetFunctionOracle:
         """Every numerator, indexed by mask, built fresh and not memoized."""
         if self.matroid is not None:
             return self.matroid.rank_table()
-        return dense_numerators(self._num, self.size)
+        return dense_numerators(self._memo.kernel, self.size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SetFunctionOracle({self.label or 'anonymous'}, n={self.size})"

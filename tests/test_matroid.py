@@ -391,6 +391,22 @@ def test_graphic_rank_table_matches_rank_on_every_mask(family, n):
     assert matroid._rank_cache == {0: 0}
 
 
+def _gf2_columns_with_a_zero_and_repeats():
+    return LinearMatroid(2, [(1, 0, 1), (0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 1, 1), (1, 0, 1)])
+
+
+@pytest.mark.parametrize("name", ["gf(2)^1", "gf(2)^2", "gf(2)^3", "gf(2)^4", "zero and repeated columns"])
+def test_gf2_rank_table_walk_matches_rank_on_every_mask(name):
+    if name.startswith("gf"):
+        matroid = LinearMatroid.full_space(2, int(name[-1]))
+    else:
+        matroid = _gf2_columns_with_a_zero_and_repeats()
+    table = matroid.rank_table()
+    assert len(table) == 1 << matroid.size
+    assert list(table) == [matroid._rank(mask) for mask in range(1 << matroid.size)]
+    assert matroid._rank_cache == {0: 0}
+
+
 def test_default_rank_table_is_one_rank_per_mask():
     for matroid in (
         LinearMatroid.full_space(3, 2),
@@ -536,3 +552,49 @@ def test_disjoint_bases_feasibility_matches_reference(q, n, k, tuples, infeasibl
                 taken |= b
                 assert space.rank(b) == b.bit_count() == space.rank(a)
     assert failures == infeasible
+
+
+# A rank oracle's lookup keys its memo by the mask's coloops and the closures
+# of two halves of its other elements; that union has the rank of the mask.
+
+
+def _lookup_matroids():
+    from quotientlab.sequences import complete_cycle_oracle, example51_oracle
+
+    return {
+        "cycle:K4": complete_cycle_oracle(3).matroid,
+        "cycle:K5": complete_cycle_oracle(4).matroid,
+        "ex51(5)": example51_oracle(5).matroid,
+        "ex51(6)": example51_oracle(6).matroid,
+        "gf(2)^3": LinearMatroid.full_space(2, 3),
+        "gf(3)^2": LinearMatroid.full_space(3, 2),
+        # a circuit, a loop and two parallel elements, and a coloop
+        "K3+gf(2)^2+edge": DirectSumMatroid(
+            [GraphicMatroid(SimpleGraph.complete(3)), LinearMatroid.full_space(2, 2),
+             GraphicMatroid(SimpleGraph.complete(2))]
+        ),
+        "no edges": GraphicMatroid(SimpleGraph.complete(1)),
+        "one edge": GraphicMatroid(SimpleGraph.complete(2)),
+        "one loop": LinearMatroid(2, [(0,)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_lookup_matroids()))
+def test_rank_lookup_matches_rank_on_every_mask(name):
+    matroid = _lookup_matroids()[name]
+    oracle = matroid.rank_oracle()
+    masks = list(range(1 << matroid.size))
+    random.Random(name).shuffle(masks)  # so later lookups hit keys that earlier ones stored
+    assert [oracle.lookup(mask) for mask in masks] == [matroid._rank(mask) for mask in masks]
+    assert all(value == matroid._rank(key) for key, value in oracle._memo.items())
+    assert all(matroid._closure_cache[key] == Matroid._closure(matroid, key) for key in matroid._closure_cache)
+
+
+def test_rank_lookup_closes_no_coloops():
+    from quotientlab.sequences import example51_oracle
+
+    oracle = example51_oracle(9)  # a path: every edge is a coloop
+    assert [oracle.lookup(mask) for mask in range(1 << oracle.size)] == [
+        mask.bit_count() for mask in range(1 << oracle.size)
+    ]
+    assert oracle.matroid._closure_cache == {0: 0}

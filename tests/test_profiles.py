@@ -746,3 +746,61 @@ def test_union_options_match_combinations_with_replacement():
             got = list(_union_options(cls, spread))
             assert got == combinations_union_options(cls, spread), (len(spread), cls)
             assert len(got) == math.comb(size + len(spread) - 1, size)
+
+
+# Sampled and flats profiles read rank oracles through `lookup`, which keys
+# the memo by half closures; the reference reads `numerator` on every union
+# of the same tables, from a fresh oracle.
+
+LOOKUP_ORACLES = {
+    "cycle:K7": lambda: complete_cycle_oracle(6),
+    "gf(2)^4": lambda: gf_space_oracle(2, 4),
+    "ex51(12)": lambda: example51_oracle(12),
+    "gf(3)^2": lambda: gf_space_oracle(3, 2),
+}
+
+
+def numerator_reference(oracle, k, mode, strategy):
+    n, full = oracle.size, oracle.full_mask
+    if isinstance(strategy, Sampled):
+        tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
+    else:
+        tables = (_pack(parts, n) for parts in _flat_parts(oracle, k, mode))
+    num = oracle.numerator
+    return {tuple(num(t >> i * n & full) for i in range(1, 1 << k)) for t in tables}
+
+
+@pytest.mark.parametrize("name", sorted(LOOKUP_ORACLES))
+def test_lookup_profiles_match_numerator_reference(name):
+    build = LOOKUP_ORACLES[name]
+    flats_enumerate = build().size <= config.FLAT_GROUND_CAP
+    for k in (1, 2, 3):
+        for mode in Mode:
+            strategies = [Sampled(5, 1500)]
+            # gf(2)^4 has 67 flats, so its disjoint flat triples are too many to test
+            if flats_enumerate and mode is not Mode.PARTITION and (k < 3 or name != "gf(2)^4"):
+                strategies.append(FLATS)
+            for strategy in strategies:
+                oracle, fresh = build(), build()
+                den = Fraction(1, oracle.den)
+                expected = {(0, *(x * den for x in c)) for c in numerator_reference(fresh, k, mode, strategy)}
+                assert coords_set(profile(oracle, k, mode, strategy)) == expected, (k, mode, strategy)
+                assert all(v == oracle.matroid._rank(key) for key, v in oracle._memo.items())
+
+
+def test_sampled_complete_graph_profile_makes_few_forest_calls(monkeypatch):
+    from quotientlab import matroid as matroid_module
+
+    calls = []
+    real = matroid_module.spanning_forest
+
+    def counted(graph, mask):
+        calls.append(mask)
+        return real(graph, mask)
+
+    monkeypatch.setattr(matroid_module, "spanning_forest", counted)
+    oracle = complete_cycle_oracle(6)
+    assert len(profile(oracle, 3, Mode.ANY, Sampled(3, 20000))) == 54
+    # one forest per half closure and per distinct closure union, against
+    # one per distinct union mask (99,524) without the half closures
+    assert len(calls) < 10_000
