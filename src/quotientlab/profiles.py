@@ -42,8 +42,7 @@ looks up a whole inner column per index set in one C-level pass.  It
 reads a dense table of all 2^n numerators when it looks up at least as
 many unions as there are masks (orbits * 2^k >= 2^n); otherwise, and for
 the other strategies, it reads the oracle's lazy memo through its
-unchecked `lookup`, which a rank oracle keys by the closures of two
-halves of the mask.
+unchecked `lookup`, which for a rank oracle is `Matroid.rank_lookup`.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from .errors import EnumCapError, FlatExplosionError, GroundTooLargeError, Strat
 from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
+    Memo,
     QuotientPoint,
     SetFunctionOracle,
     SubsetMask,
@@ -251,7 +251,9 @@ def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple
             "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total, f"flats profile ({len(flats)} flats, k={k})"
         )
     full = matroid.full_mask
-    feasible: dict[tuple[SubsetMask, ...], bool] = {}
+    # keyed by the sorted flats; the kernel looks `disjoint_bases` up when called, so a
+    # replacement of the module global is the one it calls
+    feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
     for tup in itertools.product(flats, repeat=k):
         if mode is Mode.COVERING:
             union = 0
@@ -259,14 +261,8 @@ def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple
                 union |= f
             if union != full:
                 continue
-        elif mode is Mode.DISJOINT:
-            key = tuple(sorted(tup))
-            ok = feasible.get(key)
-            if ok is None:
-                ok = disjoint_bases(matroid, key).bases is not None
-                feasible[key] = ok
-            if not ok:
-                continue
+        elif mode is Mode.DISJOINT and not feasible[tuple(sorted(tup))]:
+            continue
         yield tup
 
 

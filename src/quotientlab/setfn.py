@@ -57,7 +57,7 @@ class Memo(dict):
 
     __slots__ = ("kernel",)
 
-    def __init__(self, kernel: Callable[[int], int], known: dict[int, int] | None = None):
+    def __init__(self, kernel: Callable, known: dict | None = None):
         super().__init__(known or ())
         self.kernel = kernel
 
@@ -87,18 +87,12 @@ class SetFunctionOracle:
     motif-deletion functions, which start at a nonzero base value.
 
     `lookup(mask)` is `numerator` without the mask check, for callers that
-    build their masks inside the ground set.  It reads the memo directly.
+    build their masks inside the ground set.
 
-    `matroid`, when given, is the matroid whose rank the numerators are;
-    the flats strategy reads its flats and `numerator_table` its rank table.
-    Its `lookup` then keys the memo by (X & C) | cl(X & L) | cl(X & H), where
-    C is the coloops, L the lower half of the other elements and H the
-    rest: X lies between that union and cl(X), so the rank is the same,
-    and masks with equal half closures share one entry.  A coloop lies in
-    a closure only when it lies in the set closed, so leaving the coloops
-    out of the halves spares closures that could not merge any keys.  A
-    miss computes the rank of X itself and stores it under that key, so
-    every entry stays the exact value of its key.
+    `matroid`, when given, is the matroid whose rank `num` is; the oracle
+    is then a view of it: the memo is the matroid's `rank_memo`, `lookup`
+    is its `rank_lookup()`, the flats strategy reads its flats and
+    `numerator_table` its rank table.
 
     `twins` optionally partitions the ground set into classes of
     interchangeable elements: swapping any two members of a class must
@@ -135,26 +129,12 @@ class SetFunctionOracle:
         self.label = label
         self.matroid = matroid
         self.twins = twins
-        memo = self._memo = Memo(num, {0: empty})
         if matroid is None:
-            self.lookup = memo.__getitem__
-            return
-        cl, get = matroid._closure_cache, memo.get
-        full = self.full_mask
-        rank = num(full)
-        coloops = sum(1 << e for e in range(size) if num(full ^ 1 << e) < rank)
-        rest = list(iter_elements(full ^ coloops))
-        low = sum(1 << e for e in rest[:len(rest) // 2])
-        high = full ^ coloops ^ low
-
-        def lookup(mask: SubsetMask) -> int:
-            key = mask & coloops | cl[mask & low] | cl[mask & high]
-            value = get(key)
-            if value is None:
-                value = memo[key] = num(mask)
-            return value
-
-        self.lookup = lookup
+            self._memo = Memo(num, {0: empty})
+            self.lookup = self._memo.__getitem__
+        else:
+            self._memo = matroid.rank_memo
+            self.lookup = matroid.rank_lookup()
 
     def numerator(self, mask: SubsetMask) -> int:
         """den * f(mask), memoized."""

@@ -17,6 +17,11 @@ Every instance attribute a package class assigns (`self.x = ...` or
 `object.__setattr__(self, "x", ...)`) must be loaded as an attribute
 somewhere in `src/` or `tests/`; an assignment alone is dead state.
 Dataclass fields are not checked: result records echo their inputs.
+
+No module of `src/quotientlab/` reads an attribute `x._name` (dunders
+aside) that only a different module of the package defines: a private
+name is read by the module that defines it, so a module's internals can
+change without another module knowing them.
 """
 
 import ast
@@ -130,6 +135,36 @@ def unread_instance_attributes():
     )
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _bound_names(tree):
+    """Names a module binds: definitions, assigned names and assigned attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield node.attr
+
+
+def foreign_private_reads():
+    trees = _trees(sorted(PACKAGE.glob("*.py")))
+    defined = {path: set(filter(_is_private, _bound_names(tree))) for path, tree in trees.items()}
+    return sorted(
+        f"{path.stem} reads {node.attr}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and _is_private(node.attr)
+        and node.attr not in defined[path]
+        and any(node.attr in names for names in defined.values())
+    )
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
 
@@ -140,3 +175,7 @@ def test_every_method_is_read_as_an_attribute():
 
 def test_every_instance_attribute_is_read():
     assert unread_instance_attributes() == []
+
+
+def test_no_module_reads_another_modules_private_attribute():
+    assert foreign_private_reads() == []

@@ -385,10 +385,11 @@ def test_graphic_rank_table_matches_rank_on_every_mask(family, n):
 
     build = complete_cycle_oracle if family == "complete-cycle" else example51_oracle
     matroid = build(n).matroid
+    before = dict(matroid.rank_memo)
     table = matroid.rank_table()
     assert len(table) == 1 << matroid.size
     assert list(table) == [matroid._rank(mask) for mask in range(1 << matroid.size)]
-    assert matroid._rank_cache == {0: 0}
+    assert matroid.rank_memo == before
 
 
 def _gf2_columns_with_a_zero_and_repeats():
@@ -404,7 +405,7 @@ def test_gf2_rank_table_walk_matches_rank_on_every_mask(name):
     table = matroid.rank_table()
     assert len(table) == 1 << matroid.size
     assert list(table) == [matroid._rank(mask) for mask in range(1 << matroid.size)]
-    assert matroid._rank_cache == {0: 0}
+    assert matroid.rank_memo == {0: 0}
 
 
 def test_default_rank_table_is_one_rank_per_mask():
@@ -554,8 +555,9 @@ def test_disjoint_bases_feasibility_matches_reference(q, n, k, tuples, infeasibl
     assert failures == infeasible
 
 
-# A rank oracle's lookup keys its memo by the mask's coloops and the closures
-# of two halves of its other elements; that union has the rank of the mask.
+# A rank oracle's lookup counts the mask's coloops and keys the matroid's rank
+# memo by the union of the closures of two halves of its other elements; that
+# union has the rank of the mask without its coloops.
 
 
 def _lookup_matroids():
@@ -598,3 +600,9 @@ def test_rank_lookup_closes_no_coloops():
         mask.bit_count() for mask in range(1 << oracle.size)
     ]
     assert oracle.matroid._closure_cache == {0: 0}
+
+
+@pytest.mark.parametrize("name", sorted(_lookup_matroids()))
+def test_rank_oracles_share_their_matroids_one_rank_memo(name):
+    matroid = _lookup_matroids()[name]
+    assert matroid.rank_oracle()._memo is matroid.normalized_rank_oracle(7)._memo is matroid.rank_memo

@@ -10,6 +10,7 @@ import pytest
 from quotientlab import (
     EXACT,
     FLATS,
+    DirectSumMatroid,
     EnumCapError,
     GraphicMatroid,
     GroundTooLargeError,
@@ -408,17 +409,16 @@ def test_rank_oracle_is_the_only_memo_of_its_values(monkeypatch):
     built = _count_dense_tables(monkeypatch)
     oracle = example51_oracle(6)
     matroid = oracle.matroid
-    before = dict(matroid._rank_cache)
+    assert oracle._memo is matroid.rank_memo
+    before = dict(matroid.rank_memo)
     profile(oracle, 2, Mode.PARTITION)
     assert oracle.size == 10
     # the exact profile reads a fresh rank table and memoizes nothing
     assert built == [oracle.label]
-    assert oracle._memo == {0: 0}
-    assert matroid._rank_cache == before
+    assert matroid.rank_memo == before
     profile(oracle, 2, Mode.PARTITION, Sampled(3, 50))
-    assert len(oracle._memo) > 1
-    assert all(type(v) is int for v in oracle._memo.values())
-    assert matroid._rank_cache == before
+    assert len(matroid.rank_memo) > len(before)
+    assert all(type(v) is int and v == matroid._rank(key) for key, v in matroid.rank_memo.items())
 
 
 def test_sampled_and_flats_never_build_a_dense_table(monkeypatch):
@@ -748,16 +748,26 @@ def test_union_options_match_combinations_with_replacement():
             assert len(got) == math.comb(size + len(spread) - 1, size)
 
 
-# Sampled and flats profiles read rank oracles through `lookup`, which keys
-# the memo by half closures; the reference reads `numerator` on every union
-# of the same tables, from a fresh oracle.
+# Sampled and flats profiles read rank oracles through `lookup`, which counts
+# coloops and keys the matroid's rank memo by half closures; the reference
+# reads `numerator` on every union of the same tables, from a fresh oracle.
 
 LOOKUP_ORACLES = {
     "cycle:K7": lambda: complete_cycle_oracle(6),
     "gf(2)^4": lambda: gf_space_oracle(2, 4),
     "ex51(12)": lambda: example51_oracle(12),
     "gf(3)^2": lambda: gf_space_oracle(3, 2),
+    "cycle:K5": lambda: complete_cycle_oracle(4),
+    "gf(2)^3": lambda: gf_space_oracle(2, 3),
+    # a circuit, a loop and two parallel elements, and a coloop
+    "K3+gf(2)^2+edge": lambda: DirectSumMatroid(
+        [GraphicMatroid(SimpleGraph.complete(3)), LinearMatroid.full_space(2, 2),
+         GraphicMatroid(SimpleGraph.complete(2))]
+    ).normalized_rank_oracle(),
 }
+
+
+FLAT_RICH = {"gf(2)^4", "cycle:K5", "K3+gf(2)^2+edge"}
 
 
 def numerator_reference(oracle, k, mode, strategy):
@@ -777,8 +787,9 @@ def test_lookup_profiles_match_numerator_reference(name):
     for k in (1, 2, 3):
         for mode in Mode:
             strategies = [Sampled(5, 1500)]
-            # gf(2)^4 has 67 flats, so its disjoint flat triples are too many to test
-            if flats_enumerate and mode is not Mode.PARTITION and (k < 3 or name != "gf(2)^4"):
+            # gf(2)^4, K5 and the direct sum have 67, 52 and 50 flats, so their flat
+            # triples are too many to test
+            if flats_enumerate and mode is not Mode.PARTITION and (k < 3 or name not in FLAT_RICH):
                 strategies.append(FLATS)
             for strategy in strategies:
                 oracle, fresh = build(), build()
@@ -804,3 +815,21 @@ def test_sampled_complete_graph_profile_makes_few_forest_calls(monkeypatch):
     # one forest per half closure and per distinct closure union, against
     # one per distinct union mask (99,524) without the half closures
     assert len(calls) < 10_000
+
+
+def test_sampled_path_profile_counts_its_coloops(monkeypatch):
+    from quotientlab import matroid as matroid_module
+
+    calls = []
+    real = matroid_module.spanning_forest
+
+    def counted(graph, mask):
+        calls.append(mask)
+        return real(graph, mask)
+
+    monkeypatch.setattr(matroid_module, "spanning_forest", counted)
+    oracle = example51_oracle(25)  # a path: all 24 edges are coloops
+    profile(oracle, 2, Mode.ANY, Sampled(7, 20000))
+    # the lookup counts the coloops, so every union shares the memo's empty key;
+    # keying the coloops instead took one forest per distinct union, 58,442
+    assert len(calls) < 100
