@@ -38,7 +38,6 @@ from .graphs import (
     cut_capacity_oracle,
     cut_dist_labeled,
     cut_dist_unlabeled_upper,
-    edge_coloring_quotient,
     gamma_from_kappa,
     hom_count,
     hom_density,
@@ -58,6 +57,7 @@ from .matroid import (
     Restriction,
     check_richness,
     disjoint_bases,
+    edge_coloring_quotient,
     matroid_union,
     matroid_union_rank_brute,
     pad_embed_flat,

@@ -4,8 +4,8 @@ Covers blow-ups, labeled and unlabeled cut distances, cut-capacity
 oracles under three normalizations, homomorphism densities, the
 motif-deletion setfunction tau, weighted quotients with their node/edge
 weight vectors, the exact translation between edge-weight matrices and
-cut-capacity quotient vectors, blow-up respecting partition rounding,
-and quotients of the normalized cycle-matroid rank by edge colorings.
+cut-capacity quotient vectors, and blow-up respecting partition
+rounding.
 
 Pair counts follow the ordered-incidence convention: e(S, T) counts an
 edge once for each of its (endpoint in S, endpoint in T) orientations,
@@ -29,7 +29,6 @@ from .errors import (
     EnumCapError,
     GraphFormatError,
     GroundTooLargeError,
-    KTooLargeError,
 )
 from .setfn import (
     QuotientPoint,
@@ -688,46 +687,3 @@ def rounding_partition(
     after = quotient_point(oracle, rounded)
     deviation = max(abs(a - b) for a, b in zip(before.coords, after.coords))
     return RoundingResult(tuple(rounded), deviation, before, after)
-
-
-@dataclass(frozen=True)
-class EdgeColoringQuotient:
-    """Quotient of the normalized cycle-matroid rank by color classes.
-
-    component_sizes[c][u] is the number of nodes in the color-c component
-    containing u (an isolated node counts as a component of size 1).
-    """
-
-    point: QuotientPoint
-    component_sizes: tuple[tuple[int, ...], ...]
-
-
-def edge_coloring_quotient(g: SimpleGraph, colors: Sequence[int], num_colors: int) -> EdgeColoringQuotient:
-    """Quotient vector of rank/|V| under the partition of edges by color."""
-    from .matroid import GraphicMatroid
-
-    if num_colors < 1:
-        raise ValueError("need at least one color class")
-    if num_colors > config.QUOTIENT_K_CAP:
-        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, num_colors, "edge-coloring quotient")
-    if len(colors) != g.edge_count:
-        raise ValueError("need one color per edge")
-    if any(not 0 <= c < num_colors for c in colors):
-        raise ValueError("colors must lie in 0..num_colors-1")
-    if g.node_count == 0:
-        raise ValueError("normalization by |V| needs at least one node")
-    parts = [0] * num_colors
-    for i, c in enumerate(colors):
-        parts[c] |= 1 << i
-    matroid = GraphicMatroid(g)
-    oracle = matroid.normalized_rank_oracle(denominator=g.node_count)
-    point = quotient_point(oracle, parts)
-    sizes = []
-    for part in parts:
-        find, _ = spanning_forest(g, part)
-        csize: dict[int, int] = {}
-        for v in range(g.node_count):
-            root = find(v)
-            csize[root] = csize.get(root, 0) + 1
-        sizes.append(tuple(csize[find(v)] for v in range(g.node_count)))
-    return EdgeColoringQuotient(point, tuple(sizes))

@@ -17,7 +17,8 @@ provides flat enumeration (breadth-first closure extension), the
 flat-pair richness condition, matroid union via augmenting paths with a
 min-formula certificate (searched only from elements that are not loops
 in every matroid, and stopped once the union reaches min(their count,
-sum_i r_i(E))), and the two lattice embeddings between full linear
+sum_i r_i(E))), the quotient of the normalized cycle-matroid rank by an
+edge coloring, and the two lattice embeddings between full linear
 spaces GF(q)^m -> GF(q)^n (zero padding, which preserves ranks, and
 block repetition, which preserves normalized ranks when m divides n).
 """
@@ -35,17 +36,20 @@ from .errors import (
     DivisibilityError,
     FlatExplosionError,
     GroundTooLargeError,
+    KTooLargeError,
 )
 from .gfq import FiniteField, field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
 from .setfn import (
     Memo,
+    QuotientPoint,
     SetFunctionOracle,
     SubsetMask,
     check_ground_size,
     check_mask,
     dense_numerators,
     iter_elements,
+    quotient_point,
 )
 
 
@@ -146,11 +150,7 @@ class Matroid:
         if denom <= 0:
             raise ValueError("normalization denominator must be positive")
         return SetFunctionOracle(
-            self.size,
-            self._rank,
-            denom,
-            label=label or f"rank({self._name()})/{denom}",
-            matroid=self,
+            self.size, den=denom, label=label or f"rank({self._name()})/{denom}", matroid=self
         )
 
     def _name(self) -> str:
@@ -355,11 +355,52 @@ class Restriction(Matroid):
 
     def rank(self, mask: SubsetMask) -> int:
         check_mask(mask, self.size)
-        return self.base.rank(mask & self.support)
+        return self.base.rank_memo[mask & self.support]
 
     # one body for both: matroid union's rank calls land here, and a `rank`
     # that called `_rank` slowed the gf(2)^4 flats profile by about 3%
     _rank = rank
+
+
+@dataclass(frozen=True)
+class EdgeColoringQuotient:
+    """Quotient of the normalized cycle-matroid rank by color classes.
+
+    component_sizes[c][u] is the number of nodes in the color-c component
+    containing u (an isolated node counts as a component of size 1).
+    """
+
+    point: QuotientPoint
+    component_sizes: tuple[tuple[int, ...], ...]
+
+
+def edge_coloring_quotient(g: SimpleGraph, colors: Sequence[int], num_colors: int) -> EdgeColoringQuotient:
+    """Quotient vector of rank/|V| under the partition of edges by color."""
+    if num_colors < 1:
+        raise ValueError("need at least one color class")
+    if num_colors > config.QUOTIENT_K_CAP:
+        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, num_colors, "edge-coloring quotient")
+    if len(colors) != g.edge_count:
+        raise ValueError("need one color per edge")
+    if any(not 0 <= c < num_colors for c in colors):
+        raise ValueError("colors must lie in 0..num_colors-1")
+    if g.node_count == 0:
+        raise ValueError("normalization by |V| needs at least one node")
+    parts = [0] * num_colors
+    for i, c in enumerate(colors):
+        parts[c] |= 1 << i
+    matroid = GraphicMatroid(g)
+    oracle = matroid.normalized_rank_oracle(denominator=g.node_count)
+    point = quotient_point(oracle, parts)
+    sizes = []
+    for part in parts:
+        find, _ = spanning_forest(g, part)
+        csize: dict[int, int] = {}
+        for v in range(g.node_count):
+            root = find(v)
+            csize[root] = csize.get(root, 0) + 1
+        sizes.append(tuple(csize[find(v)] for v in range(g.node_count)))
+    return EdgeColoringQuotient(point, tuple(sizes))
 
 
 @dataclass(frozen=True)

@@ -35,18 +35,24 @@ bits, so a table is a sum of per-element (or per-twin-class) options.
 `profile()` is the one place that evaluates the oracle on the unions
 U_I and deduplicates the resulting points, by exact coordinate equality;
 no tolerances.  It works on the oracle's int numerators, which share one
-denominator, and builds Fractions only for the distinct points.  Exact
-enumeration is a blocked scan: the twin classes split into an outer and
-an inner block of about sqrt(orbits) tables each, and every outer table
-looks up a whole inner column per index set in one C-level pass.  It
-reads a dense table of all 2^n numerators when it looks up at least as
-many unions as there are masks (orbits * 2^k >= 2^n); otherwise, and for
-the other strategies, it reads the oracle's lazy memo through its
-unchecked `lookup`, which for a rank oracle is `Matroid.rank_lookup`.
+denominator, and builds Fractions only for the distinct points.  Every
+strategy goes through one blocked scan: it passes a list of outer
+tables, a stream of inner tables and the count it checked against the
+cap; the scan reads the stream in blocks of isqrt(count) tables, and
+every outer table looks up a whole inner column per index set in one
+C-level pass.  Exact enumeration splits the twin classes into an outer
+and an inner block of about sqrt(orbits) tables each; sampled and flats
+profiles pass the empty table as their one outer table.  An exact
+profile reads a dense table of all 2^n numerators when it looks up at
+least as many unions as there are masks (orbits * 2^k >= 2^n);
+otherwise, and always for the other strategies, the scan reads the
+oracle's lazy memo through its unchecked `lookup`, which for a rank
+oracle is `Matroid.rank_lookup`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,21 +194,17 @@ def _tables(classes: Sequence[Sequence[int]], spread: Sequence[int]) -> list[int
     return tables
 
 
-def _exact_numerators(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tuple[int, ...]]:
-    """The distinct numerator tuples (U_I for I >= 1) over one assignment per twin orbit.
+def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[int], Iterator[int], int]:
+    """One packed union table per twin orbit: an outer list, an inner stream, and the orbit count.
 
     Within a twin class only how many members take each choice matters,
     so each class ranges over multisets of choices; without declared twins
     every class is a single element and this is the plain |choices|^n scan.
-    The orbit count is checked against the cap before anything is
-    evaluated.  The classes split into an outer prefix, kept as a list of
-    at most isqrt(orbits) + 2 packed tables, and the shortest suffix whose
-    product reaches isqrt(orbits).  The suffix's first class may alone be
-    far larger, so its options stream past a list of the rest's tables,
-    and the suffix is read in blocks of isqrt(orbits) tables.  Each
-    block's union masks are unpacked once per index set; each outer table
-    then ORs its own mask onto a whole column and looks the column up in
-    one C-level pass.
+    The orbit count is checked against the cap before any table is built.
+    The classes split into an outer prefix, kept as a list of at most
+    isqrt(orbits) + 2 packed tables, and the shortest suffix whose product
+    reaches isqrt(orbits).  The suffix's first class may alone be far
+    larger, so its options stream past a list of the rest's tables.
     """
     n = oracle.size
     spread = _spread(k, mode, n)
@@ -214,29 +216,18 @@ def _exact_numerators(oracle: SetFunctionOracle, k: int, mode: Mode) -> set[tupl
             "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, orbits,
             f"exact profile (n={n}, k={k}, mode={mode.value})",
         )
-    value = oracle.lookup
-    if orbits << k >= 1 << n:
-        value = oracle.numerator_table().__getitem__
     block = math.isqrt(orbits)
     split, size = len(classes), 1
     while size < block:
         split -= 1
         size *= counts[split]
-    outer = _tables(classes[:split], spread)
     rest = _tables(classes[split + 1:], spread)
     pivot = _union_options(classes[split], spread) if split < len(classes) else (0,)
-    inner = (c + t for c in pivot for t in rest)
-    full = oracle.full_mask
-    shifts = [i * n for i in range(1, 1 << k)]
-    nums: set[tuple[int, ...]] = set()
-    while chunk := list(itertools.islice(inner, block)):
-        cols = [(s, [t >> s & full for t in chunk]) for s in shifts]
-        for u in outer:
-            nums.update(zip(*[map(value, map((u >> s & full).__or__, col)) for s, col in cols]))
-    return nums
+    return _tables(classes[:split], spread), (c + t for c in pivot for t in rest), orbits
 
 
-def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple[SubsetMask, ...]]:
+def _flat_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[Iterator[int], int]:
+    """The packed union tables of the k-tuples of flats the mode admits, and the count of all k-tuples."""
     matroid: Optional[Matroid] = oracle.matroid
     if matroid is None:
         raise StrategyError("flats strategy needs a matroid-backed rank oracle")
@@ -250,20 +241,15 @@ def _flat_parts(oracle: SetFunctionOracle, k: int, mode: Mode) -> Iterator[tuple
         raise EnumCapError(
             "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total, f"flats profile ({len(flats)} flats, k={k})"
         )
-    full = matroid.full_mask
-    # keyed by the sorted flats; the kernel looks `disjoint_bases` up when called, so a
-    # replacement of the module global is the one it calls
-    feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
-    for tup in itertools.product(flats, repeat=k):
-        if mode is Mode.COVERING:
-            union = 0
-            for f in tup:
-                union |= f
-            if union != full:
-                continue
-        elif mode is Mode.DISJOINT and not feasible[tuple(sorted(tup))]:
-            continue
-        yield tup
+    tuples = itertools.product(flats, repeat=k)
+    if mode is Mode.COVERING:
+        tuples = (tup for tup in tuples if functools.reduce(int.__or__, tup) == matroid.full_mask)
+    elif mode is Mode.DISJOINT:
+        # keyed by the sorted flats; the kernel looks `disjoint_bases` up when called, so a
+        # replacement of the module global is the one it calls
+        feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
+        tuples = (tup for tup in tuples if feasible[tuple(sorted(tup))])
+    return (_pack(tup, matroid.size) for tup in tuples), total
 
 
 def _pack(parts: Sequence[SubsetMask], n: int) -> int:
@@ -323,20 +309,31 @@ def profile(
 ) -> ProfileSet:
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
     check_quotient_args(oracle, k)
+    n = oracle.size
+    outer, value = (0,), oracle.lookup
     if isinstance(strategy, Exact):
-        nums = _exact_numerators(oracle, k, mode)
-    else:
-        n = oracle.size
-        if isinstance(strategy, FlatsOnly):
-            tables = (_pack(parts, n) for parts in _flat_parts(oracle, k, mode))
-        elif isinstance(strategy, Sampled):
-            tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown strategy {strategy!r}")
-        value, full = oracle.lookup, oracle.full_mask
-        shifts = [i * n for i in range(1, 1 << k)]
-        nums = {tuple(map(value, map(full.__and__, map(t.__rshift__, shifts)))) for t in tables}
-    # U_0 is empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up
+        outer, inner, count = _exact_tables(oracle, k, mode)
+        if count << k >= 1 << n:
+            value = oracle.numerator_table().__getitem__
+    elif isinstance(strategy, FlatsOnly):
+        inner, count = _flat_tables(oracle, k, mode)
+    elif isinstance(strategy, Sampled):
+        inner = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
+        count = strategy.samples
+    else:  # pragma: no cover
+        raise TypeError(f"unknown strategy {strategy!r}")
+    # the blocked scan: each block of isqrt(count) inner tables is unpacked once per
+    # index set, and each outer table ORs its own union onto a whole column, which is
+    # looked up in one C-level pass; U_0 is empty and check_quotient_args saw f(0) = 0,
+    # so coordinate 0 is never looked up
+    full = oracle.full_mask
+    shifts = [i * n for i in range(1, 1 << k)]
+    block = math.isqrt(count) or 1
+    nums: set[tuple[int, ...]] = set()
+    while chunk := list(itertools.islice(inner, block)):
+        cols = [(s, [t >> s & full for t in chunk]) for s in shifts]
+        for u in outer:
+            nums.update(zip(*[map(value, map((u >> s & full).__or__, col)) for s, col in cols]))
     den = oracle.den
     zero = Fraction(0)
     points = frozenset(QuotientPoint(k, (zero, *(Fraction(x, den) for x in c))) for c in nums)

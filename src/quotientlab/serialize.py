@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
+from . import __version__
+
 FORMAT_VERSION = 1
 
 
@@ -69,8 +71,6 @@ def matrix_csv(matrix: Sequence[Sequence[Fraction]], labels: Sequence[str], exac
 
 
 def report(command: str, params: dict, results: dict) -> dict:
-    from . import __version__
-
     return {
         "tool": {"name": "quotientlab", "version": __version__},
         "format_version": FORMAT_VERSION,

@@ -89,10 +89,10 @@ class SetFunctionOracle:
     `lookup(mask)` is `numerator` without the mask check, for callers that
     build their masks inside the ground set.
 
-    `matroid`, when given, is the matroid whose rank `num` is; the oracle
-    is then a view of it: the memo is the matroid's `rank_memo`, `lookup`
-    is its `rank_lookup()`, the flats strategy reads its flats and
-    `numerator_table` its rank table.
+    The values come from exactly one of `num` and `matroid`.  With a
+    matroid the oracle is a view of its rank: the memo is the matroid's
+    `rank_memo`, `lookup` is its `rank_lookup()`, the flats strategy reads
+    its flats and `numerator_table` its rank table.
 
     `twins` optionally partitions the ground set into classes of
     interchangeable elements: swapping any two members of a class must
@@ -106,7 +106,7 @@ class SetFunctionOracle:
     def __init__(
         self,
         size: int,
-        num: Callable[[SubsetMask], int],
+        num: Callable[[SubsetMask], int] | None = None,
         den: int = 1,
         label: str = "",
         matroid=None,
@@ -114,27 +114,29 @@ class SetFunctionOracle:
         twins: tuple[tuple[int, ...], ...] = (),
     ):
         check_ground_size(size)
+        if (num is None) == (matroid is None):
+            raise ValueError("an oracle takes its values from exactly one of num and matroid")
         if twins and sorted(e for cls in twins for e in cls) != list(range(size)):
             raise ValueError("twin classes must partition the ground set")
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        empty = num(0)
-        if not isinstance(empty, int):
-            raise TypeError(f"numerators must be ints, got {type(empty).__name__}")
-        if require_zero_empty and empty != 0:
-            raise ValueError(f"setfunction must vanish on the empty set, got {Fraction(empty, den)}")
+        if matroid is None:
+            empty = num(0)
+            if not isinstance(empty, int):
+                raise TypeError(f"numerators must be ints, got {type(empty).__name__}")
+            if require_zero_empty and empty != 0:
+                raise ValueError(f"setfunction must vanish on the empty set, got {Fraction(empty, den)}")
+            self._memo = Memo(num, {0: empty})
+            self.lookup = self._memo.__getitem__
+        else:
+            self._memo = matroid.rank_memo
+            self.lookup = matroid.rank_lookup()
         self.size = size
         self.full_mask = (1 << size) - 1
         self.den = den
         self.label = label
         self.matroid = matroid
         self.twins = twins
-        if matroid is None:
-            self._memo = Memo(num, {0: empty})
-            self.lookup = self._memo.__getitem__
-        else:
-            self._memo = matroid.rank_memo
-            self.lookup = matroid.rank_lookup()
 
     def numerator(self, mask: SubsetMask) -> int:
         """den * f(mask), memoized."""

@@ -22,6 +22,10 @@ No module of `src/quotientlab/` reads an attribute `x._name` (dunders
 aside) that only a different module of the package defines: a private
 name is read by the module that defines it, so a module's internals can
 change without another module knowing them.
+
+No module of `src/quotientlab/` imports inside a function: every import
+is at the top of its module, so the package's import graph is the one
+its module headers show, and a cycle in it fails at import time.
 """
 
 import ast
@@ -165,6 +169,16 @@ def foreign_private_reads():
     )
 
 
+def imports_inside_functions():
+    return sorted(
+        f"{path.stem}.{func.name}"
+        for path, tree in _trees(sorted(PACKAGE.glob("*.py"))).items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(func))
+    )
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
 
@@ -179,3 +193,7 @@ def test_every_instance_attribute_is_read():
 
 def test_no_module_reads_another_modules_private_attribute():
     assert foreign_private_reads() == []
+
+
+def test_no_module_imports_inside_a_function():
+    assert imports_inside_functions() == []

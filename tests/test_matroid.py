@@ -13,6 +13,7 @@ from quotientlab import (
     LinearMatroid,
     Matroid,
     Restriction,
+    SetFunctionOracle,
     SimpleGraph,
     check_richness,
     disjoint_bases,
@@ -606,3 +607,21 @@ def test_rank_lookup_closes_no_coloops():
 def test_rank_oracles_share_their_matroids_one_rank_memo(name):
     matroid = _lookup_matroids()[name]
     assert matroid.rank_oracle()._memo is matroid.normalized_rank_oracle(7)._memo is matroid.rank_memo
+
+
+def test_an_oracle_takes_its_values_from_num_or_from_a_matroid_never_both():
+    matroid = GraphicMatroid(SimpleGraph.complete(3))
+    with pytest.raises(ValueError):
+        SetFunctionOracle(matroid.size, lambda m: 0, matroid=matroid)
+    with pytest.raises(ValueError):
+        SetFunctionOracle(matroid.size)
+    oracle = SetFunctionOracle(matroid.size, den=2, matroid=matroid)
+    assert [oracle.evaluate(m) for m in range(8)] == [Fraction(min(m.bit_count(), 2), 2) for m in range(8)]
+
+
+def test_restriction_rank_reads_its_base_rank_memo():
+    base = GraphicMatroid(SimpleGraph.complete(4))
+    restricted = Restriction(base, 0b101011)
+    for mask in range(1 << base.size):
+        assert restricted.rank(mask) == base._rank(mask & 0b101011)
+    assert set(base.rank_memo) == {mask & 0b101011 for mask in range(1 << base.size)}

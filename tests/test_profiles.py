@@ -30,7 +30,7 @@ from quotientlab import (
 )
 from quotientlab import config
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
-from quotientlab.profiles import Exact, _flat_parts, _pack, _sampled_tables, _spread, _union_options
+from quotientlab.profiles import Exact, _flat_tables, _pack, _sampled_tables, _spread, _union_options
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 from quotientlab.setfn import SetFunctionOracle, oracle_from_table, union_table
 
@@ -471,20 +471,21 @@ def plain_exact_parts(oracle, k, mode):
 # The Fraction dedup profile() ran before values moved to int numerators:
 # every union of every tuple evaluated as a Fraction through the public
 # oracle, and the coordinate tuples deduplicated as Fractions.  Sampled
-# draws arrive as packed union tables (bit I*n + e: element e lies in U_I).
+# draws and flat tuples arrive as packed union tables (bit I*n + e:
+# element e lies in U_I).
 
 
 def fraction_reference(oracle, k, mode, strategy=EXACT):
     ev = oracle.evaluate
-    if isinstance(strategy, Sampled):
-        n, full = oracle.size, oracle.full_mask
-        tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
-        return {tuple(ev(t >> i * n & full) for i in range(1 << k)) for t in tables}
     if isinstance(strategy, Exact):
         _, tuples = plain_exact_parts(oracle, k, mode)
+        return {tuple(ev(u) for u in union_table(parts)) for parts in tuples}
+    n, full = oracle.size, oracle.full_mask
+    if isinstance(strategy, Sampled):
+        tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
     else:
-        tuples = _flat_parts(oracle, k, mode)
-    return {tuple(ev(u) for u in union_table(parts)) for parts in tuples}
+        tables, _ = _flat_tables(oracle, k, mode)
+    return {tuple(ev(t >> i * n & full) for i in range(1 << k)) for t in tables}
 
 
 # twins shrink the orbit count below 2^n / 2^k in every mode, so the
@@ -775,7 +776,7 @@ def numerator_reference(oracle, k, mode, strategy):
     if isinstance(strategy, Sampled):
         tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
     else:
-        tables = (_pack(parts, n) for parts in _flat_parts(oracle, k, mode))
+        tables, _ = _flat_tables(oracle, k, mode)
     num = oracle.numerator
     return {tuple(num(t >> i * n & full) for i in range(1, 1 << k)) for t in tables}
 
@@ -833,3 +834,55 @@ def test_sampled_path_profile_counts_its_coloops(monkeypatch):
     # the lookup counts the coloops, so every union shares the memo's empty key;
     # keying the coloops instead took one forest per distinct union, 58,442
     assert len(calls) < 100
+
+
+# The per-table loop sampled and flats profiles ran before they went through
+# the blocked scan: one lookup tuple per packed table, deduplicated in a set.
+
+
+def per_table_numerators(oracle, k, mode, strategy):
+    n = oracle.size
+    if isinstance(strategy, Sampled):
+        tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
+    else:
+        tables, _ = _flat_tables(oracle, k, mode)
+    value, full = oracle.lookup, oracle.full_mask
+    shifts = [i * n for i in range(1, 1 << k)]
+    return {tuple(map(value, map(full.__and__, map(t.__rshift__, shifts)))) for t in tables}
+
+
+SCAN_ORACLES = {
+    "cycle:K4": lambda: complete_cycle_oracle(3),
+    "cycle:K5": lambda: complete_cycle_oracle(4),
+    "gf(2)^3": lambda: gf_space_oracle(2, 3),
+    "gf(3)^2": lambda: gf_space_oracle(3, 2),
+    "cut:C5": lambda: cut_capacity_oracle(SimpleGraph.cycle(5)),
+    "empty": lambda: GraphicMatroid(SimpleGraph.make(2, [])).rank_oracle(),
+}
+
+
+def _scan_matches_per_table(build, k, mode, strategy):
+    oracle, fresh = build(), build()
+    got = {tuple(x * oracle.den for x in p.coords[1:]) for p in profile(oracle, k, mode, strategy)}
+    assert got == per_table_numerators(fresh, k, mode, strategy), (k, mode, strategy)
+    assert oracle._memo.keys() == fresh._memo.keys(), (k, mode, strategy)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ORACLES))
+def test_sampled_scan_matches_per_table_loop(name):
+    # no samples, one, two, a perfect square and a square plus one: blocks of
+    # isqrt(samples) tables, at least one, around the portfolio's k + 3 (+ 32)
+    for samples in (0, 1, 2, 49, 50):
+        for k in (1, 2, 3):
+            for mode in Mode:
+                _scan_matches_per_table(SCAN_ORACLES[name], k, mode, Sampled(11, samples))
+
+
+@pytest.mark.parametrize("name", sorted(set(SCAN_ORACLES) - {"cut:C5"}))
+def test_flats_scan_matches_per_table_loop(name):
+    for k in (1, 2, 3):
+        # K5 has 52 flats: its flat triples are too many to test
+        if k == 3 and name == "cycle:K5":
+            continue
+        for mode in (Mode.ANY, Mode.COVERING, Mode.DISJOINT):
+            _scan_matches_per_table(SCAN_ORACLES[name], k, mode, FLATS)
