@@ -7,20 +7,34 @@ restriction reads its base's rank memo, and a rank oracle is a view of
 its matroid whose memo is `rank_memo` and whose unchecked lookup is
 `rank_lookup`, so each value has one cache.  `rank_lookup` counts a
 mask's coloops and keys the rank memo by the union of the closures of
-two halves of its other elements.  Exact profiles read `rank_table`,
-which the cycle matroid and GF(2) linear matroids build in one
-include/exclude walk over their elements.  Closure is defined from rank
-alone, cl(X) = X + {e : r(X + e) = r(X)}; only the cycle matroid
-overrides it, with one union-find pass and one root lookup per node in
-place of one rank call per edge.  On top of rank and closure the module
-provides flat enumeration (breadth-first closure extension), the
-flat-pair richness condition, matroid union via augmenting paths with a
-min-formula certificate (searched only from elements that are not loops
-in every matroid, and stopped once the union reaches min(their count,
-sum_i r_i(E))), the quotient of the normalized cycle-matroid rank by an
-edge coloring, and the two lattice embeddings between full linear
-spaces GF(q)^m -> GF(q)^n (zero padding, which preserves ranks, and
-block repetition, which preserves normalized ranks when m divides n).
+two halves of its other elements.
+
+Each class supplies one independence step, `_extender()`: a pair
+(add, undo) over one growing independent set B, where add(e) puts e into
+B and returns a token (possibly 0) when B + e is independent, and
+returns None otherwise, and undo(token) takes the last added element
+back out.  The default step reads independence from `_rank`; linear
+matroids eliminate one column at a time (over GF(2) against a basis
+keyed by leading bit, otherwise against a stack of normalized pivot
+rows), and their `_rank` counts the columns the step accepts; the cycle
+matroid keeps a union-find by size that it can roll back.  Everything
+else comes from that step (Oxley, *Matroid Theory*, 2nd ed., 2011,
+§1.3-1.4): `rank_table`, which exact profiles read, is one
+include/exclude walk over the elements, and `_closure` grows a basis of
+X and adds every element the step refuses.  The cycle matroid answers a
+single rank or closure with `spanning_forest` instead, one pass with
+path halving and one root lookup per node.
+
+On top of rank and closure the module provides flat enumeration
+(breadth-first closure extension), the flat-pair richness condition,
+matroid union via augmenting paths with a min-formula certificate
+(searched only from elements that are not loops in every matroid, and
+stopped once the union reaches min(their count, sum_i r_i(E))) and its
+brute-force check over rank tables, the quotient of the normalized
+cycle-matroid rank by an edge coloring, and the two lattice embeddings
+between full linear spaces GF(q)^m -> GF(q)^n (zero padding, which
+preserves ranks, and block repetition, which preserves normalized ranks
+when m divides n).
 """
 
 from __future__ import annotations
@@ -38,7 +52,7 @@ from .errors import (
     GroundTooLargeError,
     KTooLargeError,
 )
-from .gfq import FiniteField, field, index_from_vector, vector_from_index
+from .gfq import field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
 from .setfn import (
     Memo,
@@ -47,14 +61,17 @@ from .setfn import (
     SubsetMask,
     check_ground_size,
     check_mask,
-    dense_numerators,
     iter_elements,
     quotient_point,
 )
 
 
 class Matroid:
-    """Base class: subclasses implement _rank(mask) on ground 0..size-1."""
+    """Base class: subclasses implement _rank(mask) on ground 0..size-1.
+
+    A subclass may also supply `_extender`, its own independence step;
+    the default reads independence from `_rank`.
+    """
 
     def __init__(self, size: int):
         check_ground_size(size)
@@ -66,6 +83,25 @@ class Matroid:
     def _rank(self, mask: SubsetMask) -> int:  # pragma: no cover
         raise NotImplementedError
 
+    def _extender(self) -> tuple[Callable[[int], Optional[int]], Callable[[int], None]]:
+        """(add, undo) over one growing independent set B, starting empty.
+
+        add(e) puts e into B and returns a token when B + e is
+        independent, and returns None otherwise; undo(token) takes the
+        last added element back out.  Tokens may be 0.  This default
+        tests r(B + e) = |B| + 1 and keeps B on a stack of masks.
+        """
+        rank, stack = self._rank, [0]
+
+        def add(e: int) -> Optional[int]:
+            grown = stack[-1] | 1 << e
+            if rank(grown) != len(stack):
+                return None
+            stack.append(grown)
+            return len(stack) - 1
+
+        return add, stack.pop
+
     def rank(self, mask: SubsetMask) -> int:
         check_mask(mask, self.size)
         return self.rank_memo[mask]
@@ -73,18 +109,46 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
 
-    def rank_table(self) -> Sequence[int]:
-        """r(X) for every mask X, indexed by mask; one `_rank` call per mask."""
-        return dense_numerators(self._rank, self.size)
+    def rank_table(self) -> array:
+        """r(X) for every mask X, indexed by mask, from one include/exclude walk.
+
+        The walk decides elements in index order and keeps one
+        independent set, a basis of the elements included so far, through
+        `_extender`: including an element adds it when it can, and backing
+        out undoes that add.
+        """
+        add, undo = self._extender()
+        last = self.size - 1
+        table = array("B", bytes(1 << self.size))  # a rank is at most size <= GROUND_SIZE_CAP
+
+        def walk(i: int, mask: SubsetMask, rank: int) -> None:
+            if i == last:  # the last element decides two entries
+                table[mask] = rank
+                token = add(i)
+                table[mask | 1 << i] = rank if token is None else rank + 1
+            else:
+                walk(i + 1, mask, rank)
+                token = add(i)
+                walk(i + 1, mask | 1 << i, rank if token is None else rank + 1)
+            if token is not None:
+                undo(token)
+
+        if self.size:
+            walk(0, 0, 0)
+        return table
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
-        """cl(X) = X + {e : r(X + e) = r(X)}, one rank call per element outside X."""
-        r = self.rank(mask)
+        """cl(X): X plus every element a basis of X cannot take (Oxley, §1.4)."""
+        add, undo = self._extender()
+        for e in iter_elements(mask):
+            add(e)
         out = mask
-        rest = self.full_mask & ~mask
-        for e in iter_elements(rest):
-            if self.rank(mask | 1 << e) == r:
+        for e in iter_elements(self.full_mask & ~mask):
+            token = add(e)
+            if token is None:
                 out |= 1 << e
+            else:
+                undo(token)
         return out
 
     def closure(self, mask: SubsetMask) -> SubsetMask:
@@ -167,44 +231,37 @@ class GraphicMatroid(Matroid):
     def _rank(self, mask: SubsetMask) -> int:
         return spanning_forest(self.graph, mask)[1]
 
-    def rank_table(self) -> array:
-        """Forest sizes of every edge mask, from one include/exclude walk over the edges.
+    def _extender(self) -> tuple[Callable[[int], Optional[int]], Callable[[int], None]]:
+        """A union-find by size over the added edges, without path compression.
 
-        The walk decides edges in index order and keeps a union-find by
-        size without path compression over the edges included so far, so
-        backing out of an edge undoes its union by resetting one parent.
+        An edge joining two trees is added by hanging the smaller root
+        under the larger; that root is the token, and with no compression
+        undoing is one parent reset.  `_rank` and `_closure` keep
+        `spanning_forest`, whose path halving answers one mask faster.
         """
         edges = self.graph.edges
-        m = len(edges)
-        table = array("B", bytes(1 << m))  # a rank is at most m <= GROUND_SIZE_CAP
         parent = list(range(self.graph.node_count))
         weight = [1] * self.graph.node_count
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        def walk(i: int, mask: SubsetMask, rank: int) -> None:
-            if i == m:
-                table[mask] = rank
-                return
-            walk(i + 1, mask, rank)
-            u, v = edges[i]
-            ru, rv = find(u), find(v)
+        def add(e: int) -> Optional[int]:
+            ru, rv = edges[e]
+            while parent[ru] != ru:
+                ru = parent[ru]
+            while parent[rv] != rv:
+                rv = parent[rv]
             if ru == rv:
-                walk(i + 1, mask | 1 << i, rank)
-                return
+                return None
             if weight[ru] < weight[rv]:
                 ru, rv = rv, ru
             parent[rv] = ru
             weight[ru] += weight[rv]
-            walk(i + 1, mask | 1 << i, rank + 1)
-            weight[ru] -= weight[rv]
+            return rv
+
+        def undo(rv: int) -> None:
+            weight[parent[rv]] -= weight[rv]
             parent[rv] = rv
 
-        walk(0, 0, 0)
-        return table
+        return add, undo
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
         """The edges whose ends the spanning forest of mask connects: one root lookup per node."""
@@ -214,26 +271,6 @@ class GraphicMatroid(Matroid):
 
     def _name(self) -> str:
         return f"cycle[{self.graph.name or self.graph.node_count}]"
-
-
-def _reduce_gf2(basis: dict[int, int], v: int) -> int:
-    """Remainder of a GF(2) bit vector against a basis keyed by leading bit."""
-    while v:
-        msb = v.bit_length() - 1
-        if msb not in basis:
-            break
-        v ^= basis[msb]
-    return v
-
-
-def _reduce_general(f: FiniteField, pivots: Sequence[tuple[int, list[int]]], col: Sequence[int]) -> list[int]:
-    """Remainder of a GF(q) vector against normalized pivot rows."""
-    v = list(col)
-    for pi, pv in pivots:
-        c = v[pi]
-        if c:
-            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
-    return v
 
 
 class LinearMatroid(Matroid):
@@ -263,56 +300,49 @@ class LinearMatroid(Matroid):
         cols = [vector_from_index(j, q, n) for j in range(q**n)]
         return cls(q, cols, name=f"gf({q})^{n}")
 
-    def _rank(self, mask: SubsetMask) -> int:
-        """Size of a basis grown by Gaussian elimination over the columns in mask."""
-        if self._bits is not None:
-            basis: dict[int, int] = {}
-            for e in iter_elements(mask):
-                v = _reduce_gf2(basis, self._bits[e])
-                if v:
-                    basis[v.bit_length() - 1] = v
-            return len(basis)
-        f = self.field
-        pivots: list[tuple[int, list[int]]] = []
-        for e in iter_elements(mask):
-            v = _reduce_general(f, pivots, self.columns[e])
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is not None:
-                scale = f.inv(v[lead])
-                pivots.append((lead, [f.mul(scale, x) for x in v]))
-        return len(pivots)
+    def _extender(self) -> tuple[Callable[[int], Optional[int]], Callable[[int], None]]:
+        """Gaussian elimination of one column at a time against the added columns.
 
-    def rank_table(self) -> Sequence[int]:
-        """Ranks of every mask; over GF(2) from one include/exclude walk over the columns.
-
-        The GF(2) walk decides columns in index order and keeps the
-        included columns' reduced basis keyed by leading bit, so backing
-        out of a column pops the one vector it pushed.  Other fields take
-        one elimination per mask.
+        Over GF(2) the added columns are kept reduced in a basis keyed by
+        leading bit, which is the token; over GF(q) as normalized pivot
+        rows on a stack, whose index is the token.
         """
-        bits = self._bits
-        if bits is None:
-            return super().rank_table()
-        m = len(bits)
-        table = array("B", bytes(1 << m))  # a rank is at most m <= GROUND_SIZE_CAP
-        basis: dict[int, int] = {}
+        if self._bits is not None:
+            bits, basis = self._bits, {}
 
-        def walk(i: int, mask: SubsetMask) -> None:
-            if i == m:
-                table[mask] = len(basis)
-                return
-            walk(i + 1, mask)
-            v = _reduce_gf2(basis, bits[i])
-            if v:
-                lead = v.bit_length() - 1
-                basis[lead] = v
-                walk(i + 1, mask | 1 << i)
-                del basis[lead]
-            else:
-                walk(i + 1, mask | 1 << i)
+            def add(e: int) -> Optional[int]:
+                v = bits[e]
+                while v:
+                    lead = v.bit_length() - 1
+                    if lead not in basis:
+                        basis[lead] = v
+                        return lead
+                    v ^= basis[lead]
+                return None
 
-        walk(0, 0)
-        return table
+            return add, basis.__delitem__
+        f, columns = self.field, self.columns
+        pivots: list[tuple[int, list[int]]] = []
+
+        def add(e: int) -> Optional[int]:
+            v = columns[e]
+            for pi, pv in pivots:
+                c = v[pi]
+                if c:
+                    v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is None:
+                return None
+            scale = f.inv(v[lead])
+            pivots.append((lead, [f.mul(scale, x) for x in v]))
+            return len(pivots) - 1
+
+        return add, pivots.pop
+
+    def _rank(self, mask: SubsetMask) -> int:
+        """Size of a basis grown from the columns in mask."""
+        add, _ = self._extender()
+        return sum(add(e) is not None for e in iter_elements(mask))
 
     def _name(self) -> str:
         return self.name or f"linear(q={self.q},m={self.size})"
@@ -505,16 +535,17 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
 
 
 def matroid_union_rank_brute(matroids: Sequence[Matroid]) -> tuple[int, SubsetMask]:
-    """min over Y of |Y| + sum_i r_i(E \\ Y); exponential, for verification."""
+    """min over Y of |Y| + sum_i r_i(E \\ Y), read from rank tables; exponential, for verification."""
     n = matroids[0].size
     if n > config.UNION_BRUTE_FORCE_CAP:
         raise GroundTooLargeError(
             "UNION_BRUTE_FORCE_CAP", config.UNION_BRUTE_FORCE_CAP, n, "brute-force union rank"
         )
     full = matroids[0].full_mask
+    tables = [m.rank_table() for m in matroids]
     best, best_y = None, 0
     for y in range(1 << n):
-        value = y.bit_count() + sum(m.rank(full & ~y) for m in matroids)
+        value = y.bit_count() + sum(t[full & ~y] for t in tables)
         if best is None or value < best:
             best, best_y = value, y
     return best, best_y

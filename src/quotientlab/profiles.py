@@ -323,9 +323,9 @@ def profile(
     else:  # pragma: no cover
         raise TypeError(f"unknown strategy {strategy!r}")
     # the blocked scan: each block of isqrt(count) inner tables is unpacked once per
-    # index set, and each outer table ORs its own union onto a whole column, which is
-    # looked up in one C-level pass; U_0 is empty and check_quotient_args saw f(0) = 0,
-    # so coordinate 0 is never looked up
+    # index set; each outer table ORs its own union onto a whole column (no pass when
+    # that union is empty), and the column is looked up in one C-level pass; U_0 is
+    # empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up
     full = oracle.full_mask
     shifts = [i * n for i in range(1, 1 << k)]
     block = math.isqrt(count) or 1
@@ -333,7 +333,7 @@ def profile(
     while chunk := list(itertools.islice(inner, block)):
         cols = [(s, [t >> s & full for t in chunk]) for s in shifts]
         for u in outer:
-            nums.update(zip(*[map(value, map((u >> s & full).__or__, col)) for s, col in cols]))
+            nums.update(zip(*[map(value, map(o.__or__, col) if (o := u >> s & full) else col) for s, col in cols]))
     den = oracle.den
     zero = Fraction(0)
     points = frozenset(QuotientPoint(k, (zero, *(Fraction(x, den) for x in c))) for c in nums)

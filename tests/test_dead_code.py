@@ -26,6 +26,10 @@ change without another module knowing them.
 No module of `src/quotientlab/` imports inside a function: every import
 is at the top of its module, so the package's import graph is the one
 its module headers show, and a cycle in it fails at import time.
+
+Rank tables come from one include/exclude walk: `src/quotientlab/` has
+exactly one function named `rank_table`, and no `_reduce_*` function
+keeps a second copy of a matroid's independence step.
 """
 
 import ast
@@ -197,3 +201,17 @@ def test_no_module_reads_another_modules_private_attribute():
 
 def test_no_module_imports_inside_a_function():
     assert imports_inside_functions() == []
+
+
+def functions_named(predicate):
+    return sorted(
+        f"{path.stem}.{func.name}"
+        for path, tree in _trees(sorted(PACKAGE.glob("*.py"))).items()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and predicate(func.name)
+    )
+
+
+def test_one_rank_table_walk_and_no_second_elimination():
+    assert functions_named(lambda name: name == "rank_table") == ["matroid.rank_table"]
+    assert functions_named(lambda name: name.startswith("_reduce_")) == []

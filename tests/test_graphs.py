@@ -111,12 +111,16 @@ def test_spanning_forest_matches_plain_union_find():
 
 
 def test_graphic_closure_matches_rank_closure_on_every_mask():
+    """The spanning-forest closure and the one through the union-find step, both against
+    the rank definition cl(X) = X + {e : r(X + e) = r(X)} with forest ranks."""
     from quotientlab.matroid import Matroid
 
     for g in (SimpleGraph.complete(5), SPLIT_GRAPH):
         matroid = GraphicMatroid(g)
         for mask in range(1 << g.edge_count):
-            assert matroid._closure(mask) == Matroid._closure(matroid, mask), (g.name, mask)
+            r = matroid._rank(mask)
+            expected = mask | sum(1 << e for e in range(g.edge_count) if matroid._rank(mask | 1 << e) == r)
+            assert matroid._closure(mask) == Matroid._closure(matroid, mask) == expected, (g.name, mask)
 
 
 def test_blow_up_identity():

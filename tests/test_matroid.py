@@ -11,7 +11,6 @@ from quotientlab import (
     DivisibilityError,
     GraphicMatroid,
     LinearMatroid,
-    Matroid,
     Restriction,
     SetFunctionOracle,
     SimpleGraph,
@@ -22,6 +21,7 @@ from quotientlab import (
     pad_embed_flat,
     stretch_embed_flat,
 )
+from quotientlab.gfq import field, index_from_vector
 from quotientlab.setfn import iter_elements
 
 
@@ -44,6 +44,70 @@ def gf2_rank_naive(vectors):
             if gf2_independent_naive(list(combo)):
                 return r
     return best
+
+
+# References that do not go through `_extender`: the per-mask Gaussian
+# eliminations LinearMatroid._rank ran before it counted its extender's adds,
+# and the closure defined from rank alone.
+
+
+def _reduce_gf2(basis, v):
+    """Remainder of a GF(2) bit vector against a basis keyed by leading bit."""
+    while v:
+        msb = v.bit_length() - 1
+        if msb not in basis:
+            break
+        v ^= basis[msb]
+    return v
+
+
+def _reduce_general(f, pivots, col):
+    """Remainder of a GF(q) vector against normalized pivot rows."""
+    v = list(col)
+    for pi, pv in pivots:
+        c = v[pi]
+        if c:
+            v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
+    return v
+
+
+def eliminated_rank(matroid, mask):
+    """Rank of the columns in mask by one Gaussian elimination."""
+    if matroid.q == 2:
+        basis = {}
+        for e in iter_elements(mask):
+            v = _reduce_gf2(basis, index_from_vector(matroid.columns[e], 2))
+            if v:
+                basis[v.bit_length() - 1] = v
+        return len(basis)
+    f = field(matroid.q)
+    pivots = []
+    for e in iter_elements(mask):
+        v = _reduce_general(f, pivots, matroid.columns[e])
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is not None:
+            scale = f.inv(v[lead])
+            pivots.append((lead, [f.mul(scale, x) for x in v]))
+    return len(pivots)
+
+
+def reference_rank(matroid):
+    """The rank function of matroid, with linear ranks by elimination and graphic ones by spanning forest."""
+    if isinstance(matroid, LinearMatroid):
+        return lambda mask: eliminated_rank(matroid, mask)
+    if isinstance(matroid, GraphicMatroid):
+        return matroid._rank
+    if isinstance(matroid, Restriction):
+        base = reference_rank(matroid.base)
+        return lambda mask: base(mask & matroid.support)
+    parts = [(reference_rank(part), part.full_mask, off) for part, off in zip(matroid.parts, matroid.offsets)]
+    return lambda mask: sum(rank(mask >> off & full) for rank, full, off in parts)
+
+
+def rank_closure(rank, size, mask):
+    """cl(X) = X + {e : r(X + e) = r(X)}, one rank call per element outside X."""
+    r = rank(mask)
+    return mask | sum(1 << e for e in iter_elements((1 << size) - 1 & ~mask) if rank(mask | 1 << e) == r)
 
 
 def test_rank_complete_graph():
@@ -122,7 +186,7 @@ def test_closure_properties_random():
         for _ in range(40):
             x = rng.randrange(1 << m.size)
             cl = m.closure(x)
-            assert cl == Matroid._closure(m, x)
+            assert cl == rank_closure(reference_rank(m), m.size, x)
             assert cl & x == x
             assert m.rank(cl) == m.rank(x)
             assert m.closure(cl) == cl
@@ -403,19 +467,110 @@ def test_gf2_rank_table_walk_matches_rank_on_every_mask(name):
         matroid = LinearMatroid.full_space(2, int(name[-1]))
     else:
         matroid = _gf2_columns_with_a_zero_and_repeats()
+    masks = range(1 << matroid.size)
+    expected = [eliminated_rank(matroid, mask) for mask in masks]
     table = matroid.rank_table()
     assert len(table) == 1 << matroid.size
-    assert list(table) == [matroid._rank(mask) for mask in range(1 << matroid.size)]
+    assert list(table) == expected
+    assert [matroid._rank(mask) for mask in masks] == expected
     assert matroid.rank_memo == {0: 0}
 
 
-def test_default_rank_table_is_one_rank_per_mask():
+def _random_columns(q, count, dim, seed):
+    rng = random.Random(seed)
+    return LinearMatroid(q, [tuple(rng.randrange(q) for _ in range(dim)) for _ in range(count)])
+
+
+GFQ_MATROIDS = {
+    "gf(3)^1": lambda: LinearMatroid.full_space(3, 1),
+    "gf(3)^2": lambda: LinearMatroid.full_space(3, 2),
+    "gf(4)^1": lambda: LinearMatroid.full_space(4, 1),
+    "gf(4)^2": lambda: LinearMatroid.full_space(4, 2),
+    "gf(5) columns": lambda: _random_columns(5, 12, 3, 5),
+    "gf(7) columns": lambda: _random_columns(7, 12, 4, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GFQ_MATROIDS))
+def test_gfq_rank_table_and_rank_match_elimination(name):
+    """Every mask up to 12 elements, and 4,096 seeded masks of gf(4)^2's 16."""
+    matroid = GFQ_MATROIDS[name]()
+    masks = range(1 << matroid.size)
+    if matroid.size > 12:
+        rng = random.Random(name)
+        masks = [rng.getrandbits(matroid.size) for _ in range(4096)]
+    expected = [eliminated_rank(matroid, mask) for mask in masks]
+    table = matroid.rank_table()
+    assert len(table) == 1 << matroid.size
+    assert [table[mask] for mask in masks] == expected
+    assert [matroid._rank(mask) for mask in masks] == expected
+    assert matroid.rank_memo == {0: 0}
+
+
+def test_rank_table_matches_rank_on_every_mask_of_gf3_and_a_direct_sum():
     for matroid in (
         LinearMatroid.full_space(3, 2),
         DirectSumMatroid([GraphicMatroid(SimpleGraph.complete(3)), LinearMatroid.full_space(2, 2)]),
     ):
         table = matroid.rank_table()
         assert list(table) == [matroid.rank(mask) for mask in range(1 << matroid.size)]
+
+
+@pytest.mark.parametrize("name", ["direct sum", "restriction"])
+def test_default_extender_rank_table_and_closure_match_the_references(name):
+    if name == "direct sum":
+        parts = [GraphicMatroid(SimpleGraph.complete(3)), LinearMatroid.full_space(3, 1)]
+        matroid = DirectSumMatroid(parts + [_gf2_columns_with_a_zero_and_repeats()])
+    else:
+        matroid = Restriction(LinearMatroid.full_space(3, 2), 0b110110101)
+    rank = reference_rank(matroid)
+    masks = range(1 << matroid.size)
+    assert list(matroid.rank_table()) == [rank(mask) for mask in masks]
+    assert [matroid.closure(mask) for mask in masks] == [rank_closure(rank, matroid.size, mask) for mask in masks]
+
+
+@pytest.mark.parametrize("name", ["gf(2)^3", "gf(3)^2", "zero and repeated columns"])
+def test_linear_closure_matches_rank_definition_on_every_mask(name):
+    if name.startswith("gf"):
+        matroid = LinearMatroid.full_space(int(name[3]), int(name[-1]))
+    else:
+        matroid = _gf2_columns_with_a_zero_and_repeats()
+    rank = reference_rank(matroid)
+    for mask in range(1 << matroid.size):
+        assert matroid.closure(mask) == rank_closure(rank, matroid.size, mask), mask
+    assert matroid.rank_memo == {0: 0}
+
+
+def reference_union_rank_brute(matroids):
+    """min over Y of |Y| + sum_i r_i(E - Y), one reference rank call per matroid and mask."""
+    full = matroids[0].full_mask
+    ranks = [reference_rank(m) for m in matroids]
+    best, best_y = None, 0
+    for y in range(1 << matroids[0].size):
+        value = y.bit_count() + sum(rank(full & ~y) for rank in ranks)
+        if best is None or value < best:
+            best, best_y = value, y
+    return best, best_y
+
+
+def test_brute_union_from_rank_tables_matches_per_mask_ranks_and_leaves_the_memos():
+    rng = random.Random(31)
+    for _ in range(30):
+        ground = rng.randrange(2, 10)
+        mats = []
+        for _ in range(rng.randrange(1, 4)):
+            pick = rng.randrange(3)
+            if pick == 0:
+                nodes = rng.randrange(3, 7)
+                while nodes * (nodes - 1) // 2 < ground:
+                    nodes += 1
+                edges = rng.sample(list(itertools.combinations(range(nodes), 2)), ground)
+                mats.append(GraphicMatroid(SimpleGraph.make(nodes, edges)))
+            else:
+                base = _random_columns(pick + 1, ground, rng.randrange(1, 4), rng.getrandbits(32))
+                mats.append(Restriction(base, rng.getrandbits(ground)) if rng.random() < 0.3 else base)
+        assert matroid_union_rank_brute(mats) == reference_union_rank_brute(mats)
+        assert all(m.rank_memo == {0: 0} for m in mats)
 
 
 # The augmenting-path union matroid_union ran before it searched from live
@@ -590,7 +745,8 @@ def test_rank_lookup_matches_rank_on_every_mask(name):
     random.Random(name).shuffle(masks)  # so later lookups hit keys that earlier ones stored
     assert [oracle.lookup(mask) for mask in masks] == [matroid._rank(mask) for mask in masks]
     assert all(value == matroid._rank(key) for key, value in oracle._memo.items())
-    assert all(matroid._closure_cache[key] == Matroid._closure(matroid, key) for key in matroid._closure_cache)
+    rank = reference_rank(matroid)
+    assert all(value == rank_closure(rank, matroid.size, key) for key, value in matroid._closure_cache.items())
 
 
 def test_rank_lookup_closes_no_coloops():
