@@ -3,8 +3,11 @@
 Prime fields use modular arithmetic directly.  For GF(p^e) an element is
 an integer in 0..q-1 whose base-p digits are the coefficients of a
 polynomial residue modulo a monic irreducible of degree e; products go
-through log/antilog tables built from a primitive element.  All of this
-is sized for tiny q, the fields that actually show up on a desk.
+through log/antilog tables built from a primitive element.  Sums are
+digit-wise mod p: for p = 2 that is XOR, and for odd p the field builds
+q x q addition and subtraction tables and a negation table once, so
+each sum is one lookup.  All of this is sized for tiny q, the fields
+that actually show up on a desk.
 """
 
 from __future__ import annotations
@@ -92,6 +95,16 @@ class FiniteField:
         else:
             self.modulus = _find_irreducible(p, e)
             self._build_tables()
+        if e == 1 or p == 2:
+            self._add = self._neg = self._sub = None
+        else:
+            digits = [vector_from_index(a, p, e) for a in range(q)]
+            self._neg = tuple(index_from_vector(tuple(-x % p for x in da), p) for da in digits)
+            self._add = tuple(
+                tuple(index_from_vector(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits)
+                for da in digits
+            )
+            self._sub = tuple(tuple(row[b] for b in self._neg) for row in self._add)
 
     # int <-> coefficient tuple (degree < e, base-p digits, low degree first)
     def _digits(self, a: int) -> tuple[int, ...]:
@@ -137,30 +150,23 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if self.p == 2:
+            return a ^ b
+        return self._add[a][b]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.e):
-            out += ((-(a % p)) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        if self.p == 2:
+            return a
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.e == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

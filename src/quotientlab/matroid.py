@@ -9,21 +9,30 @@ its matroid whose memo is `rank_memo` and whose unchecked lookup is
 mask's coloops and keys the rank memo by the union of the closures of
 two halves of its other elements.
 
-Each class supplies one independence step, `_extender()`: a pair
-(add, undo) over one growing independent set B, where add(e) puts e into
-B and returns a token (possibly 0) when B + e is independent, and
-returns None otherwise, and undo(token) takes the last added element
-back out.  The default step reads independence from `_rank`; linear
-matroids eliminate one column at a time (over GF(2) against a basis
-keyed by leading bit, otherwise against a stack of normalized pivot
-rows), and their `_rank` counts the columns the step accepts; the cycle
-matroid keeps a union-find by size that it can roll back.  Everything
-else comes from that step (Oxley, *Matroid Theory*, 2nd ed., 2011,
-§1.3-1.4): `rank_table`, which exact profiles read, is one
+Each class supplies one independence step, `_extender()`: a triple
+(add, undo, key) over one growing independent set B, where add(e) puts e
+into B and returns a token (possibly 0) when B + e is independent, and
+returns None otherwise, undo(token) takes the last added element back
+out, and key(s) names the contraction M/B on the low elements 0..s-1:
+equal keys mean equal ranks r_{M/B}(X) for every X among them.  The
+default step reads independence from `_rank` and has no key (None);
+linear matroids eliminate one column at a time (over GF(2) against a
+basis keyed by leading bit, otherwise against a stack of normalized
+pivot rows), key by the low columns reduced to zero at every pivot
+position, and their `_rank` counts the columns the step accepts; the
+cycle matroid keeps a union-find by size that it can roll back, and
+keys by the components of B that the low edges' ends lie in.
+Everything else comes from that step (Oxley, *Matroid Theory*, 2nd ed.,
+2011, §1.3-1.4, §3.1): `rank_table`, which exact profiles read, is one
 include/exclude walk over the elements, and `_closure` grows a basis of
-X and adds every element the step refuses.  The cycle matroid answers a
-single rank or closure with `spanning_forest` instead, one pass with
-path halving and one root lookup per node.
+X and adds every element the step refuses.  The walk decides the
+elements above the low s = floor(n/3) first; at each prefix P the
+entries P | X, X in the low block, are r(P) + r_{M/P}(X), so the walk
+goes on over the low elements only for the first P of each key and
+copies a slice of that pattern, shifted by r(P), for every later one.
+Direct sums and restrictions have no key and walk every element.  The
+cycle matroid answers a single rank or closure with `spanning_forest`
+instead, one pass with path halving and one root lookup per node.
 
 On top of rank and closure the module provides flat enumeration
 (breadth-first closure extension), the flat-pair richness condition,
@@ -43,7 +52,7 @@ import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from . import config
 from .errors import (
@@ -66,11 +75,17 @@ from .setfn import (
 )
 
 
+# (add, undo, key): one independence step, see the module docstring
+_Step = tuple[
+    Callable[[int], Optional[int]], Callable[[int], None], Optional[Callable[[int], Hashable]]
+]
+
+
 class Matroid:
     """Base class: subclasses implement _rank(mask) on ground 0..size-1.
 
     A subclass may also supply `_extender`, its own independence step;
-    the default reads independence from `_rank`.
+    the default reads independence from `_rank` and has no contraction key.
     """
 
     def __init__(self, size: int):
@@ -83,13 +98,15 @@ class Matroid:
     def _rank(self, mask: SubsetMask) -> int:  # pragma: no cover
         raise NotImplementedError
 
-    def _extender(self) -> tuple[Callable[[int], Optional[int]], Callable[[int], None]]:
-        """(add, undo) over one growing independent set B, starting empty.
+    def _extender(self) -> _Step:
+        """(add, undo, key) over one growing independent set B, starting empty.
 
         add(e) puts e into B and returns a token when B + e is
         independent, and returns None otherwise; undo(token) takes the
-        last added element back out.  Tokens may be 0.  This default
-        tests r(B + e) = |B| + 1 and keeps B on a stack of masks.
+        last added element back out.  Tokens may be 0.  key(s) names the
+        contraction M/B on elements 0..s-1: two sets B with equal keys
+        give M/B equal ranks on every subset of them.  This default tests
+        r(B + e) = |B| + 1, keeps B on a stack of masks, and has no key.
         """
         rank, stack = self._rank, [0]
 
@@ -100,7 +117,7 @@ class Matroid:
             stack.append(grown)
             return len(stack) - 1
 
-        return add, stack.pop
+        return add, stack.pop, None
 
     def rank(self, mask: SubsetMask) -> int:
         check_mask(mask, self.size)
@@ -112,34 +129,56 @@ class Matroid:
     def rank_table(self) -> array:
         """r(X) for every mask X, indexed by mask, from one include/exclude walk.
 
-        The walk decides elements in index order and keeps one
-        independent set, a basis of the elements included so far, through
-        `_extender`: including an element adds it when it can, and backing
-        out undoes that add.
+        The walk decides elements from the highest index down and keeps
+        one independent set, a basis of the elements included so far,
+        through `_extender`: including an element adds it when it can,
+        and backing out undoes that add.  With a contraction key, the
+        low s = floor(n/3) elements are decided last: once the prefix P
+        above them is decided, the entries P | X for X inside the low
+        block are the contiguous slice r(P) + r_{M/P}(X) (Oxley, §3.1),
+        and M/P is named by the step's key.  The first P of a key walks
+        the low elements and stores their contraction ranks as its
+        pattern; every later P copies the pattern, shifted by r(P), as
+        one slice (one shifted copy is kept per key and rank).  A step
+        without a key walks every element.
         """
-        add, undo = self._extender()
-        last = self.size - 1
+        add, undo, key = self._extender()
+        low = self.size // 3 if key is not None else 0
+        split, width = low - 1, 1 << low  # the walk reaches element `split` once per prefix
         table = array("B", bytes(1 << self.size))  # a rank is at most size <= GROUND_SIZE_CAP
+        patterns: dict[Hashable, list[int]] = {}  # key -> r_{M/P}(X) for X in the low block
+        blocks: dict[tuple[Hashable, int], array] = {}  # (key, r(P)) -> the shifted pattern
 
-        def walk(i: int, mask: SubsetMask, rank: int) -> None:
-            if i == last:  # the last element decides two entries
+        def walk(e: int, mask: SubsetMask, rank: int) -> None:
+            if e == split:
+                minor = key(low)
+                block = blocks.get((minor, rank))
+                if block is None and minor in patterns:
+                    block = blocks[minor, rank] = array("B", [r + rank for r in patterns[minor]])
+                if block is not None:
+                    table[mask:mask + width] = block
+                    return
+            if e:
+                walk(e - 1, mask, rank)
+                token = add(e)
+                walk(e - 1, mask | 1 << e, rank if token is None else rank + 1)
+            else:  # element 0 decides two entries
                 table[mask] = rank
-                token = add(i)
-                table[mask | 1 << i] = rank if token is None else rank + 1
-            else:
-                walk(i + 1, mask, rank)
-                token = add(i)
-                walk(i + 1, mask | 1 << i, rank if token is None else rank + 1)
+                token = add(0)
+                table[mask | 1] = rank if token is None else rank + 1
             if token is not None:
                 undo(token)
+            if e == split:
+                block = blocks[minor, rank] = table[mask:mask + width]
+                patterns[minor] = [r - rank for r in block]
 
         if self.size:
-            walk(0, 0, 0)
+            walk(self.size - 1, 0, 0)
         return table
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
         """cl(X): X plus every element a basis of X cannot take (Oxley, §1.4)."""
-        add, undo = self._extender()
+        add, undo, _ = self._extender()
         for e in iter_elements(mask):
             add(e)
         out = mask
@@ -231,15 +270,19 @@ class GraphicMatroid(Matroid):
     def _rank(self, mask: SubsetMask) -> int:
         return spanning_forest(self.graph, mask)[1]
 
-    def _extender(self) -> tuple[Callable[[int], Optional[int]], Callable[[int], None]]:
+    def _extender(self) -> _Step:
         """A union-find by size over the added edges, without path compression.
 
         An edge joining two trees is added by hanging the smaller root
         under the larger; that root is the token, and with no compression
-        undoing is one parent reset.  `_rank` and `_closure` keep
-        `spanning_forest`, whose path halving answers one mask faster.
+        undoing is one parent reset.  M/B is the cycle matroid of the graph
+        with each tree of B shrunk to a node, so the key numbers the
+        roots of the low edges' ends in order of first appearance.
+        `_rank` and `_closure` keep `spanning_forest`, whose path halving
+        answers one mask faster.
         """
         edges = self.graph.edges
+        ends = [x for edge in edges for x in edge]
         parent = list(range(self.graph.node_count))
         weight = [1] * self.graph.node_count
 
@@ -261,7 +304,16 @@ class GraphicMatroid(Matroid):
             weight[parent[rv]] -= weight[rv]
             parent[rv] = rv
 
-        return add, undo
+        def key(low: int) -> tuple[int, ...]:
+            labels: dict[int, int] = {}
+            out = []
+            for x in dict.fromkeys(ends[:2 * low]):
+                while parent[x] != x:
+                    x = parent[x]
+                out.append(labels.setdefault(x, len(labels)))
+            return tuple(out)
+
+        return add, undo, key
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
         """The edges whose ends the spanning forest of mask connects: one root lookup per node."""
@@ -300,12 +352,18 @@ class LinearMatroid(Matroid):
         cols = [vector_from_index(j, q, n) for j in range(q**n)]
         return cls(q, cols, name=f"gf({q})^{n}")
 
-    def _extender(self) -> tuple[Callable[[int], Optional[int]], Callable[[int], None]]:
+    def _extender(self) -> _Step:
         """Gaussian elimination of one column at a time against the added columns.
 
         Over GF(2) the added columns are kept reduced in a basis keyed by
         leading bit, which is the token; over GF(q) as normalized pivot
-        rows on a stack, whose index is the token.
+        rows on a stack, whose index is the token.  M/B is the matroid of
+        the columns modulo the span of B, and a column reduced to zero at
+        every pivot position is the one representative of its coset in
+        the coordinates off the pivots, so the key is the low columns
+        reduced that way: over GF(2) from the highest leading bit down,
+        over GF(q) in stack order (each pivot row is already zero at the
+        earlier pivots).
         """
         if self._bits is not None:
             bits, basis = self._bits, {}
@@ -320,28 +378,44 @@ class LinearMatroid(Matroid):
                     v ^= basis[lead]
                 return None
 
-            return add, basis.__delitem__
-        f, columns = self.field, self.columns
+            def key(low: int) -> tuple[int, ...]:
+                leads = sorted(basis, reverse=True)
+                out = []
+                for v in bits[:low]:
+                    for lead in leads:
+                        if v >> lead & 1:
+                            v ^= basis[lead]
+                    out.append(v)
+                return tuple(out)
+
+            return add, basis.__delitem__, key
+        sub, mul, inv, columns = self.field.sub, self.field.mul, self.field.inv, self.columns
         pivots: list[tuple[int, list[int]]] = []
 
-        def add(e: int) -> Optional[int]:
-            v = columns[e]
+        def reduce(v: Sequence[int]) -> Sequence[int]:
             for pi, pv in pivots:
                 c = v[pi]
                 if c:
-                    v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, pv)]
+                    v = [sub(a, mul(c, b)) for a, b in zip(v, pv)]
+            return v
+
+        def add(e: int) -> Optional[int]:
+            v = reduce(columns[e])
             lead = next((i for i, x in enumerate(v) if x), None)
             if lead is None:
                 return None
-            scale = f.inv(v[lead])
-            pivots.append((lead, [f.mul(scale, x) for x in v]))
+            scale = inv(v[lead])
+            pivots.append((lead, [mul(scale, x) for x in v]))
             return len(pivots) - 1
 
-        return add, pivots.pop
+        def key(low: int) -> tuple[tuple[int, ...], ...]:
+            return tuple(tuple(reduce(v)) for v in columns[:low])
+
+        return add, pivots.pop, key
 
     def _rank(self, mask: SubsetMask) -> int:
         """Size of a basis grown from the columns in mask."""
-        add, _ = self._extender()
+        add = self._extender()[0]
         return sum(add(e) is not None for e in iter_elements(mask))
 
     def _name(self) -> str:

@@ -28,8 +28,10 @@ is at the top of its module, so the package's import graph is the one
 its module headers show, and a cycle in it fails at import time.
 
 Rank tables come from one include/exclude walk: `src/quotientlab/` has
-exactly one function named `rank_table`, and no `_reduce_*` function
-keeps a second copy of a matroid's independence step.
+exactly one function named `rank_table`, so no matroid class overrides
+it, and no `_reduce_*` function keeps a second copy of a matroid's
+independence step.  The walk over the prefix elements and the fill of a
+contraction pattern over the low elements are one recursion inside it.
 """
 
 import ast

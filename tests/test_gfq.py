@@ -56,3 +56,35 @@ def test_vector_index_roundtrip():
             vec = vector_from_index(j, q, n)
             assert len(vec) == n
             assert index_from_vector(vec, q) == j
+
+
+def digit_add(q, a, b):
+    """a + b in GF(p^e), one base-p digit at a time."""
+    f = field(q)
+    out, mult = 0, 1
+    for _ in range(f.e):
+        out += ((a % f.p + b % f.p) % f.p) * mult
+        a //= f.p
+        b //= f.p
+        mult *= f.p
+    return out
+
+
+def digit_neg(q, a):
+    """-a in GF(p^e), one base-p digit at a time."""
+    f = field(q)
+    out, mult = 0, 1
+    for _ in range(f.e):
+        out += (-(a % f.p) % f.p) * mult
+        a //= f.p
+        mult *= f.p
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_sum_tables_match_the_digit_loops(q):
+    f = field(q)
+    pairs = [(a, b) for a in range(q) for b in range(q)]
+    assert [f.neg(a) for a in range(q)] == [digit_neg(q, a) for a in range(q)]
+    assert [f.add(a, b) for a, b in pairs] == [digit_add(q, a, b) for a, b in pairs]
+    assert [f.sub(a, b) for a, b in pairs] == [digit_add(q, a, digit_neg(q, b)) for a, b in pairs]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from quotientlab import (
     DivisibilityError,
     GraphicMatroid,
     LinearMatroid,
+    Matroid,
     Restriction,
     SetFunctionOracle,
     SimpleGraph,
@@ -523,9 +525,10 @@ def test_default_extender_rank_table_and_closure_match_the_references(name):
         matroid = DirectSumMatroid(parts + [_gf2_columns_with_a_zero_and_repeats()])
     else:
         matroid = Restriction(LinearMatroid.full_space(3, 2), 0b110110101)
+    assert matroid._extender()[2] is None  # no contraction key: the walk decides every element
+    assert_blocked_table(matroid, name)
     rank = reference_rank(matroid)
     masks = range(1 << matroid.size)
-    assert list(matroid.rank_table()) == [rank(mask) for mask in masks]
     assert [matroid.closure(mask) for mask in masks] == [rank_closure(rank, matroid.size, mask) for mask in masks]
 
 
@@ -539,6 +542,144 @@ def test_linear_closure_matches_rank_definition_on_every_mask(name):
     for mask in range(1 << matroid.size):
         assert matroid.closure(mask) == rank_closure(rank, matroid.size, mask), mask
     assert matroid.rank_memo == {0: 0}
+
+
+# A rank table is r(P) + r_{M/P}(X) on each block of masks P | X, X inside the
+# low floor(n/3) elements, so `rank_table` walks the low elements once per
+# distinct contraction key and copies that pattern for every other prefix.
+# The reference below is the walk without blocks: every element in index
+# order, one add per walk call, no key.
+
+
+def unblocked_rank_table(matroid):
+    """r(X) for every mask X from one include/exclude walk over every element in index order."""
+    add, undo = matroid._extender()[:2]
+    last = matroid.size - 1
+    table = array("B", bytes(1 << matroid.size))
+
+    def walk(i, mask, rank):
+        if i == last:
+            table[mask] = rank
+            token = add(i)
+            table[mask | 1 << i] = rank if token is None else rank + 1
+        else:
+            walk(i + 1, mask, rank)
+            token = add(i)
+            walk(i + 1, mask | 1 << i, rank if token is None else rank + 1)
+        if token is not None:
+            undo(token)
+
+    if matroid.size:
+        walk(0, 0, 0)
+    return table
+
+
+def assert_blocked_table(matroid, seed):
+    """The blocked table is byte-identical to the unblocked walk and agrees with the reference rank.
+
+    Every mask is ranked up to 14 elements, 4,096 seeded masks beyond.
+    """
+    before = dict(matroid.rank_memo)
+    table = matroid.rank_table()
+    assert table.typecode == "B"
+    assert table.tobytes() == unblocked_rank_table(matroid).tobytes()
+    masks = range(1 << matroid.size)
+    if matroid.size > 14:
+        rng = random.Random(seed)
+        masks = [rng.getrandbits(matroid.size) for _ in range(4096)]
+    rank = reference_rank(matroid)
+    assert [table[mask] for mask in masks] == [rank(mask) for mask in masks]
+    assert matroid.rank_memo == before
+
+
+def _bundled_matroids():
+    from quotientlab.sequences import example51_oracle
+
+    out = {f"ex51({n})": lambda n=n: example51_oracle(n).matroid for n in range(1, 13)}
+    out.update({f"K{n}": lambda n=n: GraphicMatroid(SimpleGraph.complete(n)) for n in range(1, 8)})
+    out.update({f"gf(2)^{n}": lambda n=n: LinearMatroid.full_space(2, n) for n in range(1, 5)})
+    out.update({f"gf(3)^{n}": lambda n=n: LinearMatroid.full_space(3, n) for n in range(1, 3)})
+    out["gf(4)^2"] = lambda: LinearMatroid.full_space(4, 2)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_bundled_matroids()))
+def test_blocked_rank_table_of_every_bundled_family(name):
+    matroid = _bundled_matroids()[name]()
+    assert matroid._extender()[2] is not None
+    assert_blocked_table(matroid, name)
+
+
+# no nodes, an isolated node, and one or two edges with isolated nodes beside them:
+# fewer than three edges, so the low block is empty
+SMALL_GRAPHS = [(0, ()), (1, ()), (2, ((0, 1),)), (4, ((1, 3),)), (3, ((0, 1), (1, 2))), (5, ((0, 4), (2, 3)))]
+
+
+def _random_graph(seed):
+    """The small graphs for seeds 0-5, then 3-9 joined nodes, up to 16 edges and up to two isolated nodes."""
+    if seed < len(SMALL_GRAPHS):
+        return SimpleGraph.make(*SMALL_GRAPHS[seed])
+    rng = random.Random(seed)
+    nodes = rng.randrange(3, 10)
+    density = rng.uniform(0.2, 0.9)
+    edges = [pair for pair in itertools.combinations(range(nodes), 2) if rng.random() < density][:16]
+    return SimpleGraph.make(nodes + rng.randrange(3), edges)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_blocked_rank_table_of_random_graphs(seed):
+    assert_blocked_table(GraphicMatroid(_random_graph(seed)), seed)
+
+
+def _columns_with_zero_and_parallels(q, seed):
+    """Random columns, a zero column, and nonzero multiples of some of them, shuffled."""
+    rng = random.Random(seed)
+    f = field(q)
+    dim, count = rng.randrange(2, 5), rng.randrange(4, 10)
+    cols = [tuple(rng.randrange(q) for _ in range(dim)) for _ in range(count)]
+    cols.append((0,) * dim)
+    for col in rng.sample(cols, 3):
+        scale = rng.randrange(1, q)
+        cols.append(tuple(f.mul(scale, x) for x in col))
+    rng.shuffle(cols)
+    return LinearMatroid(q, cols)
+
+
+@pytest.mark.parametrize("q,seed", [(q, seed) for q in (2, 3, 4) for seed in range(5)])
+def test_blocked_rank_table_of_random_columns(q, seed):
+    assert_blocked_table(_columns_with_zero_and_parallels(q, seed), seed)
+
+
+def count_adds(monkeypatch, matroid, build):
+    """How many times `build(matroid)` calls its step's add."""
+    step = matroid._extender
+    calls = 0
+
+    def counting_step():
+        add, undo, key = step()
+
+        def counted(e):
+            nonlocal calls
+            calls += 1
+            return add(e)
+
+        return counted, undo, key
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matroid, "_extender", counting_step)
+        table = build(matroid)
+    return calls, table
+
+
+@pytest.mark.parametrize("name", ["ex51(10)", "K7"])
+def test_blocked_rank_table_makes_under_a_third_of_the_walks_adds(monkeypatch, name):
+    """Work, not time: a silent fall back to the unblocked walk fails this."""
+    matroid = _bundled_matroids()[name]()
+    blocked, table = count_adds(monkeypatch, matroid, Matroid.rank_table)
+    plain, reference = count_adds(monkeypatch, matroid, unblocked_rank_table)
+    assert table == reference
+    assert plain == (1 << matroid.size) - 1
+    assert 3 * blocked < plain
 
 
 def reference_union_rank_brute(matroids):
