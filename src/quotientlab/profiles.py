@@ -23,8 +23,10 @@ Three enumeration strategies:
 * FlatsOnly   -- for matroid rank oracles, iterate k-tuples of flats.
                  Exact for ANY (closures do not change any value of the
                  tuple), for COVERING (filter: the flats' union must be
-                 the ground set), and for DISJOINT (filter: the flats
-                 admit disjoint spanning sets, decided by matroid union).
+                 the ground set), and for DISJOINT (the flats must admit
+                 disjoint spanning sets, decided by matroid union; every
+                 tuple is streamed, and the scan asks this only for a
+                 tuple whose point it has not kept yet).
                  Invalid for PARTITION, where no flat reduction is sound.
 
 Each assignment is handled as a packed union table: one int whose bit
@@ -42,7 +44,13 @@ cap; the scan reads the stream in blocks of isqrt(count) tables, and
 every outer table looks up a whole inner column per index set in one
 C-level pass.  Exact enumeration splits the twin classes into an outer
 and an inner block of about sqrt(orbits) tables each; sampled and flats
-profiles pass the empty table as their one outer table.  An exact
+profiles pass the empty table as their one outer table.  A DISJOINT
+flats profile also passes a feasibility predicate on a packed table: the
+scan still computes every point, keeps a point at its first table that
+passes, and asks the predicate only about points not kept yet.  A point
+is in the profile exactly when some feasible tuple maps to it, so this
+is exact, and matroid union runs only for tuples whose point is still
+missing (73 sorted pairs of gf(2)^4 for k = 2, not all 2,278).  An exact
 profile reads a dense table of all 2^n numerators when it looks up at
 least as many unions as there are masks (orbits * 2^k >= 2^n);
 otherwise, and always for the other strategies, the scan reads the
@@ -59,7 +67,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import config
 from .errors import EnumCapError, FlatExplosionError, GroundTooLargeError, StrategyError
@@ -226,8 +234,17 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
     return _tables(classes[:split], spread), (c + t for c in pivot for t in rest), orbits
 
 
-def _flat_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[Iterator[int], int]:
-    """The packed union tables of the k-tuples of flats the mode admits, and the count of all k-tuples."""
+def _flat_tables(
+    oracle: SetFunctionOracle, k: int, mode: Mode
+) -> tuple[Iterator[int], int, Optional[Callable[[int], bool]]]:
+    """The packed union tables of k-tuples of flats, the count of all k-tuples, and a feasibility predicate.
+
+    COVERING streams only the tuples whose union is the ground set.
+    DISJOINT streams every tuple and returns a predicate on a packed
+    table: flat i is read back from U_{i}, at shift (1 << i) * n, and the
+    sorted flats key one memoized `disjoint_bases` call.  The scan asks it
+    only for a point it has not kept yet.  ANY has no predicate.
+    """
     matroid: Optional[Matroid] = oracle.matroid
     if matroid is None:
         raise StrategyError("flats strategy needs a matroid-backed rank oracle")
@@ -241,15 +258,21 @@ def _flat_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[Iterato
         raise EnumCapError(
             "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total, f"flats profile ({len(flats)} flats, k={k})"
         )
+    n, full = matroid.size, matroid.full_mask
     tuples = itertools.product(flats, repeat=k)
+    keep = None
     if mode is Mode.COVERING:
-        tuples = (tup for tup in tuples if functools.reduce(int.__or__, tup) == matroid.full_mask)
+        tuples = (tup for tup in tuples if functools.reduce(int.__or__, tup) == full)
     elif mode is Mode.DISJOINT:
         # keyed by the sorted flats; the kernel looks `disjoint_bases` up when called, so a
         # replacement of the module global is the one it calls
         feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
-        tuples = (tup for tup in tuples if feasible[tuple(sorted(tup))])
-    return (_pack(tup, matroid.size) for tup in tuples), total
+        shifts = [(1 << i) * n for i in range(k)]
+
+        def keep(table: int) -> bool:
+            return feasible[tuple(sorted([table >> s & full for s in shifts]))]
+
+    return (_pack(tup, n) for tup in tuples), total, keep
 
 
 def _pack(parts: Sequence[SubsetMask], n: int) -> int:
@@ -310,13 +333,13 @@ def profile(
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
     check_quotient_args(oracle, k)
     n = oracle.size
-    outer, value = (0,), oracle.lookup
+    outer, value, keep = (0,), oracle.lookup, None
     if isinstance(strategy, Exact):
         outer, inner, count = _exact_tables(oracle, k, mode)
         if count << k >= 1 << n:
             value = oracle.numerator_table().__getitem__
     elif isinstance(strategy, FlatsOnly):
-        inner, count = _flat_tables(oracle, k, mode)
+        inner, count, keep = _flat_tables(oracle, k, mode)
     elif isinstance(strategy, Sampled):
         inner = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
         count = strategy.samples
@@ -325,7 +348,9 @@ def profile(
     # the blocked scan: each block of isqrt(count) inner tables is unpacked once per
     # index set; each outer table ORs its own union onto a whole column (no pass when
     # that union is empty), and the column is looked up in one C-level pass; U_0 is
-    # empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up
+    # empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up.
+    # With a predicate (only beside the one empty outer table) a point is kept at its
+    # first table that passes, and no table of a point already kept is asked
     full = oracle.full_mask
     shifts = [i * n for i in range(1, 1 << k)]
     block = math.isqrt(count) or 1
@@ -333,7 +358,13 @@ def profile(
     while chunk := list(itertools.islice(inner, block)):
         cols = [(s, [t >> s & full for t in chunk]) for s in shifts]
         for u in outer:
-            nums.update(zip(*[map(value, map(o.__or__, col) if (o := u >> s & full) else col) for s, col in cols]))
+            points = zip(*[map(value, map(o.__or__, col) if (o := u >> s & full) else col) for s, col in cols])
+            if keep is None:
+                nums.update(points)
+            else:
+                for t, p in zip(chunk, points):
+                    if p not in nums and keep(t):
+                        nums.add(p)
     den = oracle.den
     zero = Fraction(0)
     points = frozenset(QuotientPoint(k, (zero, *(Fraction(x, den) for x in c))) for c in nums)

@@ -1,5 +1,6 @@
 """Profile enumeration: modes, strategies, composition, filters."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -29,10 +30,12 @@ from quotientlab import (
     verify_inclusions,
 )
 from quotientlab import config
+from quotientlab import profiles as profiles_module
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
-from quotientlab.profiles import Exact, _flat_tables, _pack, _sampled_tables, _spread, _union_options
+from quotientlab.matroid import disjoint_bases
+from quotientlab.profiles import Exact, _pack, _sampled_tables, _spread, _union_options
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
-from quotientlab.setfn import SetFunctionOracle, oracle_from_table, union_table
+from quotientlab.setfn import Memo, SetFunctionOracle, oracle_from_table, union_table
 
 
 def coords_set(pset):
@@ -468,6 +471,23 @@ def plain_exact_parts(oracle, k, mode):
     return total, ([packed >> s & full for s in shifts] for packed in map(sum, combos))
 
 
+# The flat tuples _flat_tables streamed before DISJOINT feasibility moved into
+# the scan: COVERING and DISJOINT filtered every k-tuple of flats before
+# packing it, DISJOINT through one memoized `disjoint_bases` call per sorted
+# tuple.
+
+
+def filtered_flat_tables(oracle, k, mode):
+    matroid = oracle.matroid
+    tuples = itertools.product(matroid.flats(), repeat=k)
+    if mode is Mode.COVERING:
+        tuples = (tup for tup in tuples if functools.reduce(int.__or__, tup) == matroid.full_mask)
+    elif mode is Mode.DISJOINT:
+        feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
+        tuples = (tup for tup in tuples if feasible[tuple(sorted(tup))])
+    return (_pack(tup, matroid.size) for tup in tuples)
+
+
 # The Fraction dedup profile() ran before values moved to int numerators:
 # every union of every tuple evaluated as a Fraction through the public
 # oracle, and the coordinate tuples deduplicated as Fractions.  Sampled
@@ -484,7 +504,7 @@ def fraction_reference(oracle, k, mode, strategy=EXACT):
     if isinstance(strategy, Sampled):
         tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
     else:
-        tables, _ = _flat_tables(oracle, k, mode)
+        tables = filtered_flat_tables(oracle, k, mode)
     return {tuple(ev(t >> i * n & full) for i in range(1 << k)) for t in tables}
 
 
@@ -776,7 +796,7 @@ def numerator_reference(oracle, k, mode, strategy):
     if isinstance(strategy, Sampled):
         tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
     else:
-        tables, _ = _flat_tables(oracle, k, mode)
+        tables = filtered_flat_tables(oracle, k, mode)
     num = oracle.numerator
     return {tuple(num(t >> i * n & full) for i in range(1, 1 << k)) for t in tables}
 
@@ -845,7 +865,7 @@ def per_table_numerators(oracle, k, mode, strategy):
     if isinstance(strategy, Sampled):
         tables = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
     else:
-        tables, _ = _flat_tables(oracle, k, mode)
+        tables = filtered_flat_tables(oracle, k, mode)
     value, full = oracle.lookup, oracle.full_mask
     shifts = [i * n for i in range(1, 1 << k)]
     return {tuple(map(value, map(full.__and__, map(t.__rshift__, shifts)))) for t in tables}
@@ -861,10 +881,17 @@ SCAN_ORACLES = {
 }
 
 
-def _scan_matches_per_table(build, k, mode, strategy):
+def _scan_matches_per_table(build, k, mode, strategy, asked=()):
     oracle, fresh = build(), build()
     got = {tuple(x * oracle.den for x in p.coords[1:]) for p in profile(oracle, k, mode, strategy)}
     assert got == per_table_numerators(fresh, k, mode, strategy), (k, mode, strategy)
+    if strategy is FLATS and mode is Mode.DISJOINT:
+        # the scan looks up the unions of every k-tuple, infeasible ones too, and the
+        # feasibility calls it made (`asked`) fill the rank memo as well
+        fresh = build()
+        per_table_numerators(fresh, k, Mode.ANY, strategy)
+        for flats in asked:
+            disjoint_bases(fresh.matroid, flats)
     assert oracle._memo.keys() == fresh._memo.keys(), (k, mode, strategy)
 
 
@@ -878,11 +905,58 @@ def test_sampled_scan_matches_per_table_loop(name):
                 _scan_matches_per_table(SCAN_ORACLES[name], k, mode, Sampled(11, samples))
 
 
+def _record_disjoint_bases(monkeypatch):
+    """The flats of every call profiles makes to `disjoint_bases`, the global bench/tracer.py wraps."""
+    asked = []
+
+    def recorded(matroid, flats):
+        asked.append(flats)
+        return disjoint_bases(matroid, flats)
+
+    monkeypatch.setattr(profiles_module, "disjoint_bases", recorded)
+    return asked
+
+
 @pytest.mark.parametrize("name", sorted(set(SCAN_ORACLES) - {"cut:C5"}))
-def test_flats_scan_matches_per_table_loop(name):
+def test_flats_scan_matches_per_table_loop(name, monkeypatch):
+    asked = _record_disjoint_bases(monkeypatch)
     for k in (1, 2, 3):
         # K5 has 52 flats: its flat triples are too many to test
         if k == 3 and name == "cycle:K5":
             continue
         for mode in (Mode.ANY, Mode.COVERING, Mode.DISJOINT):
-            _scan_matches_per_table(SCAN_ORACLES[name], k, mode, FLATS)
+            asked.clear()
+            _scan_matches_per_table(SCAN_ORACLES[name], k, mode, FLATS, asked)
+
+
+# DISJOINT flats profiles stream every k-tuple of flats and ask for
+# feasibility only when a tuple's point is new; the reference filters every
+# tuple first.
+
+DISJOINT_FLAT_ORACLES = {
+    "cycle:K4": (lambda: complete_cycle_oracle(3), 3),
+    "cycle:K5": (lambda: complete_cycle_oracle(4), 2),
+    "gf(2)^3": (lambda: gf_space_oracle(2, 3), 3),
+    "gf(3)^2": (lambda: gf_space_oracle(3, 2), 3),
+    "gf(2)^4": (lambda: gf_space_oracle(2, 4), 2),
+    "K3+gf(2)^2+edge": (LOOKUP_ORACLES["K3+gf(2)^2+edge"], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISJOINT_FLAT_ORACLES))
+def test_disjoint_flats_profile_matches_the_filtered_reference(name):
+    build, top = DISJOINT_FLAT_ORACLES[name]
+    for k in range(1, top + 1):
+        oracle, fresh = build(), build()
+        got = {tuple(x * oracle.den for x in p.coords[1:]) for p in profile(oracle, k, Mode.DISJOINT, FLATS)}
+        assert got == numerator_reference(fresh, k, Mode.DISJOINT, FLATS), k
+    # at the largest k some point of an infeasible tuple has no feasible tuple
+    assert got < numerator_reference(build(), top, Mode.ANY, FLATS)
+
+
+def test_disjoint_flats_profile_asks_feasibility_only_for_new_points(monkeypatch):
+    calls = _record_disjoint_bases(monkeypatch)
+    oracle = gf_space_oracle(2, 4)
+    assert len(profile(oracle, 2, Mode.DISJOINT, FLATS)) == 33
+    # 67 flats: filtering every tuple first asked for all 2,278 sorted pairs
+    assert len(calls) == len(set(calls)) <= 100
