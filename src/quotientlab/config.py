@@ -41,15 +41,20 @@ UNION_BRUTE_FORCE_CAP = 16
 HOM_PATTERN_NODE_CAP = 5
 HOM_TARGET_NODE_CAP = 15
 
-# Labeled cut distance: a Gray-code walk over all 2^n node sets with a
-# separable inner max; each step costs one unit per node whose adjacency
-# to the flipped node differs between the two graphs.  One call at the
-# cap took 22 s for two random half-density graphs and 36 s for K24 vs
-# the empty graph (Python 3.11.7, one core of a 2-vCPU host); the
-# per-set popcount scan it replaced took 64-66 s on either pair.
+# Labeled cut distance: a Gray-code walk over the 2^m sets of the m
+# classes of nodes that share a nonzero row of A_G - A_H, with a separable
+# inner max; each step costs one update per class in the flipped class's
+# row.  The cap is on the node count n, checked before the grouping.  A
+# pair with no two equal rows has m = n: one call at the cap took 21 s
+# for two random half-density graphs and 38 s for K24 vs the empty graph
+# (Python 3.11.7, one core of a 2-vCPU host; the per-node walk it
+# replaced took 22 and 35 s back to back on the same pairs).  The 24-node
+# blow-up of a 4-node pair has at most 4 classes and takes under 1 ms.
 CUT_DIST_NODE_CAP = 24
 
 # Common node count of the two blow-ups searched for the unlabeled
 # cut-distance upper bound; each candidate bijection is one labeled
-# cut distance, 2^n steps of at most n - 1 unit updates each.
+# cut distance, 2^m steps for the m overlay cells it fills (at most n
+# and at most the product of the two graphs' node counts), each of at
+# most m updates.
 BLOWUP_NODE_CAP = 12

@@ -231,40 +231,60 @@ def cut_dist_labeled(g: SimpleGraph, h: SimpleGraph) -> Fraction:
         raise GroundTooLargeError("CUT_DIST_NODE_CAP", config.CUT_DIST_NODE_CAP, n, "labeled cut distance")
     if n == 0:
         return Fraction(0)
-    # e_G(S, T) - e_H(S, T) is the sum over w in T of
-    # d[w] = |N_G(w) ∩ S| - |N_H(w) ∩ S|, so for fixed S the largest gap
+    # e_G(S, T) - e_H(S, T) = s^T D t for D = A_G - A_H.  Nodes with one row
+    # of D, keyed by their neighbours in G only and in H only, also share a
+    # column and are not adjacent in exactly one graph (there are no loops),
+    # so s^T D t is bilinear in the per-class counts of S and T, and its
+    # extremes over the box of counts sit at vertices: S and T take each
+    # class whole.  For fixed S, e[c] is size[c] times the gap
+    # e_G(S, w) - e_H(S, w) of each node w of class c, and the largest gap
     # either way is pos or neg, the sums of the positive and negative parts
-    # of d.  S walks all 2^n sets in Gray-code order, so each step flips
-    # one node x, which moves d[w] by one for the w adjacent to x in
-    # exactly one of the graphs.
+    # of e.  S walks the 2^m sets of the m classes with a nonzero row in
+    # Gray-code order (a zero row never moves e), so each step flips one
+    # class x, which moves e[c] by size[c] * size[x] for the c in its row.
+    # pos - neg, the sum of e, moves by shift[x], so neg is read off it.
     ga, ha = g.adjacency, h.adjacency
-    g_only = [[w for w in range(n) if (ga[x] & ~ha[x]) >> w & 1] for x in range(n)]
-    h_only = [[w for w in range(n) if (ha[x] & ~ga[x]) >> w & 1] for x in range(n)]
-    d = [0] * n
-    pos = neg = best = 0
-    for i in range(1, 1 << n):
+    classes: dict[tuple[int, int], list[int]] = {}
+    for x in range(n):
+        classes.setdefault((ga[x] & ~ha[x], ha[x] & ~ga[x]), []).append(x)
+    classes.pop((0, 0), None)
+    first = [members[0] for members in classes.values()]
+    size = [len(members) for members in classes.values()]
+    # (class c, change of e[c]) for the G-only and the H-only part of each row
+    g_rows, h_rows, shift = [], [], []
+    for (g_only, h_only), s in zip(classes, size):
+        g_rows.append([(c, size[c] * s) for c, w in enumerate(first) if g_only >> w & 1])
+        h_rows.append([(c, size[c] * s) for c, w in enumerate(first) if h_only >> w & 1])
+        shift.append(s * (g_only.bit_count() - h_only.bit_count()))
+    e = [0] * len(first)
+    pos = total = best = 0
+    for i in range(1, 1 << len(first)):
         x = (i & -i).bit_length() - 1
         # S_i = i ^ (i >> 1) differs from S_(i-1) in bit x, which it has iff bit x+1 of i is 0
         if i >> (x + 1) & 1:
-            up, down = h_only[x], g_only[x]
+            up, down = h_rows[x], g_rows[x]
+            total -= shift[x]
         else:
-            up, down = g_only[x], h_only[x]
-        for w in up:
-            if d[w] < 0:
-                neg -= 1
-            else:
-                pos += 1
-            d[w] += 1
-        for w in down:
-            if d[w] > 0:
-                pos -= 1
-            else:
-                neg += 1
-            d[w] -= 1
+            up, down = g_rows[x], h_rows[x]
+            total += shift[x]
+        for c, step in up:
+            old = e[c]
+            e[c] = new = old + step
+            if old >= 0:
+                pos += step
+            elif new > 0:
+                pos += new
+        for c, step in down:
+            old = e[c]
+            e[c] = new = old - step
+            if new >= 0:
+                pos -= step
+            elif old > 0:
+                pos -= old
         if pos > best:
             best = pos
-        if neg > best:
-            best = neg
+        if pos - total > best:
+            best = pos - total
     return Fraction(best, n * n)
 
 
@@ -305,9 +325,10 @@ def cut_dist_unlabeled_upper(
     swaps.  For same-size graphs on at most 6 nodes all direct node
     bijections are exhausted as well (blow-ups cannot beat the best
     block-respecting alignment they induce).  One labeled-distance
-    evaluation visits all 2^n node sets of the common blow-up size n,
-    each in time proportional to the nodes whose adjacency to the flipped
-    node differs between the graphs, so blow-up pairs above
+    evaluation walks the 2^m sets of the m overlay cells (defined below) a
+    bijection fills, since the nodes of one cell share a row of the
+    difference of the adjacency matrices (see cut_dist_labeled), and m is
+    at most the common blow-up size n.  Blow-up pairs above
     BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get a trimmed
     random portfolio; the result notes the truncation.
 

@@ -196,6 +196,35 @@ def reference_cut_dist_labeled(g, h):
     return Fraction(best, n * n)
 
 
+def gray_cut_dist_labeled(g, h):
+    """The unreduced Gray-code walk the class walk replaces: all 2^n node sets, unit steps."""
+    n = g.node_count
+    if n == 0:
+        return Fraction(0)
+    ga, ha = g.adjacency, h.adjacency
+    g_only = [[w for w in range(n) if (ga[x] & ~ha[x]) >> w & 1] for x in range(n)]
+    h_only = [[w for w in range(n) if (ha[x] & ~ga[x]) >> w & 1] for x in range(n)]
+    d = [0] * n
+    pos = neg = best = 0
+    for i in range(1, 1 << n):
+        x = (i & -i).bit_length() - 1
+        up, down = (h_only[x], g_only[x]) if i >> (x + 1) & 1 else (g_only[x], h_only[x])
+        for w in up:
+            if d[w] < 0:
+                neg -= 1
+            else:
+                pos += 1
+            d[w] += 1
+        for w in down:
+            if d[w] > 0:
+                pos -= 1
+            else:
+                neg += 1
+            d[w] -= 1
+        best = max(best, pos, neg)
+    return Fraction(best, n * n)
+
+
 def random_graph(rng, n, p):
     return SimpleGraph.make(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
 
@@ -241,6 +270,56 @@ def test_cut_dist_labeled_matches_reference_on_shaped_pairs():
 def test_cut_dist_labeled_matches_reference_on_relabeled_blowups():
     for g, h in relabeled_blowup_pairs(random.Random(99), 12):
         assert cut_dist_labeled(g, h) == reference_cut_dist_labeled(g, h), h.edges
+
+
+def flipped(rng, g, flips):
+    """g with `flips` node pairs drawn at random toggled (a pair may be drawn twice)."""
+    edges = set(g.edges)
+    for _ in range(flips if g.node_count >= 2 else 0):
+        edges ^= {tuple(sorted(rng.sample(range(g.node_count), 2)))}
+    return SimpleGraph.make(g.node_count, edges)
+
+
+def twin_edge_pair(rng, k):
+    """The false-twin pairs (2i, 2i+1) of a 2-blow-up, each pair joined in g, in h, in both or
+    in neither: joined twins differ in their row of A_G - A_H when only one graph joins them."""
+    base = blow_up(random_graph(rng, k, rng.random()), 2)
+    joins = [rng.randrange(4) for _ in range(k)]
+    g = SimpleGraph.make(2 * k, set(base.edges) | {(2 * i, 2 * i + 1) for i, j in enumerate(joins) if j & 1})
+    h = SimpleGraph.make(2 * k, set(base.edges) | {(2 * i, 2 * i + 1) for i, j in enumerate(joins) if j & 2})
+    return g, h
+
+
+def test_cut_dist_labeled_matches_both_references_where_classes_merge_or_split():
+    rng = random.Random(4242)
+    pairs = [(SimpleGraph.empty(0), SimpleGraph.empty(0)), (SimpleGraph.empty(1), SimpleGraph.empty(1))]
+    # near-equal pairs: most rows of A_G - A_H are zero and those nodes merge
+    for n in range(2, 12):
+        g = random_graph(rng, n, rng.random())
+        pairs += [(g, flipped(rng, g, flips)) for flips in range(4)]
+    pairs += [twin_edge_pair(rng, k) for k in range(1, 6) for _ in range(3)]
+    # relabeled blow-ups at t = 2: a 2-node against a 3-node graph on 12 nodes
+    for _ in range(4):
+        g, h = blow_up(random_graph(rng, 2, 1), 6), blow_up(random_graph(rng, 3, 0.5), 4)
+        perm = list(range(12))
+        rng.shuffle(perm)
+        pairs.append((g, SimpleGraph.make(12, ((perm[u], perm[v]) for u, v in h.edges))))
+    for g, h in pairs:
+        expected = reference_cut_dist_labeled(g, h)
+        assert gray_cut_dist_labeled(g, h) == expected, (g.edges, h.edges)
+        assert cut_dist_labeled(g, h) == expected, (g.edges, h.edges)
+
+
+def test_cut_dist_labeled_is_blowup_invariant_up_to_the_node_cap():
+    # blow-up classes are classes of equal rows, so even 24-node pairs walk at most 2^4 sets
+    rng = random.Random(31)
+    for n in range(1, 5):
+        for _ in range(3):
+            g, h = random_graph(rng, n, 0.5), random_graph(rng, n, 0.5)
+            expected = cut_dist_labeled(g, h)
+            assert expected == reference_cut_dist_labeled(g, h)
+            for t in range(2, config.CUT_DIST_NODE_CAP // n + 1):
+                assert cut_dist_labeled(blow_up(g, t), blow_up(h, t)) == expected, (g.edges, h.edges, t)
 
 
 @pytest.mark.parametrize("g, h, t_max, trials, seed", [
