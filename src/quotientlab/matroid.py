@@ -304,10 +304,15 @@ class GraphicMatroid(Matroid):
             weight[parent[rv]] -= weight[rv]
             parent[rv] = rv
 
+        lows: dict[int, list[int]] = {}  # low -> the low edges' ends, each once
+
         def key(low: int) -> tuple[int, ...]:
+            nodes = lows.get(low)
+            if nodes is None:
+                nodes = lows[low] = list(dict.fromkeys(ends[:2 * low]))
             labels: dict[int, int] = {}
             out = []
-            for x in dict.fromkeys(ends[:2 * low]):
+            for x in nodes:
                 while parent[x] != x:
                     x = parent[x]
                 out.append(labels.setdefault(x, len(labels)))

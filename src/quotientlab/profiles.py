@@ -41,21 +41,30 @@ denominator, and builds Fractions only for the distinct points.  Every
 strategy goes through one blocked scan: it passes a list of outer
 tables, a stream of inner tables and the count it checked against the
 cap; the scan reads the stream in blocks of isqrt(count) tables, and
-every outer table looks up a whole inner column per index set in one
-C-level pass.  Exact enumeration splits the twin classes into an outer
-and an inner block of about sqrt(orbits) tables each; sampled and flats
-profiles pass the empty table as their one outer table.  A DISJOINT
+every outer table reads a whole inner column per index set in one
+C-level call: from a dense array of numerators, one `itemgetter` over
+the block's inner unions applied to a memoryview of the table offset by
+the outer union (outer and inner tables use disjoint elements, so the
+OR of their unions is their sum); otherwise the outer union ORed onto
+the column and the lookup mapped over it.  Exact enumeration splits the
+twin classes into an outer and an inner block of about sqrt(orbits)
+tables each; sampled and flats profiles pass the empty table as their
+one outer table.  A DISJOINT
 flats profile also passes a feasibility predicate on a packed table: the
 scan still computes every point, keeps a point at its first table that
 passes, and asks the predicate only about points not kept yet.  A point
 is in the profile exactly when some feasible tuple maps to it, so this
 is exact, and matroid union runs only for tuples whose point is still
-missing (73 sorted pairs of gf(2)^4 for k = 2, not all 2,278).  An exact
+missing.  The predicate first answers False when the flats' ranks sum
+to more than the non-loops of their union, since disjoint bases would
+need that many elements; of gf(2)^4's sorted pairs for k = 2 only the
+23 feasible ones reach matroid union, not all 2,278.  An exact
 profile reads a dense table of all 2^n numerators when it looks up at
 least as many unions as there are masks (orbits * 2^k >= 2^n);
 otherwise, and always for the other strategies, the scan reads the
 oracle's lazy memo through its unchecked `lookup`, which for a rank
-oracle is `Matroid.rank_lookup`.
+oracle is `Matroid.rank_lookup`.  A dense table is an `array` unless a
+numerator exceeds 64 bits, when it is a list.
 """
 
 from __future__ import annotations
@@ -63,9 +72,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -265,8 +276,17 @@ def _flat_tables(
         tuples = (tup for tup in tuples if functools.reduce(int.__or__, tup) == full)
     elif mode is Mode.DISJOINT:
         # keyed by the sorted flats; the kernel looks `disjoint_bases` up when called, so a
-        # replacement of the module global is the one it calls
-        feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
+        # replacement of the module global is the one it calls.  Disjoint bases B_i of the
+        # F_i hold r(F_i) non-loops each, so a rank sum above the non-loops of the union
+        # answers False without a union call; the scan has looked up every r(F_i) already
+        rank, nonloops = oracle.lookup, full & ~matroid.closure(0)
+
+        def fits(key: tuple[SubsetMask, ...]) -> bool:
+            if sum(map(rank, key)) > (functools.reduce(int.__or__, key) & nonloops).bit_count():
+                return False
+            return disjoint_bases(matroid, key).bases is not None
+
+        feasible = Memo(fits)
         shifts = [(1 << i) * n for i in range(k)]
 
         def keep(table: int) -> bool:
@@ -333,11 +353,15 @@ def profile(
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
     check_quotient_args(oracle, k)
     n = oracle.size
-    outer, value, keep = (0,), oracle.lookup, None
+    outer, value, view, keep = (0,), oracle.lookup, None, None
     if isinstance(strategy, Exact):
         outer, inner, count = _exact_tables(oracle, k, mode)
         if count << k >= 1 << n:
-            value = oracle.numerator_table().__getitem__
+            table = oracle.numerator_table()
+            if isinstance(table, array):
+                view = memoryview(table)
+            else:  # a list holds numerators beyond 64 bits
+                value = table.__getitem__
     elif isinstance(strategy, FlatsOnly):
         inner, count, keep = _flat_tables(oracle, k, mode)
     elif isinstance(strategy, Sampled):
@@ -346,19 +370,29 @@ def profile(
     else:  # pragma: no cover
         raise TypeError(f"unknown strategy {strategy!r}")
     # the blocked scan: each block of isqrt(count) inner tables is unpacked once per
-    # index set; each outer table ORs its own union onto a whole column (no pass when
-    # that union is empty), and the column is looked up in one C-level pass; U_0 is
-    # empty and check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up.
-    # With a predicate (only beside the one empty outer table) a point is kept at its
-    # first table that passes, and no table of a point already kept is asked
+    # index set, and every outer table reads a whole column per index set in one
+    # C-level call.  An outer and an inner table use disjoint elements, so
+    # u_I | c_I = u_I + c_I: on a dense array the column is one itemgetter over the
+    # block's c_I applied to the view offset by u_I.  The getter also repeats the
+    # block's first union, a point already in the block, so a one-table block still
+    # gets a tuple.  Otherwise each outer table ORs its own union onto the column (no
+    # pass when that union is empty) and maps the lookup over it.  U_0 is empty and
+    # check_quotient_args saw f(0) = 0, so coordinate 0 is never looked up.  With a
+    # predicate (only beside the one empty outer table) a point is kept at its first
+    # table that passes, and no table of a point already kept is asked
     full = oracle.full_mask
     shifts = [i * n for i in range(1, 1 << k)]
     block = math.isqrt(count) or 1
     nums: set[tuple[int, ...]] = set()
     while chunk := list(itertools.islice(inner, block)):
         cols = [(s, [t >> s & full for t in chunk]) for s in shifts]
+        if view is not None:
+            gets = [(s, itemgetter(*col, col[0])) for s, col in cols]
         for u in outer:
-            points = zip(*[map(value, map(o.__or__, col) if (o := u >> s & full) else col) for s, col in cols])
+            if view is None:
+                points = zip(*[map(value, map(o.__or__, col) if (o := u >> s & full) else col) for s, col in cols])
+            else:
+                points = zip(*[get(view[u >> s & full:]) for s, get in gets])
             if keep is None:
                 nums.update(points)
             else:

@@ -33,7 +33,7 @@ from quotientlab import config
 from quotientlab import profiles as profiles_module
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
 from quotientlab.matroid import disjoint_bases
-from quotientlab.profiles import Exact, _pack, _sampled_tables, _spread, _union_options
+from quotientlab.profiles import Exact, _exact_tables, _pack, _sampled_tables, _spread, _union_options
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 from quotientlab.setfn import Memo, SetFunctionOracle, oracle_from_table, union_table
 
@@ -547,6 +547,79 @@ def test_profile_matches_fraction_reference_on_dense_tables(name, monkeypatch):
     assert compared >= 4
 
 
+# A dense array table is read as view[u_I:][c_I] = T[u_I | c_I] for an outer union
+# u_I and the inner unions c_I, which holds because the outer and inner tables use
+# disjoint elements, whatever the twin classes: K3(2)'s classes are contiguous and
+# C4's, (0, 2) and (1, 3), interleave.  Numerators beyond 64 bits come in a list,
+# which the scan maps its lookup over instead.
+
+
+def _wide_oracle():
+    rng = Random(9)
+    values = [0] + [rng.randint(0, 5) << 64 | rng.randint(0, 3) for _ in range(15)]
+    return SetFunctionOracle(4, values.__getitem__, den=3, label="wide")
+
+
+GATHER_ORACLES = {
+    "K3(2)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 2)),
+    "C4": lambda: cut_capacity_oracle(SimpleGraph.cycle(4)),
+    "wide": _wide_oracle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATHER_ORACLES))
+def test_dense_gather_matches_fraction_reference(name, monkeypatch):
+    built = _count_dense_tables(monkeypatch)
+    oracle = GATHER_ORACLES[name]()
+    assert oracle.twins == () if name == "wide" else 1 < len(oracle.twins) < oracle.size
+    dense = 0
+    for k in (1, 2, 3):
+        for mode in Mode:
+            before = len(built)
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == fraction_reference(oracle, k, mode), (name, k, mode)
+            assert (len(built) > before) == (_orbits(oracle, k, mode) << k >= 1 << oracle.size)
+            dense += len(built) > before
+    assert dense >= 8
+
+
+def test_wide_numerators_come_in_a_list():
+    oracle = _wide_oracle()
+    assert oracle.numerator(0b1111) >= 1 << 63
+    assert type(oracle.numerator_table()) is list
+
+
+def test_dense_gather_when_the_last_block_holds_one_table(monkeypatch):
+    built = _count_dense_tables(monkeypatch)
+    # K_{2,3}'s classes (0, 1) and (2, 3, 4): k = 2 partitions have 3 outer tables
+    # and 4 inner ones in blocks of isqrt(12) = 3; U(2, 4)'s one class has no outer
+    # table and 5 inner ones in blocks of 2
+    for oracle, shape in (
+        (cut_capacity_oracle(SimpleGraph.complete_bipartite(2, 3)), (3, 4, 3)),
+        (_one_class_oracle(4), (1, 5, 2)),
+    ):
+        outer, inner, count = _exact_tables(oracle, 2, Mode.PARTITION)
+        assert (len(outer), len(list(inner)), math.isqrt(count)) == shape
+        got = coords_set(profile(oracle, 2, Mode.PARTITION, EXACT))
+        assert built[-1] == oracle.label
+        assert got == fraction_reference(oracle, 2, Mode.PARTITION)
+
+
+@pytest.mark.parametrize("name", ["ex51(5)", "table", "wide"])
+def test_dense_profiles_never_call_the_lookup(name):
+    oracle = {**DENSE_ORACLES, **GATHER_ORACLES}[name]()
+    calls = []
+    real = oracle.lookup
+    oracle.lookup = lambda mask: calls.append(mask) or real(mask)
+    for k in (2, 3):
+        for mode in Mode:
+            profile(oracle, k, mode, EXACT)
+    assert calls == []
+    # k = 1 partitions have one orbit, so they read the lookup
+    profile(oracle, 1, Mode.PARTITION, EXACT)
+    assert calls
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_sampled_and_flats_match_fraction_reference(mode):
     oracles = [complete_cycle_oracle(3), cut_capacity_oracle(LAZY_TWIN_BLOWUP)]
@@ -621,18 +694,23 @@ def test_blocked_scan_matches_plain_enumeration(name, monkeypatch):
     assert paths == {True, False}, name
 
 
-def test_blocked_scan_on_the_empty_ground():
+def test_blocked_scan_on_the_empty_ground(monkeypatch):
+    built = _count_dense_tables(monkeypatch)
     oracle = SetFunctionOracle(0, lambda m: 0, label="empty")
     for k in range(1, config.QUOTIENT_K_CAP + 1):
         for mode in Mode:
             got = coords_set(profile(oracle, k, mode, EXACT))
             assert got == {(Fraction(0),) * (1 << k)} == fraction_reference(oracle, k, mode)
+    # one orbit, so every profile gathers from a one-table block of the dense table
+    assert len(built) == config.QUOTIENT_K_CAP * len(Mode)
 
 
-def test_blocked_scan_up_to_the_k_cap_on_one_element():
+def test_blocked_scan_up_to_the_k_cap_on_one_element(monkeypatch):
+    built = _count_dense_tables(monkeypatch)
     oracle = oracle_from_table([0, Fraction(2, 3)])
     for k in range(1, config.QUOTIENT_K_CAP + 1):
         for mode in Mode:
+            assert len(built) == (k - 1) * len(Mode) + list(Mode).index(mode)
             got = coords_set(profile(oracle, k, mode, EXACT))
             assert got == fraction_reference(oracle, k, mode), (k, mode)
             assert len(got) == {Mode.PARTITION: k, Mode.DISJOINT: k + 1}.get(
@@ -960,3 +1038,8 @@ def test_disjoint_flats_profile_asks_feasibility_only_for_new_points(monkeypatch
     assert len(profile(oracle, 2, Mode.DISJOINT, FLATS)) == 33
     # 67 flats: filtering every tuple first asked for all 2,278 sorted pairs
     assert len(calls) == len(set(calls)) <= 100
+    # the rank sum of the flats exceeds the non-loops of their union at every one of
+    # the 50 infeasible pairs the scan would ask about, so only feasible pairs reach
+    # matroid union
+    assert len(calls) == 23
+    assert all(disjoint_bases(oracle.matroid, flats).bases is not None for flats in calls)
