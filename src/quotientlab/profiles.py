@@ -49,13 +49,12 @@ OR of their unions is their sum); otherwise the outer union ORed onto
 the column and the lookup mapped over it.  Exact enumeration splits the
 twin classes into an outer and an inner block of about sqrt(orbits)
 tables each; sampled and flats profiles pass the empty table as their
-one outer table.  A DISJOINT
-flats profile also passes a feasibility predicate on a packed table: the
-scan still computes every point, keeps a point at its first table that
-passes, and asks the predicate only about points not kept yet.  A point
-is in the profile exactly when some feasible tuple maps to it, so this
-is exact, and matroid union runs only for tuples whose point is still
-missing.  The predicate first answers False when the flats' ranks sum
+one outer table.  A DISJOINT flats profile also passes a feasibility
+predicate on a packed table: the scan still computes every point, keeps
+a point at its first table that passes, and asks the predicate only
+about points not kept yet.  A point is in the profile exactly when some
+feasible tuple maps to it, so this is exact, and matroid union runs only
+for tuples whose point is still missing.  The predicate first answers False when the flats' ranks sum
 to more than the non-loops of their union, since disjoint bases would
 need that many elements; of gf(2)^4's sorted pairs for k = 2 only the
 23 feasible ones reach matroid union, not all 2,278.  An exact
