@@ -11,7 +11,8 @@ before the work it bounds.  The message is formatted in one place,
 # enumeration is hopeless anyway.
 GROUND_SIZE_CAP = 24
 
-# Quotient vectors live in R^(2^k).
+# Quotient vectors live in R^(2^k); a point reused as a setfunction on
+# its own k parts is capped here too.
 QUOTIENT_K_CAP = 8
 
 # Budget for profile enumeration: the number of assignments visited,
@@ -19,7 +20,8 @@ QUOTIENT_K_CAP = 8
 # declares no twins) for the exact strategy, and the requested sample
 # count for the sampled one, checked before any evaluation.  The
 # unlabeled cut-distance search checks its planned labeled-distance
-# calls against it before the first call.
+# calls, summed over its plan entries (entry 0, the direct bijections,
+# included), against it before the first call.
 ENUM_ITERATION_CAP = 1 << 26
 
 # Exhaustive submodularity / monotonicity checks.
@@ -28,9 +30,6 @@ EXHAUSTIVE_CHECK_CAP = 12
 # Flat enumeration.
 FLAT_COUNT_CAP = 100_000
 FLAT_GROUND_CAP = 20
-
-# Quotient points reused as setfunctions on their own part set.
-DERIVED_GROUND_CAP = 8
 
 # Brute-force verifier for the matroid-union rank formula.
 UNION_BRUTE_FORCE_CAP = 16

@@ -1,13 +1,13 @@
 """Finite field arithmetic for small prime powers.
 
 Prime fields use modular arithmetic directly.  For GF(p^e) an element is
-an integer in 0..q-1 whose base-p digits are the coefficients of a
-polynomial residue modulo a monic irreducible of degree e; products go
-through log/antilog tables built from a primitive element.  Sums are
-digit-wise mod p: for p = 2 that is XOR, and for odd p the field builds
-q x q addition and subtraction tables and a negation table once, so
-each sum is one lookup.  All of this is sized for tiny q, the fields
-that actually show up on a desk.
+an integer in 0..q-1 whose base-p digits (`vector_from_index`, low degree
+first) are the coefficients of a polynomial residue modulo a monic
+irreducible of degree e; products go through log/antilog tables built
+from a primitive element.  Sums are digit-wise mod p: for p = 2 that is
+XOR, and for odd p the field builds q x q addition and subtraction
+tables and a negation table once, so each sum is one lookup.  All of
+this is sized for tiny q, the fields that actually show up on a desk.
 """
 
 from __future__ import annotations
@@ -106,23 +106,10 @@ class FiniteField:
             )
             self._sub = tuple(tuple(row[b] for b in self._neg) for row in self._add)
 
-    # int <-> coefficient tuple (degree < e, base-p digits, low degree first)
-    def _digits(self, a: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return _poly_trim(tuple(out))
-
-    def _undigits(self, poly) -> int:
-        out = 0
-        for c in reversed(poly):
-            out = out * self.p + c
-        return out
-
     def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mul(self._digits(a), self._digits(b), self.p)
-        return self._undigits(_poly_mod(prod, self.modulus, self.p))
+        p, e = self.p, self.e
+        prod = _poly_mul(vector_from_index(a, p, e), vector_from_index(b, p, e), p)
+        return index_from_vector(_poly_mod(prod, self.modulus, p), p)
 
     def _build_tables(self):
         order = self.q - 1

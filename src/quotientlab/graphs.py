@@ -29,6 +29,7 @@ from .errors import (
     EnumCapError,
     GraphFormatError,
     GroundTooLargeError,
+    KTooLargeError,
 )
 from .setfn import (
     QuotientPoint,
@@ -322,15 +323,12 @@ def cut_dist_unlabeled_upper(
 
     Returns an upper bound only: candidate bijections are the identity
     plus seeded random permutations, each improved by greedy pairwise
-    swaps.  For same-size graphs on at most 6 nodes all direct node
-    bijections are exhausted as well (blow-ups cannot beat the best
-    block-respecting alignment they induce).  One labeled-distance
-    evaluation walks the 2^m sets of the m overlay cells (defined below) a
-    bijection fills, since the nodes of one cell share a row of the
-    difference of the adjacency matrices (see cut_dist_labeled), and m is
-    at most the common blow-up size n.  Blow-up pairs above
-    BLOWUP_NODE_CAP nodes are skipped and sizes above 9 get a trimmed
-    random portfolio; the result notes the truncation.
+    swaps.  One labeled-distance evaluation walks the 2^m sets of the m
+    overlay cells (defined below) a bijection fills, since the nodes of
+    one cell share a row of the difference of the adjacency matrices (see
+    cut_dist_labeled), and m is at most the common blow-up size n.
+    Blow-up pairs above BLOWUP_NODE_CAP nodes are skipped and sizes above
+    9 get a trimmed random portfolio; the result notes the truncation.
 
     A bijection between the blow-ups is scored by its overlay table, whose
     cell (i, j) counts the twins of h's node j mapped onto twins of g's
@@ -339,15 +337,19 @@ def cut_dist_unlabeled_upper(
     (the tables are the double cosets of two Young subgroups), and each
     plan entry computes it once per distinct table.
 
-    The search is planned before the first labeled distance: one
-    (t, blow-up size, shuffle budget) entry per blow-up searched.  With
-    no entry and no exhaustive pass it raises BlowUpCapError; above
-    ENUM_ITERATION_CAP planned calls, EnumCapError.  The planned calls
-    are n! for the exhaustive pass, plus (1 + budget)(1 + 4 C(n, 2)) per
-    entry, one per candidate and per swap of its at most four sweeps;
-    they bound the labeled distances computed, which are one per distinct
-    table.  A graph without nodes has a blow-up of the other's size
-    only if the other has none either.
+    The search is planned before the first labeled distance, and one loop
+    runs the plan in order.  For same-size graphs on at most 6 nodes,
+    entry 0 exhausts the direct bijections (blow-up factors 1 and 1, no
+    swaps; blow-ups cannot beat the best block-respecting alignment they
+    induce) and reports t = 1.  Then comes one (t, blow-up size, shuffle
+    budget) entry per blow-up searched.  With no entry it raises
+    BlowUpCapError; above ENUM_ITERATION_CAP planned calls, EnumCapError.
+    The planned calls are the sum over plan entries, entry 0 included:
+    n! for entry 0, and (1 + budget)(1 + 4 C(n, 2)) for a blow-up, one
+    per candidate and per swap of its at most four sweeps; they bound the
+    labeled distances computed, which are one per distinct table.  A graph
+    without nodes has a blow-up of the other's size only if the other has
+    none either.
     """
     if t_max < 1:
         raise ValueError("t_max must be positive")
@@ -356,39 +358,37 @@ def cut_dist_unlabeled_upper(
     if (g.node_count == 0) != (h.node_count == 0):
         empty = g if g.node_count == 0 else h
         raise ValueError(f"graph {empty.name!r} has no nodes, so no blow-up matches the other graph")
-    exhaustive = g.node_count == h.node_count and g.node_count <= 6
+    rng = Random(seed)
+    # (t, g's blow-up factor, h's, node count, candidate count, candidates, sweeps)
     plan = []
+    exhaustive = g.node_count == h.node_count and g.node_count <= 6
+    if exhaustive:
+        n = g.node_count
+        plan.append((1, 1, 1, n, math.factorial(n), itertools.permutations(range(n)), 0))
     # n grows by at least one per t unless both graphs are empty
     for t in range(1, min(t_max, config.BLOWUP_NODE_CAP) + 1):
         n = g.node_count * h.node_count * t
         if n > config.BLOWUP_NODE_CAP:
             break
-        plan.append((t, n, trials if n <= 9 else min(trials, 2)))
-    if not plan and not exhaustive:
+        budget = trials if n <= 9 else min(trials, 2)
+        candidates = _candidates(n, budget, rng)
+        plan.append((t, h.node_count * t, g.node_count * t, n, 1 + budget, candidates, 4))
+    if not plan:
         needed = g.node_count * h.node_count
         raise BlowUpCapError("BLOWUP_NODE_CAP", config.BLOWUP_NODE_CAP, needed, "common blow-up")
-    needed = math.factorial(g.node_count) if exhaustive else 0
-    needed += sum((1 + budget) * (1 + 4 * math.comb(n, 2)) for _, n, budget in plan)
+    needed = sum(count * (1 + sweeps * math.comb(n, 2)) for _, _, _, n, count, _, sweeps in plan)
     if needed > config.ENUM_ITERATION_CAP:
         raise EnumCapError("ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, needed, "cut-distance search")
-    rng = Random(seed)
     best: Optional[tuple[Fraction, int, tuple[int, ...]]] = None
-    if exhaustive:
-        for perm in itertools.permutations(range(h.node_count)):
-            value = cut_dist_labeled(g, _relabel(h, perm))
-            if best is None or value < best[0]:
-                best = (value, 1, tuple(perm))
-            if best[0] == 0:
-                return CutDistanceBound(best[0], best[1], best[2], False)
-    for t, n, budget in plan:
-        gb = blow_up(g, h.node_count * t)
-        hb = blow_up(h, g.node_count * t)
+    for t, g_factor, h_factor, n, _, candidates, max_sweeps in plan:
+        gb = blow_up(g, g_factor)
+        hb = blow_up(h, h_factor)
         # cell of the overlay table that hb node v falls into when mapped to gb node w
-        row = [w // (h.node_count * t) * h.node_count for w in range(n)]
-        col = [v // (g.node_count * t) for v in range(n)]
+        row = [w // g_factor * h.node_count for w in range(n)]
+        col = [v // h_factor for v in range(n)]
         scores: dict[tuple[int, ...], Fraction] = {}
 
-        def score(perm: list[int]) -> Fraction:
+        def score(perm: Sequence[int]) -> Fraction:
             table = [0] * (g.node_count * h.node_count)
             for v, w in enumerate(perm):
                 table[row[w] + col[v]] += 1
@@ -398,11 +398,11 @@ def cut_dist_unlabeled_upper(
                 value = scores[key] = cut_dist_labeled(gb, _relabel(hb, perm))
             return value
 
-        for perm in _candidates(n, budget, rng):
+        for perm in candidates:
             current = score(perm)
             sweeps = 0
             improved = True
-            while improved and current > 0 and sweeps < 4:
+            while improved and current > 0 and sweeps < max_sweeps:
                 improved = False
                 sweeps += 1
                 for i in range(n):
@@ -420,8 +420,9 @@ def cut_dist_unlabeled_upper(
                 break
         if best[0] == 0:
             break
-    # the cap cut the plan short of t_max, and no zero ended the search first
-    return CutDistanceBound(best[0], best[1], best[2], len(plan) < t_max and best[0] > 0)
+    # the cap cut the blow-ups (all entries but entry 0) short of t_max, and no zero ended the search
+    blowups = len(plan) - exhaustive
+    return CutDistanceBound(best[0], best[1], best[2], blowups < t_max and best[0] > 0)
 
 
 class CutNormalization:
@@ -562,17 +563,12 @@ def tau_oracle(pattern: SimpleGraph, g: SimpleGraph) -> SetFunctionOracle:
     """Density lost when all edges outside X are kept: 1 - t(F, G minus X).
 
     Ground set is the edge set of g.  The value on the empty set is
-    1 - t(F, G), which is nonzero in general, so the usual vanishing
-    convention is waived for this oracle; quotient vectors are therefore
-    not defined for it, but submodularity and monotonicity checks are.
+    1 - t(F, G), which is nonzero in general, so quotient vectors are not
+    defined for this oracle, but submodularity and monotonicity checks are.
     """
     size, count, maps = _motif_deletion(pattern, g)
     return SetFunctionOracle(
-        size,
-        lambda m: maps - count(m),
-        maps,
-        label=f"tau({pattern.name or 'F'};{g.name or 'G'})",
-        require_zero_empty=False,
+        size, lambda m: maps - count(m), maps, label=f"tau({pattern.name or 'F'};{g.name or 'G'})"
     )
 
 
@@ -641,6 +637,8 @@ def weighted_quotient(g: SimpleGraph, parts: Sequence[int]) -> WeightedQuotient:
 def kappa_from_gamma(wq: WeightedQuotient) -> QuotientPoint:
     """Cut-capacity quotient vector (nodes-squared normalization) from gamma."""
     k = wq.k
+    if k > config.QUOTIENT_K_CAP:
+        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, k, "quotient point")
     coords = []
     for subset in range(1 << k):
         total = Fraction(0)

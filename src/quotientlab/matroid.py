@@ -250,8 +250,6 @@ class Matroid:
     ) -> SetFunctionOracle:
         """Rank divided by a constant, by default the rank of the ground set."""
         denom = self.full_rank() if denominator is None else denominator
-        if denom <= 0:
-            raise ValueError("normalization denominator must be positive")
         return SetFunctionOracle(
             self.size, den=denom, label=label or f"rank({self._name()})/{denom}", matroid=self
         )

@@ -54,10 +54,11 @@ predicate on a packed table: the scan still computes every point, keeps
 a point at its first table that passes, and asks the predicate only
 about points not kept yet.  A point is in the profile exactly when some
 feasible tuple maps to it, so this is exact, and matroid union runs only
-for tuples whose point is still missing.  The predicate first answers False when the flats' ranks sum
-to more than the non-loops of their union, since disjoint bases would
-need that many elements; of gf(2)^4's sorted pairs for k = 2 only the
-23 feasible ones reach matroid union, not all 2,278.  An exact
+for tuples whose point is still missing.  The predicate first answers
+False when the flats' ranks sum to more than the non-loops of their
+union, since disjoint bases would need that many elements; of gf(2)^4's
+sorted pairs for k = 2 only the 23 feasible ones reach matroid union,
+not all 2,278.  An exact
 profile reads a dense table of all 2^n numerators when it looks up at
 least as many unions as there are masks (orbits * 2^k >= 2^n);
 otherwise, and always for the other strategies, the scan reads the

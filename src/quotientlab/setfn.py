@@ -81,10 +81,10 @@ class SetFunctionOracle:
     The value on X is num(X) / den: `num` is a pure int kernel and `den` a
     positive int shared by every value.  Numerators are memoized per mask
     as ints; `evaluate` returns the Fraction.  Oracles are immutable after
-    construction (the memo only memoizes) and safe to share.  By default
-    the function must vanish on the empty set; pass
-    require_zero_empty=False for shifted functions such as the
-    motif-deletion functions, which start at a nonzero base value.
+    construction (the memo only memoizes) and safe to share.  f(empty) may
+    be nonzero, as for the motif-deletion function tau; quotient vectors
+    need f(empty) = 0, which `check_quotient_args` checks when they are
+    formed.
 
     `lookup(mask)` is `numerator` without the mask check, for callers that
     build their masks inside the ground set.
@@ -110,7 +110,6 @@ class SetFunctionOracle:
         den: int = 1,
         label: str = "",
         matroid=None,
-        require_zero_empty: bool = True,
         twins: tuple[tuple[int, ...], ...] = (),
     ):
         check_ground_size(size)
@@ -124,8 +123,6 @@ class SetFunctionOracle:
             empty = num(0)
             if not isinstance(empty, int):
                 raise TypeError(f"numerators must be ints, got {type(empty).__name__}")
-            if require_zero_empty and empty != 0:
-                raise ValueError(f"setfunction must vanish on the empty set, got {Fraction(empty, den)}")
             self._memo = Memo(num, {0: empty})
             self.lookup = self._memo.__getitem__
         else:
@@ -201,10 +198,10 @@ class QuotientPoint:
         return max(self.coords[1 << i] for i in range(self.k))
 
     def as_oracle(self, label: str = "derived") -> SetFunctionOracle:
-        """Reinterpret the point as a setfunction on ground set [k]."""
-        if self.k > config.DERIVED_GROUND_CAP:
-            raise GroundTooLargeError(
-                "DERIVED_GROUND_CAP", config.DERIVED_GROUND_CAP, self.k, "point as a setfunction"
+        """Reinterpret the point as a setfunction on ground set [k], k <= QUOTIENT_K_CAP."""
+        if self.k > config.QUOTIENT_K_CAP:
+            raise KTooLargeError(
+                "QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, self.k, "point as a setfunction"
             )
         return oracle_from_table(self.coords, label)
 

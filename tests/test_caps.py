@@ -19,7 +19,7 @@ from quotientlab import (
     matroid_union_rank_brute,
     profile,
 )
-from quotientlab.errors import CapExceededError
+from quotientlab.errors import CapExceededError, KTooLargeError
 
 
 def _cardinality(n):
@@ -35,7 +35,6 @@ CAP_ROWS = [
     # gf(2)^2 has 5 flats; the natural trigger needs 100,001
     ("FLAT_COUNT_CAP", 3, lambda: LinearMatroid.full_space(2, 2).flats()),
     ("FLAT_GROUND_CAP", None, lambda: GraphicMatroid(SimpleGraph.complete(7)).flats()),
-    ("DERIVED_GROUND_CAP", None, lambda: QuotientPoint(9, (Fraction(0),) * 512).as_oracle()),
     ("UNION_BRUTE_FORCE_CAP", None,
      lambda: matroid_union_rank_brute([GraphicMatroid(SimpleGraph.complete(7))])),
     ("HOM_PATTERN_NODE_CAP", None, lambda: hom_count(SimpleGraph.path(6), SimpleGraph.complete(3))),
@@ -59,3 +58,9 @@ def test_cap_error_names_its_constant(name, value, call, monkeypatch):
     with pytest.raises(CapExceededError) as info:
         call()
     assert f"{name}=" in str(info.value)
+
+
+def test_point_as_setfunction_is_capped_by_quotient_k_cap():
+    with pytest.raises(KTooLargeError) as info:
+        QuotientPoint(9, (Fraction(0),) * 512).as_oracle()
+    assert "QUOTIENT_K_CAP=" in str(info.value)

@@ -302,6 +302,56 @@ def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, m
     assert not (tmp_path / "out.json").exists()
 
 
+# usage errors that stop a command before any output, with the reason each names
+USAGE_ERRORS = {
+    "cutcap-files-without-graphs": (
+        ["profile", "--family", "cutcap-files", "--n", "1"], "needs --graphs"),
+    "tau-files-without-graphs": (
+        ["profile", "--family", "tau-files", "--motif", "K2", "--n", "1"], "needs --graphs"),
+    "cutcap-files-index-above-list": (
+        ["profile", "--family", "cutcap-files", "--graphs", "k3.txt", "--n", "2"],
+        "index 2 outside"),
+    "tau-files-index-below-list": (
+        ["profile", "--family", "tau-files", "--motif", "K2", "--graphs", "k3.txt", "--n", "0"],
+        "index 0 outside"),
+    "cutcap-blowup-without-graph": (
+        ["profile", "--family", "cutcap-blowup", "--n", "2"], "needs --graph"),
+    "tau-blowup-without-motif": (
+        ["profile", "--family", "tau-blowup", "--graph", "k3.txt", "--n", "2"], "--motif"),
+    "tau-files-without-motif": (
+        ["profile", "--family", "tau-files", "--graphs", "k3.txt", "--n", "1"], "needs --motif"),
+    "converge-start-above-end": (
+        ["converge", "--family", "gf-space", "--start", "3", "--end", "2"], "empty index range"),
+    "converge-csv-one-member": (
+        ["converge", "--family", "gf-space", "--start", "2", "--end", "2", "--format", "csv"],
+        "at least two members"),
+    "hom-without-target": (["hom", "K2"], "needs --graph and/or --graphon"),
+    "config-without-path": (
+        ["profile", "--family", "gf-space", "--n", "2", "--config"], "needs a file path"),
+    "config-directory": (
+        ["--config", "a-directory", "profile", "--family", "gf-space", "--n", "2"],
+        "cannot read config"),
+    "config-not-an-object": (
+        ["--config", "list.json", "profile", "--family", "gf-space", "--n", "2"],
+        "must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("args, reason", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_exits_2_with_one_stderr_line_and_no_stdout(
+    args, reason, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k3.txt").write_text(TEXT_FILES["k3.txt"], encoding="utf-8")
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:") and reason in lines[0], lines
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("family, n", [("complete-cycle", "6"), ("example51", "12"),
                                        ("example51", "19")])
 def test_sampled_any_profile_skips_flats_beyond_their_caps(family, n, tmp_path):

@@ -1,5 +1,6 @@
 """Graphs: blow-ups, cut distances, cut capacities, motifs, quotients."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -33,7 +34,7 @@ from quotientlab import (
     weighted_quotient,
 )
 from quotientlab import config, graphs
-from quotientlab.errors import EnumCapError
+from quotientlab.errors import EnumCapError, KTooLargeError
 from quotientlab.graphs import format_graph
 from quotientlab.metric import hausdorff
 
@@ -523,6 +524,15 @@ def test_unlabeled_upper_plan_above_cap_raises_before_any_call(monkeypatch):
     assert 0 < calls <= 366
 
 
+def test_unlabeled_upper_truncation_counts_blowups_not_the_direct_pass():
+    # P3 and K3 plan the direct pass and t = 1 (9 nodes); t = 2 (18 nodes) is over the cap.
+    # P4 and C4 plan only the direct pass, since their t = 1 blow-ups have 16 nodes
+    for g, h, t_max in [(SimpleGraph.path(3), SimpleGraph.complete(3), 2),
+                        (SimpleGraph.path(4), SimpleGraph.cycle(4), 1)]:
+        bound = cut_dist_unlabeled_upper(g, h, t_max, 0, 0)
+        assert bound.value > 0 and bound.t == 1 and bound.truncated
+
+
 def test_unlabeled_upper_rejects_negative_trials():
     g = SimpleGraph.path(3)
     with pytest.raises(ValueError, match="trials must be nonnegative"):
@@ -659,6 +669,18 @@ def test_kappa_from_gamma_examples():
     assert point.coords == (Fraction(0), Fraction(1, 4), Fraction(1, 4), Fraction(0))
     single = kappa_from_gamma(weighted_quotient(g, [g.full_node_mask]))
     assert all(c == 0 for c in single.coords)
+
+
+def test_kappa_from_gamma_checks_the_k_cap_before_any_coordinate():
+    class Untouched(tuple):
+        def __getitem__(self, i):
+            raise AssertionError("a coordinate was built")
+
+    path = SimpleGraph.path(config.QUOTIENT_K_CAP + 1)
+    wq = weighted_quotient(path, [1 << v for v in range(path.node_count)])
+    with pytest.raises(KTooLargeError) as info:
+        kappa_from_gamma(dataclasses.replace(wq, gamma=Untouched(wq.gamma)))
+    assert "QUOTIENT_K_CAP=" in str(info.value) and info.value.needed == path.node_count
 
 
 def test_gamma_kappa_round_trip_random():

@@ -265,6 +265,18 @@ def test_cauchy_single_set_inconclusive():
     assert diag.tail_sup == ()
 
 
+def test_cauchy_tail_ratio_between_the_factors_is_inconclusive():
+    # pairwise 3, 10 and 7: the tail sup falls from 10 to 7, a ratio in (1/2, 9/10)
+    diag = cauchy_diagnostic([[pt(0)], [pt(3)], [pt(10)]])
+    assert diag.tail_sup == (Fraction(10), Fraction(7))
+    assert diag.verdict == "inconclusive" and diag.witness is None
+
+
+def test_cauchy_needs_a_cloud():
+    with pytest.raises(ValueError, match="at least one profile set"):
+        cauchy_diagnostic([])
+
+
 def test_cauchy_permutation_covariant():
     sets = [profile(example51_oracle(n), 2, Mode.PARTITION, EXACT) for n in (5, 6, 7)]
     forward = cauchy_diagnostic(sets)

@@ -15,6 +15,7 @@ from quotientlab import (
     EnumCapError,
     GraphicMatroid,
     GroundTooLargeError,
+    KTooLargeError,
     LinearMatroid,
     Mode,
     QuotientPoint,
@@ -74,6 +75,23 @@ def test_enum_cap_error_reports_iterations():
     assert err.value.needed == 4**16
 
 
+def test_flats_profile_cap_raises_before_any_tuple_is_packed(monkeypatch):
+    def no_pack(parts, n):
+        raise AssertionError("a tuple was packed")
+
+    monkeypatch.setattr(profiles_module, "_pack", no_pack)
+    with pytest.raises(EnumCapError) as err:
+        profile(gf_space_oracle(2, 4), 5, Mode.ANY, FLATS)
+    assert err.value.needed == 67**5
+
+
+def test_delta_bound_does_not_hold_without_richness():
+    # the triangle's cycle matroid fails the (k=2, m=1) flat-pair condition
+    report = delta_approx_bound_check(GraphicMatroid(SimpleGraph.complete(3)), 2, 1)
+    assert not report.precondition_met and report.richness_witness is not None
+    assert report.bound is None and not report.holds
+
+
 def test_flats_strategy_needs_matroid():
     from quotientlab.setfn import oracle_from_table
 
@@ -126,7 +144,7 @@ def test_derived_profile_trivial_cases():
 
 def test_derived_profile_rejects_ground_above_cap():
     point = QuotientPoint(9, (Fraction(0),) * (1 << 9))
-    with pytest.raises(GroundTooLargeError):
+    with pytest.raises(KTooLargeError):
         derived_profile(point, 2, Mode.ANY)
 
 
