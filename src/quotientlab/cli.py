@@ -128,10 +128,7 @@ def _echo_params(args, keys) -> dict:
 
 def _profile_csv(pset) -> str:
     header = ",".join(f"I={m}" for m in range(1 << pset.k))
-    lines = [header]
-    for point in pset.sorted_points():
-        lines.append(",".join(serialize.frac_str(c) for c in point.coords))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *map(",".join, serialize.point_rows(pset))]) + "\n"
 
 
 def _emit_profile(args, pset, params) -> None:

@@ -2,11 +2,12 @@
 
 Everything is exact: distances between quotient points are maxima of
 coordinate-wise absolute differences, and the Hausdorff distance is the
-larger of the two directed max-min distances.  The directed kernel puts
-both clouds on integer numerators over one common denominator and works
-on ints; its results are Fractions again.  Witnesses are chosen
-canonically (smallest coordinate tuple among the maximizers) so reports
-are reproducible.
+larger of the two directed max-min distances.  A `ProfileSet` is read as
+its stored int numerators (a plain iterable of points is converted once),
+and the directed kernel works on ints over the LCM of both denominators;
+only the distance and the witness come back as a Fraction and a point.
+Witnesses are chosen canonically (smallest coordinate tuple among the
+maximizers) so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import itemgetter
 from typing import ClassVar, Optional, Sequence
 
 from .errors import EmptyProfileError
-from .setfn import QuotientPoint
+from .setfn import PointCloud, QuotientPoint
 
 
 def linf_distance(p: QuotientPoint, q: QuotientPoint) -> Fraction:
@@ -30,72 +31,46 @@ def linf_distance(p: QuotientPoint, q: QuotientPoint) -> Fraction:
     return max(abs(a - b) for a, b in zip(p.coords, q.coords))
 
 
-class _Canonical(dict):
-    """A cloud's distinct points keyed by integer numerators over `den`.
-
-    `den` is the LCM of the coordinates' denominators.  It is positive,
-    so the numerator tuples sort in the order of the coordinate tuples;
-    the keys come in that order.  `len()` is the distinct-point count.
-    """
-
-    def __init__(self, den: int, keyed: dict[tuple[int, ...], QuotientPoint]):
-        super().__init__(sorted(keyed.items()))
-        self.den = den
-
-
-def _canonical(cloud) -> _Canonical:
-    """The canonical form of a cloud; an already-canonical cloud is returned as it is."""
-    if isinstance(cloud, _Canonical):
-        return cloud
-    points = list(getattr(cloud, "points", cloud))
-    if not points:
+def _canonical(cloud) -> PointCloud:
+    """A nonempty cloud as int numerators over one denominator; a `PointCloud` is returned as it is."""
+    if not isinstance(cloud, PointCloud):
+        points = list(cloud)
+        cloud = PointCloud.from_points(points[0].k if points else 1, points)
+    if not cloud.nums:
         raise EmptyProfileError("point cloud is empty")
-    if any(p.k != points[0].k for p in points):
-        raise ValueError("mixed dimensions in one point cloud")
-    den = lcm(*{x.denominator for p in points for x in p.coords})
-    keyed: dict[tuple[int, ...], QuotientPoint] = {}
-    for p in points:
-        keyed.setdefault(tuple(x.numerator * (den // x.denominator) for x in p.coords), p)
-    return _Canonical(den, keyed)
+    return cloud
 
 
 def _point_list(cloud) -> list[QuotientPoint]:
     """The distinct points of a cloud in coordinate order."""
-    return list(_canonical(cloud).values())
-
-
-def _rescaled(rows, factor: int) -> list[tuple[int, ...]]:
-    if factor == 1:
-        return list(rows)
-    return [tuple(v * factor for v in row) for row in rows]
+    return _canonical(cloud).sorted_points()
 
 
 def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
     """sup over a of inf over b of the sup-norm distance, with a witness.
 
-    Both clouds are put on integer numerators over one denominator.  B is
-    sorted on its widest-spread coordinate, and each a scans B outward from
-    its place on that axis, nearer side first, until the gap on the axis
-    alone reaches the nearest distance found.  A is scanned in coordinate
-    order, so the witness is the smallest maximizer.
+    Both clouds are put on integer numerators over one denominator, without
+    the empty set's coordinate, which is 0 in every point.  B is sorted on
+    its widest-spread coordinate, and each a scans B outward from its place
+    on that axis, nearer side first, until the gap on the axis alone
+    reaches the nearest distance found.  A is scanned in coordinate order,
+    so the witness is the smallest maximizer.
     """
-    a_keyed, b_keyed = _canonical(a_cloud), _canonical(b_cloud)
-    a_pts = list(a_keyed.values())
-    if a_pts[0].k != next(iter(b_keyed.values())).k:
+    a_cloud, b_cloud = _canonical(a_cloud), _canonical(b_cloud)
+    if a_cloud.k != b_cloud.k:
         raise ValueError("clouds live in different dimensions")
-    den = lcm(a_keyed.den, b_keyed.den)
-    a_rows = _rescaled(a_keyed, den // a_keyed.den)
-    b_rows = _rescaled(b_keyed, den // b_keyed.den)
-    # a constant axis (the empty set's always, the full set's for
-    # partitions) would leave every b inside the window
+    den = lcm(a_cloud.den, b_cloud.den)
+    a_rows, b_rows = a_cloud.rows_over(den), b_cloud.rows_over(den)
+    # a constant axis (the full set's for partitions) would leave every b
+    # inside the window
     axis = max(range(len(b_rows[0])),
                key=lambda i: max(r[i] for r in b_rows) - min(r[i] for r in b_rows))
     b_rows.sort(key=itemgetter(axis))
     keys = [row[axis] for row in b_rows]
     size = len(b_rows)
     best = -1
-    witness = a_pts[0]
-    for a, point in zip(a_rows, a_pts):
+    witness = a_rows[0]
+    for a in a_rows:
         x = a[axis]
         hi = bisect_left(keys, x)
         lo = hi - 1
@@ -125,8 +100,8 @@ def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
                     break
         if nearest > best:
             best = nearest
-            witness = point
-    return Fraction(best, den), witness
+            witness = a
+    return Fraction(best, den), QuotientPoint.over(a_cloud.k, den, witness)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,8 @@ bits, so a table is a sum of per-element (or per-twin-class) options.
 `profile()` is the one place that evaluates the oracle on the unions
 U_I and deduplicates the resulting points, by exact coordinate equality;
 no tolerances.  It works on the oracle's int numerators, which share one
-denominator, and builds Fractions only for the distinct points.  Every
+denominator, and stores the distinct points as those int tuples (a
+`PointCloud`); no Fraction is built until a caller asks for points.  Every
 strategy goes through one blocked scan: it passes a list of outer
 tables, a stream of inner tables and the count it checked against the
 cap; the scan reads the stream in blocks of isqrt(count) tables, and
@@ -86,6 +87,7 @@ from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
     Memo,
+    PointCloud,
     QuotientPoint,
     SetFunctionOracle,
     SubsetMask,
@@ -139,26 +141,12 @@ FLATS = FlatsOnly()
 
 
 @dataclass(frozen=True)
-class ProfileSet:
+class ProfileSet(PointCloud):
     """A deduplicated finite set of quotient points with its provenance."""
 
-    k: int
     mode: Mode
     strategy: str
     source: str
-    points: frozenset[QuotientPoint]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[QuotientPoint]:
-        return iter(self.points)
-
-    def __contains__(self, point: QuotientPoint) -> bool:
-        return point in self.points
-
-    def sorted_points(self) -> list[QuotientPoint]:
-        return sorted(self.points, key=lambda p: p.coords)
 
 
 def _spread(k: int, mode: Mode, n: int) -> list[int]:
@@ -399,10 +387,7 @@ def profile(
                 for t, p in zip(chunk, points):
                     if p not in nums and keep(t):
                         nums.add(p)
-    den = oracle.den
-    zero = Fraction(0)
-    points = frozenset(QuotientPoint(k, (zero, *(Fraction(x, den) for x in c))) for c in nums)
-    return ProfileSet(k, mode, strategy.describe(), oracle.label, points)
+    return ProfileSet(k, oracle.den, frozenset(nums), mode, strategy.describe(), oracle.label)
 
 
 def derived_profile(point: QuotientPoint, k: int, mode: Mode) -> ProfileSet:
@@ -418,15 +403,12 @@ def compose(inner: ProfileSet, outer_k: int, outer_mode: Mode) -> ProfileSet:
     inner PARTITION profiles with at least 2**k parts.  The inner profile
     is taken as given, so one profile can serve several compositions.
     """
-    points: set[QuotientPoint] = set()
-    for p in inner:
-        points.update(derived_profile(p, outer_k, outer_mode).points)
-    return ProfileSet(
+    return ProfileSet.from_points(
         outer_k,
-        outer_mode,
-        f"composed({outer_mode.value}∘{inner.mode.value},m={inner.k})",
-        inner.source,
-        frozenset(points),
+        (q for p in inner for q in derived_profile(p, outer_k, outer_mode)),
+        mode=outer_mode,
+        strategy=f"composed({outer_mode.value}∘{inner.mode.value},m={inner.k})",
+        source=inner.source,
     )
 
 
@@ -446,7 +428,8 @@ class InclusionReport:
 
 def verify_inclusions(oracle: SetFunctionOracle, k: int) -> InclusionReport:
     """Check partition ⊆ disjoint ⊆ any and partition ⊆ covering ⊆ any, exactly."""
-    sets = {m: profile(oracle, k, m, EXACT).points for m in Mode}
+    # every profile of one oracle is over a divisor of oracle.den, so over it they compare as ints
+    sets = {m: frozenset(profile(oracle, k, m, EXACT).rows_over(oracle.den)) for m in Mode}
     table = (
         ("partition⊆disjoint", Mode.PARTITION, Mode.DISJOINT),
         ("disjoint⊆any", Mode.DISJOINT, Mode.ANY),
@@ -457,7 +440,7 @@ def verify_inclusions(oracle: SetFunctionOracle, k: int) -> InclusionReport:
     for _, small, big in table:
         missing = sets[small] - sets[big]
         if missing:
-            witness = min(missing, key=lambda p: p.coords)
+            witness = QuotientPoint.over(k, oracle.den, min(missing))
             break
     chains = tuple((name, sets[small] <= sets[big]) for name, small, big in table)
     return InclusionReport(k, oracle.label, chains, witness)
@@ -515,22 +498,14 @@ def limit_set_filter(
     1 - log_q(k)/n, compared exactly via integer powers; at_limit=True
     uses the limiting threshold 1 instead.
     """
-    k = pset.k
+    k, den = pset.k, pset.den
     kept = []
-    for p in pset.points:
-        mx = p.max_singleton()
-        if at_limit:
-            ok = mx >= 1
-        else:
-            # mx >= 1 - log_q(k)/n  <=>  q**(n*(1-mx)) <= k
-            expo = n * (1 - mx)
-            if expo <= 0:
-                ok = True
-            else:
-                ok = q ** expo.numerator <= k ** expo.denominator
-        if ok:
-            kept.append(p)
+    for row in pset.nums:
+        # part i's singleton, coordinate 1 << i, sits at row[(1 << i) - 1]; the largest, mx,
+        # is compared with 1 at the limit, else mx >= 1 - log_q(k)/n <=> q**(n*(1-mx)) <= k
+        gap = 1 - Fraction(max(row[(1 << i) - 1] for i in range(k)), den)
+        expo = n * gap
+        if (gap <= 0) if at_limit else (expo <= 0 or q ** expo.numerator <= k ** expo.denominator):
+            kept.append(row)
     suffix = "limit" if at_limit else f"threshold(q={q},n={n})"
-    return ProfileSet(
-        k, pset.mode, f"{pset.strategy}|{suffix}", pset.source, frozenset(kept)
-    )
+    return ProfileSet(k, den, frozenset(kept), pset.mode, f"{pset.strategy}|{suffix}", pset.source)

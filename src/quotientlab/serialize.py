@@ -8,6 +8,7 @@ sorted before serialization, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -17,22 +18,30 @@ from . import __version__
 FORMAT_VERSION = 1
 
 
+def ratio_str(num: int, den: int) -> str:
+    """num/den in lowest terms, for den > 0."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def frac_str(x: Fraction | int) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return ratio_str(x.numerator, x.denominator)
 
 
-def point_payload(point) -> list[str]:
-    return [frac_str(c) for c in point.coords]
+def point_rows(pset) -> list[list[str]]:
+    """A profile's points in coordinate order as strings, each distinct numerator formatted once."""
+    rows = sorted(pset.nums)
+    text = {x: ratio_str(x, pset.den) for x in {0}.union(*rows)}
+    return [[text[0], *map(text.__getitem__, row)] for row in rows]
 
 
 def profile_payload(pset) -> dict:
-    points = pset.sorted_points()
-    coords_flat = [c for p in points for c in p.coords]
+    nums, den = pset.nums, pset.den
+    # coordinate 0 of every point is 0, so it takes part in the extremes
     summary = {
-        "count": len(points),
-        "coord_min": frac_str(min(coords_flat)) if coords_flat else None,
-        "coord_max": frac_str(max(coords_flat)) if coords_flat else None,
+        "count": len(nums),
+        "coord_min": ratio_str(min(0, min(map(min, nums))), den) if nums else None,
+        "coord_max": ratio_str(max(0, max(map(max, nums))), den) if nums else None,
     }
     return {
         "format": "profile-set",
@@ -42,7 +51,7 @@ def profile_payload(pset) -> dict:
         "strategy": pset.strategy,
         "source": pset.source,
         "summary": summary,
-        "points": [point_payload(p) for p in points],
+        "points": point_rows(pset),
     }
 
 

@@ -16,12 +16,13 @@ The serialization format relies on this convention, do not change it.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import GroundTooLargeError, KTooLargeError, MaskWidthError
@@ -204,6 +205,64 @@ class QuotientPoint:
                 "QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, self.k, "point as a setfunction"
             )
         return oracle_from_table(self.coords, label)
+
+    @classmethod
+    def over(cls, k: int, den: int, nums: Sequence[int]) -> "QuotientPoint":
+        """The point whose coordinates I >= 1 are nums[I - 1] / den (coordinate 0 is 0)."""
+        return cls(k, (Fraction(0), *(Fraction(x, den) for x in nums)))
+
+
+@dataclass(frozen=True)
+class PointCloud:
+    """Quotient points on k parts as `nums`, their coordinates I >= 1 times `den` (coordinate 0 is 0).
+
+    `den` > 0, so the tuples sort as the points do, and it is kept in
+    lowest terms with every numerator, so equal point sets compare and
+    hash equal.  `QuotientPoint`s are built only when asked for.
+    """
+
+    k: int
+    den: int
+    nums: frozenset[tuple[int, ...]]
+
+    def __post_init__(self):
+        g = self.den
+        for row in self.nums:
+            if (g := math.gcd(g, *row)) == 1:
+                return
+        object.__setattr__(self, "den", self.den // g)
+        object.__setattr__(self, "nums", frozenset(tuple(x // g for x in row) for row in self.nums))
+
+    @classmethod
+    def from_points(cls, k: int, points: Iterable[QuotientPoint], **fields) -> "PointCloud":
+        """The cloud of the points over the LCM of their coordinates' reduced denominators."""
+        points = list(points)
+        if any(p.k != k for p in points):
+            raise ValueError("mixed dimensions in one point cloud")
+        den = math.lcm(*(x.denominator for p in points for x in p.coords))
+        nums = frozenset(tuple(x.numerator * (den // x.denominator) for x in p.coords[1:]) for p in points)
+        return cls(k, den, nums, **fields)
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self) -> Iterator[QuotientPoint]:
+        return iter(self.points)
+
+    def __contains__(self, point: QuotientPoint) -> bool:
+        return point in self.points
+
+    @functools.cached_property
+    def points(self) -> frozenset[QuotientPoint]:
+        return frozenset(self.sorted_points())
+
+    def sorted_points(self) -> list[QuotientPoint]:
+        return [QuotientPoint.over(self.k, self.den, row) for row in sorted(self.nums)]
+
+    def rows_over(self, den: int) -> list[tuple[int, ...]]:
+        """The numerator tuples in coordinate order, over `den`, a multiple of `self.den`."""
+        rows, factor = sorted(self.nums), den // self.den
+        return rows if factor == 1 else [tuple(x * factor for x in row) for row in rows]
 
 
 def union_table(parts: Sequence[SubsetMask]) -> list[SubsetMask]:

@@ -1,11 +1,22 @@
-"""Golden-file tests pinning full report payloads for every subcommand."""
+"""Golden-file tests pinning full report payloads for every subcommand.
+
+Profile payloads are also written through the Fraction serialization that
+the int path replaced, kept here as the reference: it must give the same
+bytes on every profile golden, on random oracles whose numerators all
+share a factor with the denominator, and on an empty profile.
+"""
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
+from quotientlab import EXACT, Mode, SimpleGraph, cli, limit_set_filter, profile, serialize
 from quotientlab.cli import main
+from quotientlab.graphs import cut_capacity_oracle
+from quotientlab.setfn import SetFunctionOracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,6 +120,46 @@ CASES = {
 VERIFY_ALL_SHA256 = "7b2c1130cd66efef06028879b6bfd01e577b052b73d0dcc6618a9611394c9b85"
 
 
+def reference_frac_str(x):
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def reference_profile_payload(pset):
+    """The profile payload built by sorting, bounding and formatting Fraction points."""
+    points = sorted(pset.points, key=lambda p: p.coords)
+    coords_flat = [c for p in points for c in p.coords]
+    summary = {
+        "count": len(points),
+        "coord_min": reference_frac_str(min(coords_flat)) if coords_flat else None,
+        "coord_max": reference_frac_str(max(coords_flat)) if coords_flat else None,
+    }
+    return {
+        "format": "profile-set",
+        "version": serialize.FORMAT_VERSION,
+        "k": pset.k,
+        "mode": pset.mode.value,
+        "strategy": pset.strategy,
+        "source": pset.source,
+        "summary": summary,
+        "points": [[reference_frac_str(c) for c in p.coords] for p in points],
+    }
+
+
+def reference_profile_csv(pset):
+    lines = [",".join(f"I={m}" for m in range(1 << pset.k))]
+    for point in sorted(pset.points, key=lambda p: p.coords):
+        lines.append(",".join(reference_frac_str(c) for c in point.coords))
+    return "\n".join(lines) + "\n"
+
+
+def assert_serializes_like_reference(pset):
+    payload = serialize.profile_payload(pset)
+    assert serialize.dumps(payload) == serialize.dumps(reference_profile_payload(pset))
+    assert cli._profile_csv(pset) == reference_profile_csv(pset)
+    return payload
+
+
 @pytest.mark.parametrize("golden_name", sorted(CASES))
 def test_golden_payloads(golden_name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -122,6 +173,31 @@ def test_golden_payloads(golden_name, tmp_path, monkeypatch):
     assert main(CASES[golden_name] + ["--out", str(out)]) == 0
     expected = (GOLDEN / golden_name).read_bytes()
     assert out.read_bytes() == expected
+    if golden_name.startswith(("profile_", "cutcap_")):
+        monkeypatch.setattr(serialize, "profile_payload", reference_profile_payload)
+        monkeypatch.setattr(cli, "_profile_csv", reference_profile_csv)
+        out.unlink()
+        assert main(CASES[golden_name] + ["--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_profile_serialization_matches_reference_on_random_oracles(seed):
+    rng = Random(seed)
+    n, k, den = rng.randint(2, 4), rng.randint(1, 3), 6 * rng.randint(1, 5)
+    # each numerator is a multiple of 2 or 3, and so is den: every string needs reducing
+    values = [0] + [rng.choice((2, 3)) * rng.randint(-4, 9) for _ in range((1 << n) - 1)]
+    oracle = SetFunctionOracle(n, values.__getitem__, den, label=f"random{seed}")
+    for mode in Mode:
+        assert_serializes_like_reference(profile(oracle, k, mode, EXACT))
+
+
+def test_empty_profile_serializes_like_reference():
+    # K3's largest cut is 2 of its 3 edges, so no point reaches the limit 1
+    pset = profile(cut_capacity_oracle(SimpleGraph.complete(3)), 2, Mode.PARTITION, EXACT)
+    empty = limit_set_filter(pset, 2, 1, at_limit=True)
+    payload = assert_serializes_like_reference(empty)
+    assert payload["summary"] == {"count": 0, "coord_min": None, "coord_max": None}
 
 
 def test_verify_all_report_digest(tmp_path):

@@ -288,19 +288,22 @@ def test_cauchy_permutation_covariant():
 
 def test_cauchy_canonicalizes_each_cloud_once(monkeypatch):
     from quotientlab import metric
+    from quotientlab.setfn import PointCloud
 
     sets = [profile(example51_oracle(n), 2, Mode.PARTITION, EXACT) for n in (5, 6, 7, 8)]
     expected = cauchy_diagnostic(sets)
     built = []
-    real = metric._Canonical.__init__
+    real = PointCloud.from_points.__func__
 
-    def counted(self, den, keyed):
-        built.append(len(keyed))
-        real(self, den, keyed)
+    def counted(cls, k, points, **fields):
+        points = list(points)
+        built.append(len(points))
+        return real(cls, k, points, **fields)
 
-    monkeypatch.setattr(metric._Canonical, "__init__", counted)
-    assert cauchy_diagnostic(sets) == expected
-    # one build per cloud, where each directed distance used to build both of its clouds
+    monkeypatch.setattr(PointCloud, "from_points", classmethod(counted))
+    # a profile set is read as stored; a list of points is converted once,
+    # where each directed distance used to convert both of its clouds
+    assert cauchy_diagnostic(sets) == expected and built == []
+    assert cauchy_diagnostic([list(s) for s in sets]) == expected
     assert built == [len(s) for s in sets]
-    canonical = metric._canonical(sets[0])
-    assert metric._canonical(canonical) is canonical and len(canonical) == len(sets[0])
+    assert metric._canonical(sets[0]) is sets[0]

@@ -18,6 +18,7 @@ from quotientlab import (
     KTooLargeError,
     LinearMatroid,
     Mode,
+    ProfileSet,
     QuotientPoint,
     Sampled,
     SimpleGraph,
@@ -40,7 +41,21 @@ from quotientlab.setfn import Memo, SetFunctionOracle, oracle_from_table, union_
 
 
 def coords_set(pset):
-    return {p.coords for p in pset}
+    """The points' coordinate tuples, checking on the way that the stored form is canonical.
+
+    The same points over three times the denominator, and the points
+    rebuilt from their Fractions over the LCM of the reduced denominators,
+    give an equal, equal-hashing profile set.
+    """
+    tripled = ProfileSet(
+        pset.k, 3 * pset.den, frozenset(tuple(3 * x for x in row) for row in pset.nums),
+        pset.mode, pset.strategy, pset.source,
+    )
+    rebuilt = ProfileSet.from_points(
+        pset.k, pset.points, mode=pset.mode, strategy=pset.strategy, source=pset.source
+    )
+    assert tripled == rebuilt == pset and hash(tripled) == hash(rebuilt) == hash(pset)
+    return {p.coords for p in pset.points}
 
 
 def test_k1_partition_profile_is_single_point():
