@@ -49,12 +49,11 @@ def _point_list(cloud) -> list[QuotientPoint]:
 def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
     """sup over a of inf over b of the sup-norm distance, with a witness.
 
-    Both clouds are put on integer numerators over one denominator, without
-    the empty set's coordinate, which is 0 in every point.  B is sorted on
-    its widest-spread coordinate, and each a scans B outward from its place
-    on that axis, nearer side first, until the gap on the axis alone
-    reaches the nearest distance found.  A is scanned in coordinate order,
-    so the witness is the smallest maximizer.
+    Both clouds are put on integer numerators over one denominator.  B is
+    sorted on its widest-spread coordinate, and each a scans B outward from
+    its place on that axis, nearer side first, until the gap on the axis
+    alone reaches the nearest distance found.  A is scanned in coordinate
+    order, so the witness is the smallest maximizer.
     """
     a_cloud, b_cloud = _canonical(a_cloud), _canonical(b_cloud)
     if a_cloud.k != b_cloud.k:

@@ -216,9 +216,8 @@ class QuotientPoint:
 class PointCloud:
     """Quotient points on k parts as `nums`, their coordinates I >= 1 times `den` (coordinate 0 is 0).
 
-    `den` > 0, so the tuples sort as the points do, and it is kept in
-    lowest terms with every numerator, so equal point sets compare and
-    hash equal.  `QuotientPoint`s are built only when asked for.
+    `den` > 0, so the tuples sort as the points do, and it is kept in lowest terms with every
+    numerator, so equal point sets compare and hash equal.  Points are built on request.
     """
 
     k: int
