@@ -283,6 +283,22 @@ def test_profile_set_sorted_points_deterministic():
     assert len(listed) == 10
 
 
+def test_profiles_build_no_fraction_until_points_are_read(monkeypatch):
+    cases = [
+        (cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 2)), EXACT),
+        (complete_cycle_oracle(3), Sampled(3, 50)),
+        (gf_space_oracle(2, 3), FLATS),
+    ]
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **kw: built.append(a) or real(cls, *a, **kw))
+    psets = [profile(oracle, 2, Mode.DISJOINT, strategy) for oracle, strategy in cases]
+    assert built == []
+    for pset in psets:
+        assert len(pset.points) == len(pset) and built
+        built.clear()
+
+
 def test_direct_sum_of_lines_tuple_profile_inside_plane():
     # the two blocks embed into the product space once the zeros are
     # identified; that carries tuple profiles (flats map to flats with
