@@ -160,6 +160,9 @@ def cmd_converge(args) -> int:
     indices = list(range(args.start, args.end + 1))
     if not indices:
         raise StrategyError("empty index range")
+    if len(indices) == 1 and (args.csv_out or args.format == "csv"):
+        flag = "--csv-out" if args.csv_out else "--format csv"
+        raise StrategyError(f"{flag} needs at least two members")
     strategy = _strategy_from_args(args)
     mode = Mode(args.mode)
     psets = [profile(_family_oracle(args, n), args.k, mode, strategy) for n in indices]
@@ -171,7 +174,7 @@ def cmd_converge(args) -> int:
         "diagnostic": serialize.diagnostic_payload(diag) if diag else None,
         "verdict": diag.verdict if diag else "inconclusive",
     }
-    if diag and args.csv_out:
+    if args.csv_out:
         for suffix, exact in ((".exact.csv", True), (".float.csv", False)):
             text = serialize.matrix_csv(diag.pairwise, labels, exact=exact)
             Path(args.csv_out + suffix).write_text(text, encoding="utf-8")
@@ -183,8 +186,6 @@ def cmd_converge(args) -> int:
     if certificates:
         results["generator"] = certificates
     if args.format == "csv":
-        if diag is None:
-            raise StrategyError("--format csv needs at least two members")
         serialize.write_text(args.out, serialize.matrix_csv(diag.pairwise, labels, exact=True))
         return EXIT_OK
     params = _echo_params(args, ("family", "start", "end") + PROFILE_PARAM_KEYS[2:])

@@ -2,9 +2,9 @@
 
 Caps are module constants rather than hard-coded literals so that error
 messages can name them and callers can see what budget was exceeded.
-Operations read them when called, each as `config.NAME` at the one check
-before the work it bounds.  The message is formatted in one place,
-`errors.CapExceededError`: `<subject> needs <needed>, cap <NAME>=<limit>`.
+Each is enforced by one call, `errors.check_cap("NAME", needed, subject)`,
+before the work it bounds; it reads the cap when called and raises the
+cap's error, `<subject> needs <needed>, cap <NAME>=<limit>`.
 """
 
 # Ground sets are iterated subset-by-subset; above this size exact

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; `check_cap` is the one place a cap error is raised."""
+
+from . import config
 
 
 class QuotientLabError(Exception):
@@ -10,11 +12,9 @@ class MaskWidthError(QuotientLabError):
 
 
 class CapExceededError(QuotientLabError):
-    """A budget in `config` would be exceeded; raised before the work it bounds.
+    """A budget in `config` would be exceeded; raised by `check_cap` before the work it bounds.
 
-    Every cap error is built from the cap's name and limit, the amount
-    the operation needs and what needs it, and reads
-    `<subject> needs <needed>, cap <NAME>=<limit>`.
+    It reads `<subject> needs <needed>, cap <NAME>=<limit>`.
     """
 
     def __init__(self, name: str, limit: int, needed: int, subject: str):
@@ -40,6 +40,22 @@ class FlatExplosionError(CapExceededError):
 
 class BlowUpCapError(CapExceededError):
     """Blow-up sizes for the cut-distance search exceed BLOWUP_NODE_CAP."""
+
+
+# each cap not listed raises GroundTooLargeError
+_CAP_ERRORS = {
+    "QUOTIENT_K_CAP": KTooLargeError,
+    "ENUM_ITERATION_CAP": EnumCapError,
+    "FLAT_COUNT_CAP": FlatExplosionError,
+    "BLOWUP_NODE_CAP": BlowUpCapError,
+}
+
+
+def check_cap(name: str, needed: int, subject: str) -> None:
+    """Raise the error of cap `config.<name>` if `subject` needs more than it allows."""
+    limit = getattr(config, name)
+    if needed > limit:
+        raise _CAP_ERRORS.get(name, GroundTooLargeError)(name, limit, needed, subject)
 
 
 class DivisibilityError(QuotientLabError):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import GraphFormatError
 from .graphs import SimpleGraph, hom_sum, token_rows
-from .setfn import SetFunctionOracle
+from .setfn import SetFunctionOracle, check_mask
 
 
 def _check_breakpoints(bp: tuple[Fraction, ...]) -> None:
@@ -104,6 +104,7 @@ class StepGraphon:
 
 def graphon_cut_capacity(w: StepGraphon, step_mask: int) -> Fraction:
     """Weight crossing a union of steps, divided by the total weight."""
+    check_mask(step_mask, w.steps)
     total = w.total_weight()
     if total == 0:
         raise ZeroDivisionError("cut capacity of a graphon needs positive total weight")

@@ -23,14 +23,7 @@ from random import Random
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import config
-from .errors import (
-    BlowUpCapError,
-    DegenerateNormalizationError,
-    EnumCapError,
-    GraphFormatError,
-    GroundTooLargeError,
-    KTooLargeError,
-)
+from .errors import DegenerateNormalizationError, GraphFormatError, check_cap
 from .setfn import (
     QuotientPoint,
     SetFunctionOracle,
@@ -228,8 +221,7 @@ def cut_dist_labeled(g: SimpleGraph, h: SimpleGraph) -> Fraction:
     if g.node_count != h.node_count:
         raise ValueError("labeled cut distance needs a common node set")
     n = g.node_count
-    if n > config.CUT_DIST_NODE_CAP:
-        raise GroundTooLargeError("CUT_DIST_NODE_CAP", config.CUT_DIST_NODE_CAP, n, "labeled cut distance")
+    check_cap("CUT_DIST_NODE_CAP", n, "labeled cut distance")
     if n == 0:
         return Fraction(0)
     # e_G(S, T) - e_H(S, T) = s^T D t for D = A_G - A_H.  Nodes with one row
@@ -373,12 +365,10 @@ def cut_dist_unlabeled_upper(
         budget = trials if n <= 9 else min(trials, 2)
         candidates = _candidates(n, budget, rng)
         plan.append((t, h.node_count * t, g.node_count * t, n, 1 + budget, candidates, 4))
-    if not plan:
-        needed = g.node_count * h.node_count
-        raise BlowUpCapError("BLOWUP_NODE_CAP", config.BLOWUP_NODE_CAP, needed, "common blow-up")
+    if not plan:  # then even t = 1 exceeds the cap
+        check_cap("BLOWUP_NODE_CAP", g.node_count * h.node_count, "common blow-up")
     needed = sum(count * (1 + sweeps * math.comb(n, 2)) for _, _, _, n, count, _, sweeps in plan)
-    if needed > config.ENUM_ITERATION_CAP:
-        raise EnumCapError("ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, needed, "cut-distance search")
+    check_cap("ENUM_ITERATION_CAP", needed, "cut-distance search")
     best: Optional[tuple[Fraction, int, tuple[int, ...]]] = None
     for t, g_factor, h_factor, n, _, candidates, max_sweeps in plan:
         gb = blow_up(g, g_factor)
@@ -495,16 +485,10 @@ def hom_sum(pattern: SimpleGraph, node_weights: Sequence, edge_weight: Callable[
     edge-weight table is built; a zero factor prunes the branch.
     """
     pk = pattern.node_count
-    if pk > config.HOM_PATTERN_NODE_CAP:
-        raise GroundTooLargeError(
-            "HOM_PATTERN_NODE_CAP", config.HOM_PATTERN_NODE_CAP, pk, "homomorphism pattern"
-        )
+    check_cap("HOM_PATTERN_NODE_CAP", pk, "homomorphism pattern")
     # graph nodes and step-graphon steps are the targets of the same kernel
     targets = range(len(node_weights))
-    if len(targets) > config.HOM_TARGET_NODE_CAP:
-        raise GroundTooLargeError(
-            "HOM_TARGET_NODE_CAP", config.HOM_TARGET_NODE_CAP, len(targets), "homomorphism target"
-        )
+    check_cap("HOM_TARGET_NODE_CAP", len(targets), "homomorphism target")
     edge_weights = [[edge_weight(a, b) for b in targets] for a in targets]
     # neighbors of pattern node v among the nodes assigned before it (edges are u < v)
     earlier = [[u for u, w in pattern.edges if w == v] for v in range(pk)]
@@ -637,8 +621,7 @@ def weighted_quotient(g: SimpleGraph, parts: Sequence[int]) -> WeightedQuotient:
 def kappa_from_gamma(wq: WeightedQuotient) -> QuotientPoint:
     """Cut-capacity quotient vector (nodes-squared normalization) from gamma."""
     k = wq.k
-    if k > config.QUOTIENT_K_CAP:
-        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, k, "quotient point")
+    check_cap("QUOTIENT_K_CAP", k, "quotient point")
     coords = []
     for subset in range(1 << k):
         total = Fraction(0)

@@ -54,13 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from . import config
-from .errors import (
-    DivisibilityError,
-    FlatExplosionError,
-    GroundTooLargeError,
-    KTooLargeError,
-)
+from .errors import DivisibilityError, check_cap
 from .gfq import field, index_from_vector, vector_from_index
 from .graphs import SimpleGraph, spanning_forest
 from .setfn import (
@@ -199,8 +193,7 @@ class Matroid:
 
     def flats(self) -> tuple[SubsetMask, ...]:
         """All flats, sorted, found by closing single-element extensions."""
-        if self.size > config.FLAT_GROUND_CAP:
-            raise GroundTooLargeError("FLAT_GROUND_CAP", config.FLAT_GROUND_CAP, self.size, "flat enumeration")
+        check_cap("FLAT_GROUND_CAP", self.size, "flat enumeration")
         start = self.closure(0)
         seen = {start}
         frontier = [start]
@@ -213,10 +206,7 @@ class Matroid:
                     if bigger not in seen:
                         seen.add(bigger)
                         nxt.append(bigger)
-                        if len(seen) > config.FLAT_COUNT_CAP:
-                            raise FlatExplosionError(
-                                "FLAT_COUNT_CAP", config.FLAT_COUNT_CAP, len(seen), "flat enumeration"
-                            )
+                        check_cap("FLAT_COUNT_CAP", len(seen), "flat enumeration")
             frontier = nxt
         return tuple(sorted(seen))
 
@@ -485,8 +475,7 @@ def edge_coloring_quotient(g: SimpleGraph, colors: Sequence[int], num_colors: in
     """Quotient vector of rank/|V| under the partition of edges by color."""
     if num_colors < 1:
         raise ValueError("need at least one color class")
-    if num_colors > config.QUOTIENT_K_CAP:
-        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, num_colors, "edge-coloring quotient")
+    check_cap("QUOTIENT_K_CAP", num_colors, "edge-coloring quotient")
     if len(colors) != g.edge_count:
         raise ValueError("need one color per edge")
     if any(not 0 <= c < num_colors for c in colors):
@@ -614,10 +603,7 @@ def matroid_union(matroids: Sequence[Matroid]) -> MatroidUnionResult:
 def matroid_union_rank_brute(matroids: Sequence[Matroid]) -> tuple[int, SubsetMask]:
     """min over Y of |Y| + sum_i r_i(E \\ Y), read from rank tables; exponential, for verification."""
     n = matroids[0].size
-    if n > config.UNION_BRUTE_FORCE_CAP:
-        raise GroundTooLargeError(
-            "UNION_BRUTE_FORCE_CAP", config.UNION_BRUTE_FORCE_CAP, n, "brute-force union rank"
-        )
+    check_cap("UNION_BRUTE_FORCE_CAP", n, "brute-force union rank")
     full = matroids[0].full_mask
     tables = [m.rank_table() for m in matroids]
     best, best_y = None, 0

@@ -82,7 +82,7 @@ from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import config
-from .errors import EnumCapError, FlatExplosionError, GroundTooLargeError, StrategyError
+from .errors import CapExceededError, StrategyError, check_cap
 from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
@@ -218,11 +218,7 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
     classes = oracle.twins or tuple((e,) for e in range(n))
     counts = [math.comb(len(cls) + len(spread) - 1, len(cls)) for cls in classes]
     orbits = math.prod(counts)
-    if orbits > config.ENUM_ITERATION_CAP:
-        raise EnumCapError(
-            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, orbits,
-            f"exact profile (n={n}, k={k}, mode={mode.value})",
-        )
+    check_cap("ENUM_ITERATION_CAP", orbits, f"exact profile (n={n}, k={k}, mode={mode.value})")
     block = math.isqrt(orbits)
     split, size = len(classes), 1
     while size < block:
@@ -253,10 +249,7 @@ def _flat_tables(
         )
     flats = matroid.flats()
     total = len(flats) ** k
-    if total > config.ENUM_ITERATION_CAP:
-        raise EnumCapError(
-            "ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, total, f"flats profile ({len(flats)} flats, k={k})"
-        )
+    check_cap("ENUM_ITERATION_CAP", total, f"flats profile ({len(flats)} flats, k={k})")
     n, full = matroid.size, matroid.full_mask
     tuples = itertools.product(flats, repeat=k)
     keep = None
@@ -291,8 +284,7 @@ def _pack(parts: Sequence[SubsetMask], n: int) -> int:
 def _sampled_tables(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
 ) -> Iterator[int]:
-    if samples > config.ENUM_ITERATION_CAP:
-        raise EnumCapError("ENUM_ITERATION_CAP", config.ENUM_ITERATION_CAP, samples, "sampled profile")
+    check_cap("ENUM_ITERATION_CAP", samples, "sampled profile")
     n = oracle.size
     rng = Random(seed)
     full = oracle.full_mask
@@ -315,7 +307,7 @@ def _sampled_tables(
     if matroid is not None and mode is Mode.ANY and 1 << matroid.full_rank() <= config.FLAT_COUNT_CAP:
         try:
             flats = matroid.flats()
-        except (GroundTooLargeError, FlatExplosionError):
+        except CapExceededError:
             pass  # no flat portfolio when the flats do not enumerate within their caps
         else:
             for _ in range(min(samples, 32)):

@@ -26,7 +26,7 @@ from .graphs import (
     shifted_tau_oracle,
 )
 from . import config
-from .errors import GroundTooLargeError
+from .errors import check_cap
 from .gfq import field
 from .matroid import GraphicMatroid, LinearMatroid
 from .setfn import SetFunctionOracle, check_ground_size
@@ -105,8 +105,7 @@ def gf_space_oracle(q: int, n: int) -> SetFunctionOracle:
     # q >= 2 here, so gf(q)^n has more elements than its dimension: a
     # dimension above the cap fails it before any power is taken
     needed, what = (n, "dimension") if n > config.GROUND_SIZE_CAP else (q**n, "ground set")
-    if needed > config.GROUND_SIZE_CAP:
-        raise GroundTooLargeError("GROUND_SIZE_CAP", config.GROUND_SIZE_CAP, needed, f"gf({q})^{n} {what}")
+    check_cap("GROUND_SIZE_CAP", needed, f"gf({q})^{n} {what}")
     matroid = LinearMatroid.full_space(q, n)
     return matroid.normalized_rank_oracle(denominator=n, label=f"rho(gf({q})^{n})")
 
@@ -125,10 +124,7 @@ def tau_blowup_oracle(motif: SimpleGraph, base: SimpleGraph, n: int) -> SetFunct
     family subtracts that base value (see shifted_tau_oracle).
     """
     check_ground_size(base.edge_count * n * n if n > 0 else 0)  # blow_up rejects n < 1
-    if base.node_count * n > config.HOM_TARGET_NODE_CAP:
-        raise GroundTooLargeError(
-            "HOM_TARGET_NODE_CAP", config.HOM_TARGET_NODE_CAP, base.node_count * n, "homomorphism target"
-        )
+    check_cap("HOM_TARGET_NODE_CAP", base.node_count * n, "homomorphism target")
     return shifted_tau_oracle(motif, blow_up(base, n))
 
 

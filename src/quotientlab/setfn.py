@@ -24,8 +24,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import config
-from .errors import GroundTooLargeError, KTooLargeError, MaskWidthError
+from .errors import MaskWidthError, check_cap
 
 SubsetMask = int
 
@@ -41,8 +40,7 @@ def iter_elements(mask: SubsetMask) -> Iterator[int]:
 def check_ground_size(size: int) -> None:
     if size < 0:
         raise ValueError("ground set size must be nonnegative")
-    if size > config.GROUND_SIZE_CAP:
-        raise GroundTooLargeError("GROUND_SIZE_CAP", config.GROUND_SIZE_CAP, size, "ground set")
+    check_cap("GROUND_SIZE_CAP", size, "ground set")
 
 
 def check_mask(mask: SubsetMask, size: int) -> None:
@@ -200,10 +198,7 @@ class QuotientPoint:
 
     def as_oracle(self, label: str = "derived") -> SetFunctionOracle:
         """Reinterpret the point as a setfunction on ground set [k], k <= QUOTIENT_K_CAP."""
-        if self.k > config.QUOTIENT_K_CAP:
-            raise KTooLargeError(
-                "QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, self.k, "point as a setfunction"
-            )
+        check_cap("QUOTIENT_K_CAP", self.k, "point as a setfunction")
         return oracle_from_table(self.coords, label)
 
     @classmethod
@@ -278,8 +273,7 @@ def check_quotient_args(oracle: SetFunctionOracle, k: int) -> None:
     """Reject part counts outside [1, QUOTIENT_K_CAP] and oracles nonzero on the empty set."""
     if k < 1:
         raise ValueError(f"k={k}: need at least one part")
-    if k > config.QUOTIENT_K_CAP:
-        raise KTooLargeError("QUOTIENT_K_CAP", config.QUOTIENT_K_CAP, k, "quotient point")
+    check_cap("QUOTIENT_K_CAP", k, "quotient point")
     if oracle.numerator(0) != 0:
         raise ValueError("quotient vectors are defined only for functions vanishing on the empty set")
 
@@ -318,11 +312,7 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
     numerators; a slack becomes a Fraction only for a violation.
     """
     n = oracle.size
-    if n > config.EXHAUSTIVE_CHECK_CAP:
-        raise GroundTooLargeError(
-            "EXHAUSTIVE_CHECK_CAP", config.EXHAUSTIVE_CHECK_CAP, n,
-            "check_submodular (else check_submodular_sampled)",
-        )
+    check_cap("EXHAUSTIVE_CHECK_CAP", n, "check_submodular (else check_submodular_sampled)")
     ev, den = oracle.numerator, oracle.den
     violations = []
     for base in range(1 << n):
@@ -342,11 +332,7 @@ def check_submodular(oracle: SetFunctionOracle) -> list[PairViolation]:
 def check_monotone(oracle: SetFunctionOracle) -> list[PairViolation]:
     """Exhaustively certify monotonicity on numerators; violations are pairs X < X+e."""
     n = oracle.size
-    if n > config.EXHAUSTIVE_CHECK_CAP:
-        raise GroundTooLargeError(
-            "EXHAUSTIVE_CHECK_CAP", config.EXHAUSTIVE_CHECK_CAP, n,
-            "check_monotone (else check_monotone_sampled)",
-        )
+    check_cap("EXHAUSTIVE_CHECK_CAP", n, "check_monotone (else check_monotone_sampled)")
     ev, den = oracle.numerator, oracle.den
     violations = []
     for base in range(1 << n):

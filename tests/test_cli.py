@@ -289,6 +289,13 @@ TEXT_FILES = {
     (["cutcap", "empty0.txt", "--norm", "nodes-squared"], 2, "error: nodes-squared"),
     (["profile", "--family", "cutcap-files", "--graphs", "empty0.txt", "--n", "1",
       "--norm", "nodes-squared"], 2, "error: nodes-squared"),
+    (["converge", "--family", "example51", "--start", "2", "--end", "2", "--csv-out", "m"],
+     2, "usage error:"),
+    # gf(2)^5 exceeds GROUND_SIZE_CAP, so a refusal after the profile would be a cap error
+    (["converge", "--family", "gf-space", "--start", "5", "--end", "5", "--format", "csv"],
+     2, "usage error:"),
+    (["converge", "--family", "gf-space", "--start", "5", "--end", "5", "--csv-out", "m"],
+     2, "usage error:"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

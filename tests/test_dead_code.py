@@ -5,7 +5,8 @@ be referenced somewhere in `src/` or `tests/` other than its own
 definition.  Importing a name counts as a reference, so re-exports in
 the package `__init__` keep public names alive.  Decorated definitions
 count as used, because the decorator registers them (the suite registry
-in `suites.py`).
+in `suites.py`).  A string is a reference only as the first argument of
+a `check_cap(...)` call, which names the cap it reads from `config`.
 
 Every method or property of a package class, dunders aside, must be
 read as an attribute (`x.name`) somewhere in `src/` or `tests/`.  A
@@ -26,6 +27,10 @@ change without another module knowing them.
 No module of `src/quotientlab/` imports inside a function: every import
 is at the top of its module, so the package's import graph is the one
 its module headers show, and a cycle in it fails at import time.
+
+Caps are enforced in one place: no module of `src/quotientlab/` but
+`errors.py` calls a `CapExceededError` class, and every `check_cap` call
+names a `*_CAP` constant of `config` by a string literal.
 
 Rank tables come from one include/exclude walk: `src/quotientlab/` has
 exactly one function named `rank_table`, so no matroid class overrides
@@ -97,7 +102,23 @@ def _loaded_attributes(tree):
     }
 
 
+def _called_name(call):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def _cap_names(tree):
+    """The first argument of each `check_cap(...)` call: a cap's name, or the node if not a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "check_cap" and node.args:
+            arg = node.args[0]
+            yield arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else arg
+
+
 def _references(tree):
+    yield from (name for name in _cap_names(tree) if isinstance(name, str))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
@@ -203,6 +224,48 @@ def test_no_module_reads_another_modules_private_attribute():
 
 def test_no_module_imports_inside_a_function():
     assert imports_inside_functions() == []
+
+
+def cap_error_classes():
+    """CapExceededError and every class of `errors.py` derived from it."""
+    classes = {"CapExceededError"}
+    for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in classes for base in node.bases
+        ):
+            classes.add(node.name)
+    return classes
+
+
+def cap_errors_raised_outside_errors_module():
+    classes = cap_error_classes()
+    return sorted(
+        f"{path.stem}:{node.lineno} calls {_called_name(node)}"
+        for path, tree in _trees(sorted(PACKAGE.glob("*.py"))).items()
+        if path.name != "errors.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) in classes
+    )
+
+
+def test_only_the_errors_module_builds_a_cap_error():
+    assert len(cap_error_classes()) > 1
+    assert cap_errors_raised_outside_errors_module() == []
+
+
+def test_every_check_cap_call_names_a_config_cap():
+    caps = {
+        name
+        for name in _definitions(ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8")))
+        if name.endswith("_CAP")
+    }
+    named = [
+        name
+        for tree in _trees(sorted((ROOT / "src").rglob("*.py"))).values()
+        for name in _cap_names(tree)
+    ]
+    assert named, "no check_cap call found"
+    assert [name for name in named if name not in caps] == []
 
 
 def functions_named(predicate):

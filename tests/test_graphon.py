@@ -12,9 +12,11 @@ from quotientlab import (
     GroundTooLargeError,
     SimpleGraph,
     GraphFormatError,
+    MaskWidthError,
     StepGraphon,
     cut_capacity_oracle,
     graphon_cut_capacity,
+    graphon_cut_capacity_oracle,
     hom_density,
     hom_density_step,
     parse_step_graphon,
@@ -41,6 +43,15 @@ def test_graph_representation_matches_twice_edges():
     oc4 = cut_capacity_oracle(c4, CutNormalization.TWICE_EDGES)
     for mask in range(16):
         assert graphon_cut_capacity(wc4, mask) == oc4.evaluate(mask)
+
+
+def test_cut_capacity_rejects_masks_wider_than_the_steps():
+    w = StepGraphon.from_graph(SimpleGraph.complete(2))
+    for mask in (0b101, 0b100, -1):
+        with pytest.raises(MaskWidthError):
+            graphon_cut_capacity(w, mask)
+        with pytest.raises(MaskWidthError):
+            graphon_cut_capacity_oracle(w).evaluate(mask)
 
 
 def test_zero_total_weight_raises():
