@@ -6,8 +6,10 @@ larger of the two directed max-min distances.  A `ProfileSet` is read as
 its stored int numerators (a plain iterable of points is converted once),
 and the directed kernel works on ints over the LCM of both denominators;
 only the distance and the witness come back as a Fraction and a point.
-Witnesses are chosen canonically (smallest coordinate tuple among the
-maximizers) so reports are reproducible.
+Points of A that also lie in B are answered by a set lookup, and only the
+rest are searched for their nearest point of B.  Witnesses are chosen
+canonically (smallest coordinate tuple among the maximizers) so reports
+are reproducible.
 """
 
 from __future__ import annotations
@@ -49,21 +51,28 @@ def _point_list(cloud) -> list[QuotientPoint]:
 def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
     """sup over a of inf over b of the sup-norm distance, with a witness.
 
-    Both clouds are put on integer numerators over one denominator.  B is
-    sorted on its widest-spread coordinate, and each a scans B outward from
-    its place on that axis, nearer side first, until the gap on the axis
-    alone reaches the nearest distance found.  A is scanned in coordinate
-    order, so the witness is the smallest maximizer.
+    Both clouds are put on integer numerators over one denominator.  The
+    points of A that lie in B, found by set lookup, are at distance 0, so
+    only A - B is searched: B is sorted on its widest-spread coordinate,
+    and each a scans B outward from its place on that axis, nearer side
+    first, until the gap on the axis alone reaches the nearest distance
+    found.  A - B is scanned in coordinate order, so the witness is the
+    smallest maximizer; if A lies inside B, the distance is 0 and the
+    witness is A's smallest point.
     """
     a_cloud, b_cloud = _canonical(a_cloud), _canonical(b_cloud)
     if a_cloud.k != b_cloud.k:
         raise ValueError("clouds live in different dimensions")
     den = lcm(a_cloud.den, b_cloud.den)
     a_rows, b_rows = a_cloud.rows_over(den), b_cloud.rows_over(den)
+    # a point of B is at distance 0, so it is neither the maximum nor the
+    # witness unless A lies inside B, where the smallest point answers
+    shared = b_cloud.nums if den == b_cloud.den else frozenset(b_rows)
+    a_rows = [row for row in a_rows if row not in shared] or a_rows[:1]
     # a constant axis (the full set's for partitions) would leave every b
     # inside the window
-    axis = max(range(len(b_rows[0])),
-               key=lambda i: max(r[i] for r in b_rows) - min(r[i] for r in b_rows))
+    spreads = [max(col) - min(col) for col in zip(*b_rows)]
+    axis = spreads.index(max(spreads))
     b_rows.sort(key=itemgetter(axis))
     keys = [row[axis] for row in b_rows]
     size = len(b_rows)
@@ -133,8 +142,11 @@ def eps_contained(a_cloud, b_cloud, eps: Fraction | int) -> EpsContainment:
 
     That is, is the directed distance from A to B at most eps.  On failure
     the witness is the directed distance's: the point of A farthest from
-    B, the smallest coordinate tuple among ties.
+    B, the smallest coordinate tuple among ties.  eps must be an int or a
+    Fraction: a float would be compared as its binary expansion.
     """
+    if not isinstance(eps, (int, Fraction)):
+        raise TypeError(f"eps must be an int or a Fraction, got {type(eps).__name__}")
     eps = Fraction(eps)
     distance, farthest = directed_distance(a_cloud, b_cloud)
     holds = distance <= eps

@@ -19,8 +19,9 @@ from quotientlab import (
     profile,
 )
 from quotientlab.graphs import SimpleGraph, cut_capacity_oracle
+from quotientlab.matroid import GraphicMatroid
 from quotientlab.metric import _point_list
-from quotientlab.sequences import example51_oracle, gf_space_oracle
+from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 
 
 def pt(*values):
@@ -187,6 +188,8 @@ def test_directed_distance_matches_reference_on_shaped_clouds():
 
 
 def test_directed_distance_matches_reference_on_cut_capacity_clouds():
+    # converge-cut's shape: 8 nodes, 12 edges, k = 3, nodes-squared; such
+    # clouds share most of their points
     rng = random.Random(1234)
     clouds = []
     for _ in range(4):
@@ -194,7 +197,54 @@ def test_directed_distance_matches_reference_on_cut_capacity_clouds():
         oracle = cut_capacity_oracle(SimpleGraph.make(8, edges), "nodes-squared")
         clouds.append(profile(oracle, 3, Mode.PARTITION, EXACT))
     for a, b in itertools.permutations(clouds, 2):
+        assert a.den == b.den and len(a.nums & b.nums) > len(a.nums) // 2
         assert_matches_reference(a, b)
+
+
+def test_directed_distance_matches_reference_on_overlapping_clouds():
+    rng = random.Random(20261019)
+    base = random_cloud(rng, 2, 40)
+    extra = random_cloud(rng, 2, 8)
+    assert_matches_reference(base, base)  # A = B
+    assert_matches_reference(base[:25], base)  # A inside B
+    assert_matches_reference(base, base[:25])  # B inside A
+    assert_matches_reference(base[17:18], base)  # one point of B
+    assert_matches_reference(base + extra, base)
+    assert_matches_reference(base, base + extra)
+    assert_matches_reference(base[:30] + extra, base[10:] + extra[:3])
+
+
+def test_directed_distance_inside_b_is_zero_at_the_smallest_point():
+    rng = random.Random(5)
+    b = random_cloud(rng, 3, 30)
+    a = b[3:12]
+    assert directed_distance(a, b) == (0, min(a, key=lambda p: p.coords))
+
+
+def test_directed_distance_ties_among_the_unshared_points():
+    # B is a grid of step 10; the added points all miss it by exactly 5 and
+    # lie between shared points, so the witness is the smallest of the tie
+    grid = [pt(x, y, z) for x, y, z in itertools.product(range(0, 50, 10), repeat=3)]
+    off = [pt(x + 5, y, z) for x, y, z in itertools.product((30, 0, 20), (40, 10), (0,))]
+    off.append(pt(0, 0, 3))
+    a = grid[::2] + off
+    distance, witness = directed_distance(a, grid)
+    assert (distance, witness) == (5, pt(5, 10, 0))
+    assert_matches_reference(a, grid)
+    assert_matches_reference(grid + off, grid[1:] + off[::2])
+
+
+def test_directed_distance_shared_points_meet_over_the_lcm():
+    # halves and thirds: the clouds share only their integral points, which
+    # are equal rows only after both are rescaled to sixths
+    ints = [pt(x, y, z) for x, y, z in itertools.product((0, 1, -1), repeat=3)]
+    halves = ints[::2] + [pt(Fraction(1, 2), 0, 1), pt(0, Fraction(-3, 2), 1)]
+    thirds = ints[1::2] + ints[:6] + [pt(Fraction(1, 3), 1, 0), pt(0, 0, Fraction(2, 3))]
+    sixths = halves + [pt(Fraction(1, 3), 0, 0)]
+    for a, b in ((halves, thirds), (thirds, halves), (halves, sixths), (sixths, halves),
+                 (ints, sixths), (thirds, ints)):
+        assert_matches_reference(a, b)
+    assert directed_distance(halves, sixths) == (0, min(halves, key=lambda p: p.coords))
 
 
 def test_eps_contained():
@@ -222,6 +272,34 @@ def test_eps_contained_profiles():
     small = profile(gf_space_oracle(2, 2), 2, Mode.PARTITION, EXACT)
     large = profile(gf_space_oracle(2, 4), 2, Mode.PARTITION, EXACT)
     assert eps_contained(small, large, Fraction(1, 2)).holds
+
+
+def test_eps_contained_takes_exact_eps_only():
+    a, b = [pt(0)], [pt(Fraction(3, 10))]
+    assert eps_contained(a, b, Fraction(3, 10)).holds
+    # 0.3 is a little below 3/10 in binary, so a float would say no
+    with pytest.raises(TypeError, match="^eps must be an int or a Fraction, got float$"):
+        eps_contained(a, b, 0.3)
+    with pytest.raises(TypeError, match="got str$"):
+        eps_contained(a, b, "3/10")
+
+
+@pytest.mark.parametrize("oracle", [
+    GraphicMatroid(SimpleGraph.complete(4)).rank_oracle(),
+    complete_cycle_oracle(3),
+], ids=["rank", "normalized"])
+def test_inclusion_chains_through_the_kernel(oracle):
+    # K4's cycle matroid at k = 2: partition ⊆ disjoint ⊆ any and
+    # partition ⊆ covering ⊆ any, so the smaller set is at distance 0
+    sets = {mode: profile(oracle, 2, mode, EXACT) for mode in Mode}
+    # 7 < 18 < 20 points; covering adds nothing to partition here
+    assert len(sets[Mode.PARTITION]) < len(sets[Mode.DISJOINT]) < len(sets[Mode.ANY])
+    for small, big in ((Mode.PARTITION, Mode.ANY), (Mode.DISJOINT, Mode.ANY),
+                       (Mode.PARTITION, Mode.COVERING)):
+        assert directed_distance(sets[small], sets[big]) == (0, _point_list(sets[small])[0])
+        assert eps_contained(sets[small], sets[big], 0).holds
+        assert_matches_reference(sets[small], sets[big])
+        assert_matches_reference(sets[big], sets[small])
 
 
 def test_cauchy_identical_sets():
