@@ -214,16 +214,10 @@ def test_directed_distance_matches_reference_on_overlapping_clouds():
     assert_matches_reference(base[:30] + extra, base[10:] + extra[:3])
 
 
-def test_directed_distance_inside_b_is_zero_at_the_smallest_point():
-    rng = random.Random(5)
-    b = random_cloud(rng, 3, 30)
-    a = b[3:12]
-    assert directed_distance(a, b) == (0, min(a, key=lambda p: p.coords))
-
-
 def test_directed_distance_ties_among_the_unshared_points():
-    # B is a grid of step 10; the added points all miss it by exactly 5 and
-    # lie between shared points, so the witness is the smallest of the tie
+    # B is a grid of step 10; six added points miss it by exactly 5 (one
+    # more by 3) and lie between shared points, so the witness is the
+    # smallest of the tie
     grid = [pt(x, y, z) for x, y, z in itertools.product(range(0, 50, 10), repeat=3)]
     off = [pt(x + 5, y, z) for x, y, z in itertools.product((30, 0, 20), (40, 10), (0,))]
     off.append(pt(0, 0, 3))
