@@ -449,6 +449,9 @@ def main(argv=None) -> int:
         for sub in commands.values():
             sub.set_defaults(**_config_defaults(sub, config))
         args = parser.parse_args(argv)
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            # Random(-s) is seeded as Random(s), so a negative seed would repeat its positive twin
+            raise StrategyError(f"--seed must be at least 0, got {args.seed}")
         started = time.perf_counter()
         code = args.fn(args)
     except CapExceededError as exc:

@@ -17,9 +17,16 @@ Three enumeration strategies:
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
                  the sample count is capped by ENUM_ITERATION_CAP; the
-                 choices come from one lazy C-level stream of accepted
-                 draws, getrandbits(c.bit_length()) kept when below the
-                 choice count c, which is the stream randrange(c) makes;
+                 choices are the accepted draws randrange(c) makes for c
+                 choices: getrandbits(c.bit_length()), kept when below c.
+                 CPython's getrandbits(b <= 32) is the top b bits of one
+                 32-bit generator word and getrandbits(32 * W) is the
+                 next W words, the first lowest, so for c <= 255 one call
+                 draws a fixed block of W words, and one bytes.translate
+                 of the words' top bytes shifts them to b bits and drops
+                 the rejected ones, at C level.  Words drawn past the last
+                 sample change nothing: the Random is private to the call.
+                 c = 256 (ANY at k = 8) draws by one call per draw;
 * FlatsOnly   -- for matroid rank oracles, iterate k-tuples of flats.
                  Exact for ANY (closures do not change any value of the
                  tuple), for COVERING (filter: the flats' union must be
@@ -281,6 +288,33 @@ def _pack(parts: Sequence[SubsetMask], n: int) -> int:
     return sum(u << i * n for i, u in enumerate(union_table(parts)))
 
 
+# generator words per block of choice draws: a fixed size, so no buffer grows with the samples
+_DRAW_WORDS = 4096
+
+
+def _choice_draws(rng: Random, c: int) -> Iterator[int]:
+    """The accepted draws of rng.randrange(c), in order, for 1 <= c <= 256.
+
+    randrange(c) draws getrandbits(b), b = c.bit_length(), until the value
+    is below c.  In CPython getrandbits(b) for b <= 32 is the top b bits of
+    the generator's next 32-bit word, and getrandbits(32 * W) is the next W
+    words with the first in the lowest bits.  So for b <= 8 (c <= 255) the
+    bytes [3::4] of a block's little-endian bytes are its words' top bytes,
+    and one `bytes.translate` drops the rejected ones and shifts the rest
+    down to b bits.  A block draws all its words, also those past the last
+    choice taken; the caller's Random is private, so they change nothing.
+    c = 256 (ANY at k = 8) draws 9 bits, one call per draw.
+    """
+    b = c.bit_length()
+    if b > 8:
+        return filter(c.__gt__, map(rng.getrandbits, itertools.repeat(b)))
+    shift = bytes(x >> 8 - b for x in range(256))
+    rejected = bytes(x for x in range(256) if x >> 8 - b >= c)
+    bits = 32 * _DRAW_WORDS
+    tops = (rng.getrandbits(bits).to_bytes(bits // 8, "little")[3::4] for _ in itertools.repeat(None))
+    return itertools.chain.from_iterable(top.translate(shift, rejected) for top in tops)
+
+
 def _sampled_tables(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
 ) -> Iterator[int]:
@@ -313,13 +347,10 @@ def _sampled_tables(
             for _ in range(min(samples, 32)):
                 yield _pack([rng.choice(flats) for _ in range(k)], n)
     # each sample draws one choice per element, in element order, as an exact
-    # assignment would; a choice is rng.randrange(c), which draws
-    # getrandbits(c.bit_length()) until the value is below c, so the stream
-    # of accepted draws is the same one randrange would make
+    # assignment would, from the stream of draws rng.randrange would make
     spread = _spread(k, mode, n)
     options = [[c << e for c in spread] for e in range(n)]
-    c = len(spread)
-    stream = filter(c.__gt__, map(rng.getrandbits, itertools.repeat(c.bit_length())))
+    stream = _choice_draws(rng, len(spread))
     for _ in range(samples):
         yield sum(map(list.__getitem__, options, itertools.islice(stream, n)))
 

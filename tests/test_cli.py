@@ -341,6 +341,18 @@ USAGE_ERRORS = {
     "config-not-an-object": (
         ["--config", "list.json", "profile", "--family", "gf-space", "--n", "2"],
         "must hold a JSON object"),
+    # Random(-s) seeds as Random(s) does, so a negative seed is refused, from a flag or a config
+    "profile-negative-seed": (
+        ["profile", "--family", "gf-space", "--n", "2", "--strategy", "sampled", "--seed=-1"],
+        "--seed must be at least 0, got -1"),
+    "cutdist-negative-seed": (
+        ["cutdist", "k3.txt", "k3.txt", "--seed", "-3"], "--seed must be at least 0, got -3"),
+    "config-negative-seed-converge": (
+        ["--config", "negative-seed.json", "converge", "--family", "gf-space", "--start", "1",
+         "--end", "2"], "--seed must be at least 0, got -1"),
+    "config-negative-seed-cutdist": (
+        ["--config", "negative-seed.json", "cutdist", "k3.txt", "k3.txt", "--upper-bound"],
+        "--seed must be at least 0, got -1"),
 }
 
 
@@ -352,6 +364,7 @@ def test_usage_error_exits_2_with_one_stderr_line_and_no_stdout(
     (tmp_path / "k3.txt").write_text(TEXT_FILES["k3.txt"], encoding="utf-8")
     (tmp_path / "a-directory").mkdir()
     (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "negative-seed.json").write_text('{"seed": -1}', encoding="utf-8")
     assert run(args) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

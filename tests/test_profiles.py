@@ -1,8 +1,10 @@
 """Profile enumeration: modes, strategies, composition, filters."""
 
+import collections
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -875,6 +877,61 @@ def test_sampled_stream_matches_randrange_draws(name):
             portfolios.add(len(got) - (k + 3 + 120))
     # a matroid oracle's ANY profiles draw rng.choice flat tuples before the samples
     assert portfolios == ({0, 32} if oracle.matroid is not None else {0})
+
+
+class WordCountingRandom(Random):
+    """A Random that counts its generator words; each getrandbits(b <= 32) reads one."""
+
+    words = 0
+
+    def getrandbits(self, b):
+        self.words += 1
+        return super().getrandbits(b)
+
+
+def test_choice_draws_match_randrange_across_block_ends(monkeypatch):
+    # blocks of 16 words, and for each choice count a draw count past two blocks whose
+    # last draw reads a word part-way through its block; c = 256 is drawn by a call per draw
+    monkeypatch.setattr(profiles_module, "_DRAW_WORDS", 16)
+    for c in range(1, 257):
+        ref = WordCountingRandom(c)
+        want = []
+        while len(want) < 40 or ref.words % 16 == 0:
+            want.append(ref.randrange(c))
+        assert ref.words > 32
+        got = list(itertools.islice(profiles_module._choice_draws(Random(c), c), len(want)))
+        assert got == want, c
+
+
+@pytest.mark.parametrize("name", ["empty", "cycle:K4"])
+def test_sampled_blocks_match_randrange_draws_for_every_choice_count(name):
+    # k = 1..8 in every mode spans choice counts 1 to 256: COVERING k = 8 has 255, the
+    # most one byte holds, and ANY k = 8 has 256.  K4 has 6 edges, so each count of
+    # samples draws past three blocks of generator words and, as no choice count
+    # accepts every draw, ends part-way through one
+    oracle = STREAM_ORACLES[name]()
+    words = profiles_module._DRAW_WORDS
+    samples = 3 * words // oracle.size + 5 if oracle.size else 2 * words
+    for k in range(1, 9):
+        for mode in Mode:
+            got = list(_sampled_tables(oracle, k, mode, 5, samples))
+            assert got == list(randrange_sampled_tables(oracle, k, mode, 5, samples)), (k, mode)
+    assert len(got) == k + 3 + samples + (32 if oracle.matroid is not None else 0)
+
+
+def test_sampled_draw_memory_does_not_grow_with_samples():
+    # k = 1 DISJOINT (two choices) keeps each table a small int, so what is traced is the draws
+    oracle = SetFunctionOracle(21, lambda mask: mask.bit_count(), label="cardinality")
+    peaks = []
+    for samples in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            collections.deque(_sampled_tables(oracle, 1, Mode.DISJOINT, 3, samples), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1 << 17
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 def combinations_union_options(cls, spread):
