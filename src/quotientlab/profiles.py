@@ -13,7 +13,12 @@ Three enumeration strategies:
                  (choices per element depend on the mode): a twin class
                  ranges over multisets of choices, so an oracle without
                  twins gets all labeled assignments; the orbit count is
-                 capped by ENUM_ITERATION_CAP;
+                 capped by ENUM_ITERATION_CAP.  The first singleton
+                 class is fixed up to relabeling the parts: it takes one
+                 choice per S_k orbit (the low j parts, for each j the
+                 mode allows), and the points are closed under S_k by
+                 the k - 1 adjacent part swaps, each an itemgetter over
+                 the numerator tuple;
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
                  the sample count is capped by ENUM_ITERATION_CAP; the
@@ -200,12 +205,31 @@ def _union_options(cls: Sequence[int], spread: Sequence[int]) -> Iterator[int]:
             picks[p] = v
 
 
-def _tables(classes: Sequence[Sequence[int]], spread: Sequence[int]) -> list[int]:
-    """The packed union tables of every choice of one option per class."""
+def _tables(classes: Sequence[Sequence[int]], spreads: Sequence[Sequence[int]]) -> list[int]:
+    """The packed union tables of every choice of one option per class, each class from its own spread."""
     tables = [0]
-    for cls in classes:
+    for cls, spread in zip(classes, spreads):
         tables = [t + c for c in _union_options(cls, spread) for t in tables]
     return tables
+
+
+def _twin_classes(oracle: SetFunctionOracle) -> tuple[tuple[int, ...], ...]:
+    """The oracle's twin classes; without declared twins, every element alone."""
+    return oracle.twins or tuple((e,) for e in range(oracle.size))
+
+
+def _relabeled_class(classes: Sequence[Sequence[int]]) -> Optional[int]:
+    """The index of the first singleton twin class, whose choice is fixed up to relabeling, or None."""
+    return next((j for j, cls in enumerate(classes) if len(cls) == 1), None)
+
+
+def _relabel_representatives(k: int, mode: Mode) -> tuple[int, ...]:
+    """One choice per S_k orbit of the mode's choices: the low pm.bit_count() parts.
+
+    Permuting the part labels permutes a choice's bits, so the orbits are
+    the popcount classes, and each mode's choices are a union of them.
+    """
+    return tuple(pm for pm in mode.element_choices(k) if pm == (1 << pm.bit_count()) - 1)
 
 
 def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[int], Iterator[int], int]:
@@ -214,7 +238,11 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
     Within a twin class only how many members take each choice matters,
     so each class ranges over multisets of choices; without declared twins
     every class is a single element and this is the plain |choices|^n scan.
-    The orbit count is checked against the cap before any table is built.
+    The first singleton class takes only one choice per S_k orbit
+    (`_relabel_representatives`): every assignment is a relabeling of one
+    that gives that element a representative, and `profile()` closes the
+    points under relabeling.  The orbit count, checked against the cap
+    before any table is built and returned, is the unreduced one.
     The classes split into an outer prefix, kept as a list of at most
     isqrt(orbits) + 2 packed tables, and the shortest suffix whose product
     reaches isqrt(orbits).  The suffix's first class may alone be far
@@ -222,18 +250,47 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
     """
     n = oracle.size
     spread = _spread(k, mode, n)
-    classes = oracle.twins or tuple((e,) for e in range(n))
+    classes = _twin_classes(oracle)
     counts = [math.comb(len(cls) + len(spread) - 1, len(cls)) for cls in classes]
     orbits = math.prod(counts)
     check_cap("ENUM_ITERATION_CAP", orbits, f"exact profile (n={n}, k={k}, mode={mode.value})")
+    spreads = [spread] * len(classes)
+    fixed = _relabeled_class(classes)
+    if fixed is not None:
+        reps = _relabel_representatives(k, mode)
+        spreads[fixed] = [c for pm, c in zip(mode.element_choices(k), spread) if pm in reps]
     block = math.isqrt(orbits)
     split, size = len(classes), 1
     while size < block:
         split -= 1
         size *= counts[split]
-    rest = _tables(classes[split + 1:], spread)
-    pivot = _union_options(classes[split], spread) if split < len(classes) else (0,)
-    return _tables(classes[:split], spread), (c + t for c in pivot for t in rest), orbits
+    rest = _tables(classes[split + 1:], spreads[split + 1:])
+    pivot = _union_options(classes[split], spreads[split]) if split < len(classes) else (0,)
+    return _tables(classes[:split], spreads[:split]), (c + t for c in pivot for t in rest), orbits
+
+
+def _close_under_relabeling(nums: set[tuple[int, ...]], k: int) -> None:
+    """Add to nums, in place, every point a permutation of the k part labels makes of one of its points.
+
+    Relabeling by sigma sends coordinate I to sigma(I), so swapping parts
+    i and i + 1 is one `itemgetter` over a numerator tuple (entry I - 1 is
+    coordinate I).  The k - 1 adjacent swaps generate S_k, so applying
+    them to each new point until none appears closes the set, at (final
+    points) x (k - 1) tuple builds.
+    """
+    swaps = []
+    for i in range(k - 1):
+        lo, hi = 1 << i, 2 << i
+        swaps.append(itemgetter(*[
+            (s & ~(lo | hi) | (s & lo) << 1 | (s & hi) >> 1) - 1 for s in range(1, 1 << k)
+        ]))
+    new = nums
+    while new:
+        images: set[tuple[int, ...]] = set()
+        for swap in swaps:
+            images.update(map(swap, new))
+        new = images - nums
+        nums |= new
 
 
 def _flat_tables(
@@ -365,8 +422,10 @@ def profile(
     check_quotient_args(oracle, k)
     n = oracle.size
     outer, value, view, keep = (0,), oracle.lookup, None, None
+    relabel = False
     if isinstance(strategy, Exact):
         outer, inner, count = _exact_tables(oracle, k, mode)
+        relabel = _relabeled_class(_twin_classes(oracle)) is not None
         if count << k >= 1 << n:
             table = oracle.numerator_table()
             if isinstance(table, array):
@@ -410,6 +469,8 @@ def profile(
                 for t, p in zip(chunk, points):
                     if p not in nums and keep(t):
                         nums.add(p)
+    if relabel:
+        _close_under_relabeling(nums, k)
     return ProfileSet(k, oracle.den, frozenset(nums), mode, strategy.describe(), oracle.label)
 
 

@@ -37,7 +37,16 @@ from quotientlab import config
 from quotientlab import profiles as profiles_module
 from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
 from quotientlab.matroid import disjoint_bases
-from quotientlab.profiles import Exact, _exact_tables, _pack, _sampled_tables, _spread, _union_options
+from quotientlab.profiles import (
+    Exact,
+    _close_under_relabeling,
+    _exact_tables,
+    _pack,
+    _relabel_representatives,
+    _sampled_tables,
+    _spread,
+    _union_options,
+)
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 from quotientlab.setfn import Memo, SetFunctionOracle, oracle_from_table, union_table
 
@@ -711,6 +720,18 @@ def _big_class_plus_one_oracle():
     return SetFunctionOracle(7, num, label="big-class", twins=((0,), tuple(range(1, 7))))
 
 
+def _twin_table_oracle():
+    """Random values of how many of {0, 1}, of {2, 3} and of {4} a set holds; 4 is the one singleton."""
+    rng = Random(31)
+    value = {(a, b, c): rng.randint(0, 9) for a in range(3) for b in range(3) for c in range(2)}
+    value[0, 0, 0] = 0
+
+    def num(m):
+        return value[_popcount(m & 0b11), _popcount(m & 0b1100), m >> 4]
+
+    return SetFunctionOracle(5, num, den=3, label="twin-table", twins=((0, 1), (2, 3), (4,)))
+
+
 DIFFERENTIAL_ORACLES = {
     "K2(4)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(2), 4)),
     "K3(2)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 2)),
@@ -718,6 +739,8 @@ DIFFERENTIAL_ORACLES = {
     "ex51(4)": lambda: example51_oracle(4),
     "gf(2)^2": lambda: gf_space_oracle(2, 2),
     "table": _random_table_oracle,
+    "twin-table": _twin_table_oracle,
+    "big-class": _big_class_plus_one_oracle,
 }
 
 
@@ -781,12 +804,101 @@ def test_blocked_scan_on_one_oversized_twin_class():
 
 def test_blocked_scan_with_an_outer_class_and_an_oversized_inner_one():
     oracle = _big_class_plus_one_oracle()
-    # k = 3 ANY: 8 outer tables, then 1,716 inner ones read in blocks of isqrt(13,728) = 117
+    # k = 3 ANY: 13,728 orbits; the singleton's 4 choices up to relabeling are the outer
+    # tables, then 1,716 inner ones read in blocks of isqrt(13,728) = 117
     assert _orbits(oracle, 3, Mode.ANY) == 8 * 1716
     for k in (1, 2, 3):
         for mode in Mode:
             got = coords_set(profile(oracle, k, mode, EXACT))
             assert got == fraction_reference(oracle, k, mode), (k, mode)
+
+
+# Part relabeling: every mode's choices are closed under permuting the k part
+# labels, which permutes a choice's bits and a point's coordinates (I to
+# sigma(I)).  The exact scan gives the first singleton twin class one choice
+# per S_k orbit and closes the points under relabeling.
+
+
+def _relabel_mask(mask, perm):
+    """The mask with bit i moved to bit perm[i]."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+def _choice_orbit(pm, k):
+    """pm's images under S_k, from every transposition until none is new."""
+    orbit, new = {pm}, [pm]
+    while new:
+        new = [
+            q for c in new for i, j in itertools.combinations(range(k), 2)
+            if (q := c & ~(1 << i | 1 << j) | (c >> i & 1) << j | (c >> j & 1) << i) not in orbit
+        ]
+        orbit.update(new)
+    return orbit
+
+
+def test_relabel_representatives_meet_every_choice_orbit_once():
+    for k in range(1, config.QUOTIENT_K_CAP + 1):
+        for mode in Mode:
+            choices = mode.element_choices(k)
+            reps = _relabel_representatives(k, mode)
+            assert set(reps) <= set(choices), (k, mode)
+            hits = collections.Counter(c for r in reps for c in _choice_orbit(r, k))
+            assert hits == collections.Counter(choices), (k, mode)
+            assert len(reps) == {
+                Mode.PARTITION: 1, Mode.DISJOINT: 2, Mode.COVERING: k, Mode.ANY: k + 1
+            }[mode], (k, mode)
+
+
+def _relabel_point(row, perm):
+    """The numerator tuple (entry I - 1 is coordinate I) after part i becomes part perm[i]."""
+    out = [None] * len(row)
+    for index, value in enumerate(row, 1):
+        out[_relabel_mask(index, perm) - 1] = value
+    return tuple(out)
+
+
+def test_relabel_closure_is_the_union_over_all_permutations():
+    rng = Random(44)
+    for k in range(1, 5):
+        for size in (0, 1, 3, 20):
+            rows = {tuple(rng.randint(0, 3) for _ in range((1 << k) - 1)) for _ in range(size)}
+            want = {_relabel_point(row, perm) for row in rows for perm in itertools.permutations(range(k))}
+            got = set(rows)
+            _close_under_relabeling(got, k)
+            assert got == want, (k, size)
+
+
+def test_relabeled_singleton_in_the_inner_stream_matches_plain_enumeration():
+    oracle = _twin_table_oracle()
+    for k in (1, 2, 3):
+        element4 = sum(1 << (s * 5 + 4) for s in range(1, 1 << k))
+        for mode in Mode:
+            outer, inner, count = _exact_tables(oracle, k, mode)
+            assert count == _orbits(oracle, k, mode)
+            # with more than one orbit the singleton {4} is scanned in the inner stream,
+            # with one choice per S_k orbit
+            assert count == 1 or not any(t & element4 for t in outer), (k, mode)
+            scanned = len(outer) * len(list(inner))
+            assert scanned * len(mode.element_choices(k)) == count * len(_relabel_representatives(k, mode))
+            got = coords_set(profile(oracle, k, mode, EXACT))
+            assert got == fraction_reference(oracle, k, mode), (k, mode)
+
+
+def test_relabeled_any_profile_at_the_k_cap_on_two_elements():
+    # f(0) = 0, f({0}) = 1, f({1}) = f({0, 1}) = 2: a point is (c1, c0 & ~c1) over the
+    # 8 parts, so the 65,536 orbits give 3^8 points
+    values = (0, 1, 2, 2)
+    oracle = SetFunctionOracle(2, values.__getitem__, label="two")
+    k = 8
+    assert k == config.QUOTIENT_K_CAP
+    got = profile(oracle, k, Mode.ANY, EXACT)
+    # f({0, 1}) = f({1}), so element 0 may leave every part element 1 is in
+    pairs = {(c0 & ~c1, c1) for c0 in range(1 << k) for c1 in range(1 << k)}
+    want = {
+        tuple(values[(c0 & s > 0) | (c1 & s > 0) << 1] for s in range(1, 1 << k)) for c0, c1 in pairs
+    }
+    assert len(want) == 3 ** k
+    assert got.den == 1 and got.nums == want
 
 
 def test_sampled_any_skips_a_flat_portfolio_above_the_flat_cap(monkeypatch):
