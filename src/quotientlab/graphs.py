@@ -15,8 +15,10 @@ of the labeled cut distance separable per node.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -214,6 +216,21 @@ def pair_count(g: SimpleGraph, s_mask: int, t_mask: int) -> int:
 def cut_count(g: SimpleGraph, x_mask: int) -> int:
     """Number of edges with exactly one endpoint in X."""
     return pair_count(g, x_mask, g.full_node_mask & ~x_mask)
+
+
+def cut_table(g: SimpleGraph) -> array:
+    """cut_count(g, X) for every node mask X, indexed by mask, by doubling over the nodes.
+
+    For a set Y of nodes below v, cut(Y + v) = cut(Y) + deg(v) - 2|N(v) ∩ Y|:
+    v's edges into Y stop crossing and its other edges start.  So the
+    entries with top node v are one `extend` of the table from a generator
+    over the 2^v entries before them; no list of the table is built.
+    """
+    table = array("q", [0])
+    for v, nbrs in enumerate(g.adjacency):
+        low, d = nbrs & ((1 << v) - 1), nbrs.bit_count()
+        table.extend(t + d - 2 * (low & m).bit_count() for m, t in zip(range(1 << v), table))
+    return table
 
 
 def cut_dist_labeled(g: SimpleGraph, h: SimpleGraph) -> Fraction:
@@ -465,6 +482,7 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
     Symmetric (X and its complement give the same value) and submodular;
     vanishes on the empty set and on the whole node set.  Twin nodes
     (see twin_classes) are declared as interchangeable on the oracle.
+    The memo evaluates `cut_count` per mask; a dense table is `cut_table`.
     """
     denom = CutNormalization.denominator(g, norm)
     return SetFunctionOracle(
@@ -473,6 +491,7 @@ def cut_capacity_oracle(g: SimpleGraph, norm: str = CutNormalization.EDGES) -> S
         denom,
         label=f"kappa({g.name or g.node_count};{norm})",
         twins=twin_classes(g),
+        table=functools.partial(cut_table, g),
     )
 
 

@@ -76,8 +76,11 @@ profile reads a dense table of all 2^n numerators when it looks up at
 least as many unions as there are masks (orbits * 2^k >= 2^n);
 otherwise, and always for the other strategies, the scan reads the
 oracle's lazy memo through its unchecked `lookup`, which for a rank
-oracle is `Matroid.rank_lookup`.  A dense table is an `array` unless a
-numerator exceeds 64 bits, when it is a list.
+oracle is `Matroid.rank_lookup`.  The dense table comes from the
+oracle's own table builder: `Matroid.rank_table` for a rank oracle,
+`graphs.cut_table`, which doubles over the nodes, for a cut-capacity
+oracle, and one kernel call per mask otherwise.  It is an `array` unless
+a numerator exceeds 64 bits, when it is a list.
 """
 
 from __future__ import annotations

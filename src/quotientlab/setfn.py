@@ -90,8 +90,14 @@ class SetFunctionOracle:
 
     The values come from exactly one of `num` and `matroid`.  With a
     matroid the oracle is a view of its rank: the memo is the matroid's
-    `rank_memo`, `lookup` is its `rank_lookup()`, the flats strategy reads
-    its flats and `numerator_table` its rank table.
+    `rank_memo`, `lookup` is its `rank_lookup()` and the flats strategy
+    reads its flats.
+
+    Every oracle carries its own zero-argument table builder, which
+    `numerator_table` calls: `table` if given (a cut-capacity oracle
+    passes `graphs.cut_table`, which doubles over the nodes), else the
+    matroid's `rank_table`, else `dense_numerators` over `num`, one call
+    per mask.
 
     `twins` optionally partitions the ground set into classes of
     interchangeable elements: swapping any two members of a class must
@@ -100,7 +106,7 @@ class SetFunctionOracle:
     assignment per orbit of these swaps.
     """
 
-    __slots__ = ("size", "full_mask", "den", "label", "matroid", "twins", "lookup", "_memo")
+    __slots__ = ("size", "full_mask", "den", "label", "matroid", "twins", "lookup", "_memo", "_table")
 
     def __init__(
         self,
@@ -110,6 +116,7 @@ class SetFunctionOracle:
         label: str = "",
         matroid=None,
         twins: tuple[tuple[int, ...], ...] = (),
+        table: Callable[[], Sequence[int]] | None = None,
     ):
         check_ground_size(size)
         if (num is None) == (matroid is None):
@@ -124,9 +131,11 @@ class SetFunctionOracle:
                 raise TypeError(f"numerators must be ints, got {type(empty).__name__}")
             self._memo = Memo(num, {0: empty})
             self.lookup = self._memo.__getitem__
+            self._table = table or functools.partial(dense_numerators, num, size)
         else:
             self._memo = matroid.rank_memo
             self.lookup = matroid.rank_lookup()
+            self._table = table or matroid.rank_table
         self.size = size
         self.full_mask = (1 << size) - 1
         self.den = den
@@ -143,10 +152,8 @@ class SetFunctionOracle:
         return Fraction(self.numerator(mask), self.den)
 
     def numerator_table(self) -> Sequence[int]:
-        """Every numerator, indexed by mask, built fresh and not memoized."""
-        if self.matroid is not None:
-            return self.matroid.rank_table()
-        return dense_numerators(self._memo.kernel, self.size)
+        """Every numerator, indexed by mask, built fresh by the oracle's table builder and not memoized."""
+        return self._table()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SetFunctionOracle({self.label or 'anonymous'}, n={self.size})"

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -929,6 +930,57 @@ def test_cut_capacity_numerators_match_fraction_values():
                 assert type(num) is int
                 expected = Fraction(cut_count(g, mask), denominator)
                 assert Fraction(num, oracle.den) == oracle.evaluate(mask) == expected
+
+
+# `cut_table` builds every cut count by doubling over the nodes; the
+# per-mask `cut_count` stays the lazy memo's kernel and is the reference.
+
+
+def _cut_table_graphs():
+    rng = random.Random(31)
+    graphs_ = [random_graph(rng, n, p) for n in range(14) for p in (0, 0.2, 0.5, 0.8, 1) for _ in range(2)]
+    graphs_ += [SimpleGraph.empty(n) for n in (0, 1, 5, 12)]
+    graphs_ += [SimpleGraph.complete(n) for n in range(1, 14)]
+    graphs_ += [SimpleGraph.complete_bipartite(1, a) for a in range(1, 13)]
+    graphs_ += [blow_up(SimpleGraph.complete(3), 4), blow_up(SimpleGraph.path(3), 3), blow_up(SimpleGraph.cycle(5), 2)]
+    # K4, C5 shifted to nodes 4..8, and an isolated node 9
+    k4, c5 = SimpleGraph.complete(4), SimpleGraph.cycle(5)
+    graphs_.append(SimpleGraph.make(10, list(k4.edges) + [(u + 4, v + 4) for u, v in c5.edges]))
+    return graphs_
+
+
+def test_cut_table_matches_cut_count_on_every_mask():
+    for g in _cut_table_graphs():
+        table = graphs.cut_table(g)
+        assert table.typecode == "q"
+        assert list(table) == [graphs.cut_count(g, m) for m in range(1 << g.node_count)], g
+
+
+def test_cut_table_extends_in_place():
+    g = random_graph(random.Random(16), 16, 0.5)
+    tracemalloc.start()
+    try:
+        table = graphs.cut_table(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 << 16
+    # a list of the table, or a second copy, would need far more than this
+    assert peak < 1.5 * len(table) * table.itemsize
+
+
+def test_cut_oracle_tables_match_numerators_under_every_normalization():
+    twins_seen = set()
+    for g in _cut_table_graphs()[::3]:
+        for norm in CutNormalization.ALL:
+            try:
+                oracle = cut_capacity_oracle(g, norm)
+            except DegenerateNormalizationError:
+                continue
+            twins_seen.add(len(oracle.twins) < g.node_count)
+            table = oracle.numerator_table()
+            assert list(table) == [oracle.numerator(m) for m in range(1 << g.node_count)], (g, norm)
+    assert twins_seen == {True, False}
 
 
 def test_tau_numerators_match_fraction_values():

@@ -34,9 +34,12 @@ from quotientlab import (
     verify_inclusions,
 )
 from quotientlab import config
+from quotientlab import graphs as graphs_module
 from quotientlab import profiles as profiles_module
-from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle
-from quotientlab.matroid import disjoint_bases
+from quotientlab import setfn as setfn_module
+from quotientlab.graphon import StepGraphon, graphon_cut_capacity_oracle
+from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle, tau_oracle
+from quotientlab.matroid import Matroid, disjoint_bases
 from quotientlab.profiles import (
     Exact,
     _close_under_relabeling,
@@ -491,6 +494,9 @@ def test_sampled_and_flats_never_build_a_dense_table(monkeypatch):
             assert len(profile(oracle, 2, mode, FLATS))
         for mode in Mode:
             assert len(profile(oracle, 2, mode, Sampled(1, 200)))
+    for oracle in (cut_capacity_oracle(LAZY_TWIN_BLOWUP), cut_capacity_oracle(SimpleGraph.cycle(5))):
+        for mode in Mode:
+            assert len(profile(oracle, 2, mode, Sampled(3, 100)))
 
 
 # The labeled enumeration profile() ran before the blocked scan: one list
@@ -647,6 +653,80 @@ def test_wide_numerators_come_in_a_list():
     oracle = _wide_oracle()
     assert oracle.numerator(0b1111) >= 1 << 63
     assert type(oracle.numerator_table()) is list
+
+
+# Every oracle carries its own table builder: a cut oracle doubles over its
+# nodes (`graphs.cut_table`), a rank oracle walks `Matroid.rank_table`, and
+# every other oracle calls its kernel once per mask (`dense_numerators`).
+# A builder is bound when the oracle is built, so the spies go in first.
+
+
+def _spy(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _refuse(monkeypatch, owner, name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    monkeypatch.setattr(owner, name, refuse)
+
+
+def test_exact_cut_profile_builds_its_table_by_doubling(monkeypatch):
+    built = _count_dense_tables(monkeypatch)
+    _refuse(monkeypatch, setfn_module, "dense_numerators")
+    doubled = _spy(monkeypatch, graphs_module, "cut_table")
+    counted = _spy(monkeypatch, graphs_module, "cut_count")
+    g = blow_up(SimpleGraph.complete(3), 2)
+    oracle = cut_capacity_oracle(g)
+    assert _orbits(oracle, 2, Mode.PARTITION) << 2 >= 1 << oracle.size
+    got = coords_set(profile(oracle, 2, Mode.PARTITION, EXACT))
+    # the constructor's num(0) is the only per-mask cut count
+    assert (built, doubled, counted) == ([oracle.label], [(g,)], [(g, 0)])
+    assert got == fraction_reference(oracle, 2, Mode.PARTITION)
+
+
+def test_rank_oracles_build_rank_tables(monkeypatch):
+    _refuse(monkeypatch, setfn_module, "dense_numerators")
+    walked = _spy(monkeypatch, Matroid, "rank_table")
+    oracles = [example51_oracle(4), complete_cycle_oracle(3), gf_space_oracle(2, 2)]
+    for oracle in oracles:
+        before = len(walked)
+        table = oracle.numerator_table()
+        assert walked[before:] == [(oracle.matroid,)]
+        assert list(table) == [oracle.numerator(m) for m in range(1 << oracle.size)]
+    assert coords_set(profile(oracles[0], 2, Mode.PARTITION)) == fraction_reference(oracles[0], 2, Mode.PARTITION)
+    assert len(walked) == len(oracles) + 1
+
+
+def test_other_oracles_call_their_kernel_per_mask(monkeypatch):
+    per_mask = _spy(monkeypatch, setfn_module, "dense_numerators")
+    _refuse(monkeypatch, graphs_module, "cut_table")
+    _refuse(monkeypatch, Matroid, "rank_table")
+    p3, c4 = SimpleGraph.path(3), SimpleGraph.cycle(4)
+    oracles = [
+        _random_table_oracle(),
+        graphon_cut_capacity_oracle(StepGraphon.from_graph(c4)),
+        tau_oracle(p3, c4),
+        shifted_tau_oracle(p3, c4),
+        _wide_oracle(),
+    ]
+    for oracle in oracles:
+        before = len(per_mask)
+        table = oracle.numerator_table()
+        assert len(per_mask) == before + 1 and per_mask[-1][1] == oracle.size
+        assert list(table) == [oracle.numerator(m) for m in range(1 << oracle.size)]
+    assert type(table) is list  # the wide oracle's numerators exceed 64 bits
+    for oracle in (oracles[0], oracles[-1]):
+        assert coords_set(profile(oracle, 2, Mode.ANY)) == fraction_reference(oracle, 2, Mode.ANY)
 
 
 def test_dense_gather_when_the_last_block_holds_one_table(monkeypatch):
@@ -903,7 +983,6 @@ def test_relabeled_any_profile_at_the_k_cap_on_two_elements():
 
 def test_sampled_any_skips_a_flat_portfolio_above_the_flat_cap(monkeypatch):
     from quotientlab import FlatExplosionError
-    from quotientlab.matroid import Matroid
 
     real_flats = Matroid.flats
     calls = []
