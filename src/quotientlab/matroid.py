@@ -139,7 +139,7 @@ class Matroid:
         add, undo, key = self._extender()
         low = self.size // 3 if key is not None else 0
         split, width = low - 1, 1 << low  # the walk reaches element `split` once per prefix
-        table = array("B", bytes(1 << self.size))  # a rank is at most size <= GROUND_SIZE_CAP
+        table = array("B", [0]) * (1 << self.size)  # allocated once, in place; a rank is at most size <= GROUND_SIZE_CAP
         patterns: dict[Hashable, list[int]] = {}  # key -> r_{M/P}(X) for X in the low block
         blocks: dict[tuple[Hashable, int], array] = {}  # (key, r(P)) -> the shifted pattern
 
@@ -168,6 +168,7 @@ class Matroid:
 
         if self.size:
             walk(self.size - 1, 0, 0)
+        del walk  # the closure refers to itself: break the cycle so the table goes with its last reader
         return table
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:

@@ -6,10 +6,14 @@ larger of the two directed max-min distances.  A `ProfileSet` is read as
 its stored int numerators (a plain iterable of points is converted once),
 and the directed kernel works on ints over the LCM of both denominators;
 only the distance and the witness come back as a Fraction and a point.
-Points of A that also lie in B are answered by a set lookup, and only the
-rest are searched for their nearest point of B.  Witnesses are chosen
-canonically (smallest coordinate tuple among the maximizers) so reports
-are reproducible.
+Points of A that also lie in B are removed by a set difference, and only
+the rest are searched for their nearest point of B.  Work on one cloud
+is done once per cloud and cached on it: its search index (the rows
+sorted on the widest-spread axis) and whether it is closed under
+relabeling the parts.  When both clouds are closed, relabeling keeps
+every sup-norm distance, so only the smallest point of each S_k orbit
+of A - B is searched.  Witnesses are chosen canonically (smallest
+coordinate tuple among the maximizers) so reports are reproducible.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import itemgetter
 from typing import ClassVar, Optional, Sequence
 
 from .errors import EmptyProfileError
-from .setfn import PointCloud, QuotientPoint
+from .setfn import PointCloud, QuotientPoint, close_under_relabeling
 
 
 def linf_distance(p: QuotientPoint, q: QuotientPoint) -> Fraction:
@@ -48,33 +51,50 @@ def _point_list(cloud) -> list[QuotientPoint]:
     return _canonical(cloud).sorted_points()
 
 
+def _orbit_minima(rows: set[tuple[int, ...]], k: int) -> list[tuple[int, ...]]:
+    """The rows of a set closed under relabeling the parts that are the smallest of their S_k orbit, in order."""
+    minima, seen = [], set()
+    for row in sorted(rows):
+        if row not in seen:
+            minima.append(row)
+            orbit = {row}
+            close_under_relabeling(orbit, k)
+            seen |= orbit
+    return minima
+
+
 def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
     """sup over a of inf over b of the sup-norm distance, with a witness.
 
     Both clouds are put on integer numerators over one denominator.  The
-    points of A that lie in B, found by set lookup, are at distance 0, so
-    only A - B is searched: B is sorted on its widest-spread coordinate,
-    and each a scans B outward from its place on that axis, nearer side
-    first, until the gap on the axis alone reaches the nearest distance
-    found.  A - B is scanned in coordinate order, so the witness is the
+    points of A that lie in B, found by set difference, are at distance 0,
+    so only A - B is searched, in coordinate order, so the witness is the
     smallest maximizer; if A lies inside B, the distance is 0 and the
-    witness is A's smallest point.
+    witness is A's smallest point.  When both clouds are closed under
+    relabeling the parts, so is A - B, and every point of an S_k orbit is
+    at one distance from B; the smallest maximizer is the smallest of its
+    orbit, so only orbit minima are searched.  B is read from its
+    `search_index` (rescaled when the denominators differ): each a scans
+    B outward from its place on the widest axis, nearer side first, until
+    the gap on the axis alone reaches the nearest distance found.
     """
     a_cloud, b_cloud = _canonical(a_cloud), _canonical(b_cloud)
-    if a_cloud.k != b_cloud.k:
+    k = a_cloud.k
+    if k != b_cloud.k:
         raise ValueError("clouds live in different dimensions")
     den = lcm(a_cloud.den, b_cloud.den)
-    a_rows, b_rows = a_cloud.rows_over(den), b_cloud.rows_over(den)
-    # a point of B is at distance 0, so it is neither the maximum nor the
-    # witness unless A lies inside B, where the smallest point answers
-    shared = b_cloud.nums if den == b_cloud.den else frozenset(b_rows)
-    a_rows = [row for row in a_rows if row not in shared] or a_rows[:1]
-    # a constant axis (the full set's for partitions) would leave every b
-    # inside the window
-    spreads = [max(col) - min(col) for col in zip(*b_rows)]
-    axis = spreads.index(max(spreads))
-    b_rows.sort(key=itemgetter(axis))
-    keys = [row[axis] for row in b_rows]
+    rest = a_cloud.nums_over(den) - b_cloud.nums_over(den)
+    if not rest:
+        return Fraction(0), QuotientPoint.over(k, a_cloud.den, min(a_cloud.nums))
+    if a_cloud.closed_under_relabeling and b_cloud.closed_under_relabeling:
+        a_rows = _orbit_minima(rest, k)
+    else:
+        a_rows = sorted(rest)
+    axis, b_rows, keys = b_cloud.search_index
+    factor = den // b_cloud.den
+    if factor != 1:
+        b_rows = [tuple(x * factor for x in row) for row in b_rows]
+        keys = [x * factor for x in keys]
     size = len(b_rows)
     best = -1
     witness = a_rows[0]
@@ -109,7 +129,7 @@ def directed_distance(a_cloud, b_cloud) -> tuple[Fraction, QuotientPoint]:
         if nearest > best:
             best = nearest
             witness = a
-    return Fraction(best, den), QuotientPoint.over(a_cloud.k, den, witness)
+    return Fraction(best, den), QuotientPoint.over(k, den, witness)
 
 
 @dataclass(frozen=True)

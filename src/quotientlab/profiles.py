@@ -107,6 +107,7 @@ from .setfn import (
     SetFunctionOracle,
     SubsetMask,
     check_quotient_args,
+    close_under_relabeling,
     union_table,
 )
 
@@ -270,30 +271,6 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
     rest = _tables(classes[split + 1:], spreads[split + 1:])
     pivot = _union_options(classes[split], spreads[split]) if split < len(classes) else (0,)
     return _tables(classes[:split], spreads[:split]), (c + t for c in pivot for t in rest), orbits
-
-
-def _close_under_relabeling(nums: set[tuple[int, ...]], k: int) -> None:
-    """Add to nums, in place, every point a permutation of the k part labels makes of one of its points.
-
-    Relabeling by sigma sends coordinate I to sigma(I), so swapping parts
-    i and i + 1 is one `itemgetter` over a numerator tuple (entry I - 1 is
-    coordinate I).  The k - 1 adjacent swaps generate S_k, so applying
-    them to each new point until none appears closes the set, at (final
-    points) x (k - 1) tuple builds.
-    """
-    swaps = []
-    for i in range(k - 1):
-        lo, hi = 1 << i, 2 << i
-        swaps.append(itemgetter(*[
-            (s & ~(lo | hi) | (s & lo) << 1 | (s & hi) >> 1) - 1 for s in range(1, 1 << k)
-        ]))
-    new = nums
-    while new:
-        images: set[tuple[int, ...]] = set()
-        for swap in swaps:
-            images.update(map(swap, new))
-        new = images - nums
-        nums |= new
 
 
 def _flat_tables(
@@ -473,7 +450,7 @@ def profile(
                     if p not in nums and keep(t):
                         nums.add(p)
     if relabel:
-        _close_under_relabeling(nums, k)
+        close_under_relabeling(nums, k)
     return ProfileSet(k, oracle.den, frozenset(nums), mode, strategy.describe(), oracle.label)
 
 
@@ -516,7 +493,7 @@ class InclusionReport:
 def verify_inclusions(oracle: SetFunctionOracle, k: int) -> InclusionReport:
     """Check partition ⊆ disjoint ⊆ any and partition ⊆ covering ⊆ any, exactly."""
     # every profile of one oracle is over a divisor of oracle.den, so over it they compare as ints
-    sets = {m: frozenset(profile(oracle, k, m, EXACT).rows_over(oracle.den)) for m in Mode}
+    sets = {m: profile(oracle, k, m, EXACT).nums_over(oracle.den) for m in Mode}
     table = (
         ("partition⊆disjoint", Mode.PARTITION, Mode.DISJOINT),
         ("disjoint⊆any", Mode.DISJOINT, Mode.ANY),

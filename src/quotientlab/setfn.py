@@ -21,6 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -219,7 +220,10 @@ class PointCloud:
     """Quotient points on k parts as `nums`, their coordinates I >= 1 times `den` (coordinate 0 is 0).
 
     `den` > 0, so the tuples sort as the points do, and it is kept in lowest terms with every
-    numerator, so equal point sets compare and hash equal.  Points are built on request.
+    numerator, so equal point sets compare and hash equal.  Points are built on request, and so
+    is what a Hausdorff distance reads of the cloud: its `search_index` as the cloud searched
+    for nearest points, and whether it is `closed_under_relabeling` the parts.  Each is built
+    at most once per cloud.
     """
 
     k: int
@@ -260,10 +264,67 @@ class PointCloud:
     def sorted_points(self) -> list[QuotientPoint]:
         return [QuotientPoint.over(self.k, self.den, row) for row in sorted(self.nums)]
 
-    def rows_over(self, den: int) -> list[tuple[int, ...]]:
-        """The numerator tuples in coordinate order, over `den`, a multiple of `self.den`."""
-        rows, factor = sorted(self.nums), den // self.den
-        return rows if factor == 1 else [tuple(x * factor for x in row) for row in rows]
+    def nums_over(self, den: int) -> frozenset[tuple[int, ...]]:
+        """The numerator tuples over `den`, a multiple of `self.den`."""
+        factor = den // self.den
+        return self.nums if factor == 1 else frozenset(tuple(x * factor for x in row) for row in self.nums)
+
+    @functools.cached_property
+    def search_index(self) -> tuple[int, list[tuple[int, ...]], list[int]]:
+        """(axis, rows, keys) over `den`: the widest-spread coordinate, the rows sorted on it, and their values on it.
+
+        A constant axis (the full set's, for partitions) would leave every
+        row inside a nearest-point window, so the widest one is taken.
+        """
+        spreads = [max(col) - min(col) for col in zip(*self.nums)]
+        axis = spreads.index(max(spreads))
+        rows = sorted(self.nums, key=itemgetter(axis))
+        return axis, rows, [row[axis] for row in rows]
+
+    @functools.cached_property
+    def closed_under_relabeling(self) -> bool:
+        """Does every permutation of the k part labels map the cloud onto itself?
+
+        The adjacent swaps generate S_k, so it is enough that each maps
+        every row into `nums`.  Exact profiles are closed; a sampled one
+        need not be.
+        """
+        nums = self.nums
+        return all(all(map(nums.__contains__, map(swap, nums))) for swap in _relabel_swaps(self.k))
+
+
+@functools.cache
+def _relabel_swaps(k: int) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
+    """The k - 1 adjacent part swaps as maps of numerator tuples; together they generate S_k.
+
+    Relabeling by sigma sends coordinate I to sigma(I), so swapping parts i
+    and i + 1 is one `itemgetter` over a numerator tuple (entry I - 1 is
+    coordinate I).
+    """
+    swaps = []
+    for i in range(k - 1):
+        lo, hi = 1 << i, 2 << i
+        swaps.append(itemgetter(*[
+            (s & ~(lo | hi) | (s & lo) << 1 | (s & hi) >> 1) - 1 for s in range(1, 1 << k)
+        ]))
+    return tuple(swaps)
+
+
+def close_under_relabeling(nums: set[tuple[int, ...]], k: int) -> None:
+    """Add to nums, in place, every point a permutation of the k part labels makes of one of its points.
+
+    The k - 1 adjacent swaps generate S_k, so applying them to each new
+    point until none appears closes the set, at (final points) x (k - 1)
+    tuple builds.
+    """
+    swaps = _relabel_swaps(k)
+    new = nums
+    while new:
+        images: set[tuple[int, ...]] = set()
+        for swap in swaps:
+            images.update(map(swap, new))
+        new = images - nums
+        nums |= new
 
 
 def union_table(parts: Sequence[SubsetMask]) -> list[SubsetMask]:

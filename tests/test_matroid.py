@@ -1,7 +1,10 @@
 """Matroid oracles, flats, richness, union, embeddings."""
 
+import gc
 import itertools
 import random
+import tracemalloc
+import weakref
 from array import array
 from fractions import Fraction
 
@@ -680,6 +683,43 @@ def test_blocked_rank_table_makes_under_a_third_of_the_walks_adds(monkeypatch, n
     assert table == reference
     assert plain == (1 << matroid.size) - 1
     assert 3 * blocked < plain
+
+
+def test_rank_table_is_allocated_in_place():
+    matroid = _bundled_matroids()["K7"]()
+    tracemalloc.start()
+    try:
+        table = matroid.rank_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 << 21
+    # a temporary bytes of the table's size, copied into the array, reads 2.06x
+    assert peak < 1.5 * len(table) * table.itemsize
+
+
+def test_rank_table_leaves_nothing_alive_without_the_cyclic_collector():
+    # the walk is a closure that calls itself; as a cycle it would keep the
+    # table, its patterns and its blocks alive until the collector runs
+    matroid = _bundled_matroids()["ex51(10)"]()
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        table = matroid.rank_table()
+        size, alive = len(table) * table.itemsize, weakref.ref(table)
+        del table
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert alive() is None
+    # 1.93x the table's bytes stayed with the cycle; small tuples left on
+    # the interpreter's free lists stay traced
+    assert after - before < size // 2
 
 
 def reference_union_rank_brute(matroids):

@@ -1,5 +1,7 @@
 """Sup-norm distances, Hausdorff reports, convergence diagnostics."""
 
+import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 
 from quotientlab import (
     EXACT,
+    FLATS,
     EmptyProfileError,
     Mode,
     QuotientPoint,
@@ -15,12 +18,16 @@ from quotientlab import (
     directed_distance,
     eps_contained,
     hausdorff,
+    limit_set_filter,
     linf_distance,
     profile,
 )
+from quotientlab import metric
 from quotientlab.graphs import SimpleGraph, cut_capacity_oracle
 from quotientlab.matroid import GraphicMatroid
 from quotientlab.metric import _point_list
+from quotientlab.profiles import Sampled
+from quotientlab.setfn import PointCloud, close_under_relabeling
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
 
 
@@ -187,15 +194,19 @@ def test_directed_distance_matches_reference_on_shaped_clouds():
     assert_matches_reference(random_cloud(rng, 2, 25), grid[::2])
 
 
-def test_directed_distance_matches_reference_on_cut_capacity_clouds():
-    # converge-cut's shape: 8 nodes, 12 edges, k = 3, nodes-squared; such
-    # clouds share most of their points
-    rng = random.Random(1234)
+def cut_capacity_clouds(seed):
+    """converge-cut's shape: 8 nodes, 12 edges, k = 3, nodes-squared; such clouds share most of their points."""
+    rng = random.Random(seed)
     clouds = []
     for _ in range(4):
         edges = rng.sample(list(itertools.combinations(range(8), 2)), 12)
         oracle = cut_capacity_oracle(SimpleGraph.make(8, edges), "nodes-squared")
         clouds.append(profile(oracle, 3, Mode.PARTITION, EXACT))
+    return clouds
+
+
+def test_directed_distance_matches_reference_on_cut_capacity_clouds():
+    clouds = cut_capacity_clouds(1234)
     for a, b in itertools.permutations(clouds, 2):
         assert a.den == b.den and len(a.nums & b.nums) > len(a.nums) // 2
         assert_matches_reference(a, b)
@@ -379,3 +390,183 @@ def test_cauchy_canonicalizes_each_cloud_once(monkeypatch):
     assert cauchy_diagnostic([list(s) for s in sets]) == expected
     assert built == [len(s) for s in sets]
     assert metric._canonical(sets[0]) is sets[0]
+
+
+# Orbit representatives: relabeling the parts keeps every sup-norm distance,
+# so when both clouds are closed under it only the smallest point of each
+# S_k orbit of A - B is searched.  These pin the kernel, filter and index
+# together against `reference_directed`, which scans every point of A.
+
+
+def relabel_closure(rows, k):
+    """The rows and every image of them under a permutation of the k parts."""
+    rows = set(rows)
+    close_under_relabeling(rows, k)
+    return rows
+
+
+def closed_cloud(rng, k, size, den=1, span=6):
+    """The S_k closure of `size` random integer rows over den."""
+    rows = [tuple(rng.randrange(-span, span + 1) for _ in range((1 << k) - 1)) for _ in range(size)]
+    return PointCloud(k, den, frozenset(relabel_closure(rows, k)))
+
+
+@pytest.fixture
+def orbit_calls(monkeypatch):
+    """The sizes of the A - B sets the orbit filter was asked to reduce."""
+    calls = []
+    real = metric._orbit_minima
+
+    def counted(rows, k):
+        calls.append(len(rows))
+        return real(rows, k)
+
+    monkeypatch.setattr(metric, "_orbit_minima", counted)
+    return calls
+
+
+def assert_filtered(a, b, orbit_calls, filtered=True):
+    """The kernel agrees with the reference, and the orbit filter ran exactly when it should."""
+    orbit_calls.clear()
+    assert_matches_reference(a, b)
+    assert bool(orbit_calls) == filtered
+
+
+def star_profile(a):
+    oracle = cut_capacity_oracle(SimpleGraph.make(a + 1, [(0, i) for i in range(1, a + 1)]))
+    return profile(oracle, 3, Mode.ANY, EXACT)
+
+
+def test_orbit_filter_matches_reference_on_exact_and_flats_profiles(orbit_calls):
+    stars = [star_profile(a) for a in (1, 2, 3)]
+    families = [stars]
+    for k in (2, 3):
+        families.append([profile(example51_oracle(n), k, Mode.PARTITION, EXACT) for n in (4, 5, 6, 7)])
+    families.append([profile(gf_space_oracle(2, n), 2, Mode.ANY, FLATS) for n in (2, 3)])
+    families.append([profile(gf_space_oracle(2, n), 3, Mode.DISJOINT, FLATS) for n in (2, 3)])
+    for clouds in families:
+        for a, b in itertools.permutations(clouds, 2):
+            assert a.closed_under_relabeling and b.closed_under_relabeling
+            assert_filtered(a, b, orbit_calls, filtered=bool(a.nums_over(b.den * a.den) - b.nums_over(b.den * a.den)))
+    # the filter drops every orbit but its smallest point: K_{1,3} against K_{1,2}
+    assert_filtered(stars[2], stars[1], orbit_calls)
+    assert len(metric._orbit_minima(stars[2].nums_over(6) - stars[1].nums_over(6), 3)) < orbit_calls[0] // 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_orbit_filter_matches_reference_on_random_closed_clouds(k, orbit_calls):
+    rng = random.Random(4100 + k)
+    for _ in range(12):
+        a = closed_cloud(rng, k, rng.randrange(1, 6), den=rng.choice((1, 2, 3)))
+        b = closed_cloud(rng, k, rng.randrange(1, 6), den=rng.choice((1, 2, 3)))
+        assert_filtered(a, b, orbit_calls, filtered=not a.nums_over(6) <= b.nums_over(6))
+
+
+def test_orbit_filter_with_fixed_points_and_tied_orbit_minima(orbit_calls):
+    # every point of A is at distance 1 from B = {0}: the fixed point
+    # (1, 1, 1), the orbit {(0, 1, 1), (1, 0, 1)} and {(-1, 0, 0), (0, -1, 0)};
+    # the smallest maximizer, (-1, 0, 0), is its orbit's minimum
+    a = PointCloud(2, 1, frozenset({(1, 1, 1), (0, 1, 1), (1, 0, 1), (-1, 0, 0), (0, -1, 0)}))
+    b = PointCloud(2, 1, frozenset({(0, 0, 0)}))
+    assert a.closed_under_relabeling and b.closed_under_relabeling
+    assert directed_distance(a, b) == (1, pt(-1, 0, 0))
+    assert_filtered(a, b, orbit_calls)
+    # k = 3 on a small span: long ties among orbit minima, and many points
+    # with equal singletons that some swaps fix
+    rng = random.Random(77)
+    for _ in range(20):
+        rows = [tuple(rng.choice((0, 1, 2)) for _ in range(7)) for _ in range(4)]
+        rows += [(x, x, y, x, y, y, z) for x, y, z in [tuple(rng.randrange(3) for _ in range(3))]]
+        a = PointCloud(3, 1, frozenset(relabel_closure(rows, 3)))
+        b = closed_cloud(rng, 3, 2, span=2)
+        assert_filtered(a, b, orbit_calls, filtered=not a.nums <= b.nums)
+        assert_filtered(b, a, orbit_calls, filtered=not b.nums <= a.nums)
+
+
+def test_sampled_and_mixed_pairs_skip_the_orbit_filter(orbit_calls):
+    sampled = profile(example51_oracle(5), 3, Mode.PARTITION, Sampled(1, 30))
+    exact = profile(example51_oracle(5), 3, Mode.PARTITION, EXACT)
+    other = profile(example51_oracle(6), 3, Mode.PARTITION, EXACT)
+    assert not sampled.closed_under_relabeling and sampled.nums < exact.nums
+    rng = random.Random(5)
+    loose = PointCloud(3, 6, frozenset(tuple(rng.randrange(7) for _ in range(7)) for _ in range(40)))
+    assert not loose.closed_under_relabeling
+    for a, b in ((sampled, other), (other, sampled), (exact, sampled), (sampled, loose),
+                 (loose, exact), (exact, loose)):
+        assert_filtered(a, b, orbit_calls, filtered=False)
+    assert directed_distance(sampled, exact) == (0, _point_list(sampled)[0])
+
+
+def test_orbit_filter_edge_cases(orbit_calls):
+    rng = random.Random(12)
+    halves = closed_cloud(rng, 3, 4, den=2)
+    thirds = closed_cloud(rng, 3, 4, den=3)
+    # different denominators, both ways
+    assert_filtered(halves, thirds, orbit_calls)
+    assert_filtered(thirds, halves, orbit_calls)
+    # one-point clouds: a point with equal singletons and pairs is its whole orbit
+    one = PointCloud(3, 2, frozenset({(1, 1, 3, 1, 3, 3, 4)}))
+    assert one.closed_under_relabeling
+    assert_filtered(one, halves, orbit_calls)
+    assert_filtered(halves, one, orbit_calls)
+    lopsided = PointCloud(3, 2, frozenset({(1, 0, 3, 0, 3, 3, 4)}))
+    assert_filtered(lopsided, halves, orbit_calls, filtered=False)
+    # A inside B: distance 0 and A's smallest point, with no search at all
+    inner = PointCloud(3, 2, frozenset(relabel_closure([min(halves.nums)], 3)))
+    assert_filtered(inner, halves, orbit_calls, filtered=False)
+    assert directed_distance(inner, halves) == (0, _point_list(inner)[0])
+    # a constant coordinate (the full set's, for partitions) and one constant
+    # axis per orbit: every coordinate but the last is the widest
+    flat = PointCloud(3, 1, frozenset(row[:6] + (5,) for row in relabel_closure(
+        [tuple(rng.randrange(4) for _ in range(7)) for _ in range(5)], 3)))
+    assert flat.closed_under_relabeling and flat.search_index[0] != 6
+    assert_filtered(flat, closed_cloud(rng, 3, 3, span=3), orbit_calls)
+    assert_filtered(closed_cloud(rng, 3, 3, span=3), flat, orbit_calls)
+
+
+def test_closed_under_relabeling():
+    assert profile(example51_oracle(5), 3, Mode.PARTITION, EXACT).closed_under_relabeling
+    assert star_profile(2).closed_under_relabeling
+    flats = profile(gf_space_oracle(2, 3), 3, Mode.ANY, FLATS)
+    assert flats.closed_under_relabeling
+    kept = limit_set_filter(flats, 2, 3)
+    assert 0 < len(kept) < len(flats) and kept.closed_under_relabeling
+    assert not profile(example51_oracle(5), 3, Mode.PARTITION, Sampled(1, 30)).closed_under_relabeling
+    # one point whose singletons differ: a swap moves it out of the cloud
+    assert not PointCloud(2, 1, frozenset({(1, 2, 3)})).closed_under_relabeling
+    assert PointCloud(2, 1, frozenset({(2, 2, 3)})).closed_under_relabeling
+    rng = random.Random(3)
+    for k in (1, 2, 3, 4):
+        for _ in range(10):
+            rows = {tuple(rng.randrange(3) for _ in range((1 << k) - 1)) for _ in range(rng.randrange(1, 9))}
+            # k = 1 has no swaps: every cloud is closed
+            assert PointCloud(k, 1, frozenset(rows)).closed_under_relabeling == (rows == relabel_closure(rows, k))
+
+
+def test_cauchy_builds_one_search_index_per_cloud(monkeypatch):
+    sets = cut_capacity_clouds(1234)
+    expected = cauchy_diagnostic([dataclasses.replace(s) for s in sets])
+    built, sorts = [], []
+    real = PointCloud.__dict__["search_index"].func
+
+    def counted(cloud):
+        built.append(cloud)
+        return real(cloud)
+
+    index = functools.cached_property(counted)
+    index.__set_name__(PointCloud, "search_index")
+    monkeypatch.setattr(PointCloud, "search_index", index)
+
+    def counted_sort(rows, **kw):
+        rows = sorted(rows, **kw)
+        sorts.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(metric, "sorted", counted_sort, raising=False)
+    fresh = [dataclasses.replace(s) for s in sets]
+    assert cauchy_diagnostic(fresh) == expected
+    # one index per cloud, where each of the 12 directed distances used to
+    # sort both of its clouds; the kernel itself sorts only points of A - B
+    assert sorted(map(id, built)) == sorted(map(id, fresh))
+    assert sorts and max(sorts) < min(map(len, sets))
+    assert cauchy_diagnostic(fresh) == expected and len(built) == len(fresh)

@@ -42,7 +42,6 @@ from quotientlab.graphs import blow_up, cut_capacity_oracle, shifted_tau_oracle,
 from quotientlab.matroid import Matroid, disjoint_bases
 from quotientlab.profiles import (
     Exact,
-    _close_under_relabeling,
     _exact_tables,
     _pack,
     _relabel_representatives,
@@ -51,7 +50,7 @@ from quotientlab.profiles import (
     _union_options,
 )
 from quotientlab.sequences import complete_cycle_oracle, example51_oracle, gf_space_oracle
-from quotientlab.setfn import Memo, SetFunctionOracle, oracle_from_table, union_table
+from quotientlab.setfn import Memo, SetFunctionOracle, close_under_relabeling, oracle_from_table, union_table
 
 
 def coords_set(pset):
@@ -944,7 +943,7 @@ def test_relabel_closure_is_the_union_over_all_permutations():
             rows = {tuple(rng.randint(0, 3) for _ in range((1 << k) - 1)) for _ in range(size)}
             want = {_relabel_point(row, perm) for row in rows for perm in itertools.permutations(range(k))}
             got = set(rows)
-            _close_under_relabeling(got, k)
+            close_under_relabeling(got, k)
             assert got == want, (k, size)
 
 
