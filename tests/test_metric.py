@@ -515,8 +515,8 @@ def test_orbit_filter_edge_cases(orbit_calls):
     inner = PointCloud(3, 2, frozenset(relabel_closure([min(halves.nums)], 3)))
     assert_filtered(inner, halves, orbit_calls, filtered=False)
     assert directed_distance(inner, halves) == (0, _point_list(inner)[0])
-    # a constant coordinate (the full set's, for partitions) and one constant
-    # axis per orbit: every coordinate but the last is the widest
+    # a constant coordinate, as the full set's is for partitions: the index
+    # never takes it as its axis
     flat = PointCloud(3, 1, frozenset(row[:6] + (5,) for row in relabel_closure(
         [tuple(rng.randrange(4) for _ in range(7)) for _ in range(5)], 3)))
     assert flat.closed_under_relabeling and flat.search_index[0] != 6
