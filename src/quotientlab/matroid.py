@@ -132,25 +132,24 @@ class Matroid:
         block are the contiguous slice r(P) + r_{M/P}(X) (Oxley, §3.1),
         and M/P is named by the step's key.  The first P of a key walks
         the low elements and stores their contraction ranks as its
-        pattern; every later P copies the pattern, shifted by r(P), as
-        one slice (one shifted copy is kept per key and rank).  A step
-        without a key walks every element.
+        pattern, one byte each; every later P writes the pattern, shifted
+        by r(P) in one `bytes.translate`, as one slice.  A step without a
+        key walks every element.
         """
         add, undo, key = self._extender()
         low = self.size // 3 if key is not None else 0
         split, width = low - 1, 1 << low  # the walk reaches element `split` once per prefix
         table = array("B", [0]) * (1 << self.size)  # allocated once, in place; a rank is at most size <= GROUND_SIZE_CAP
-        patterns: dict[Hashable, list[int]] = {}  # key -> r_{M/P}(X) for X in the low block
-        blocks: dict[tuple[Hashable, int], array] = {}  # (key, r(P)) -> the shifted pattern
+        view = memoryview(table)  # a slice of the view takes bytes, which an array slice does not
+        patterns: dict[Hashable, bytes] = {}  # key -> r_{M/P}(X) for X in the low block
+        # d -> the byte map x -> x + d (mod 256), built on first use
+        shift = Memo(lambda d: bytes(range(d, 256)) + bytes(range(d)))
 
         def walk(e: int, mask: SubsetMask, rank: int) -> None:
             if e == split:
                 minor = key(low)
-                block = blocks.get((minor, rank))
-                if block is None and minor in patterns:
-                    block = blocks[minor, rank] = array("B", [r + rank for r in patterns[minor]])
-                if block is not None:
-                    table[mask:mask + width] = block
+                if minor in patterns:
+                    view[mask:mask + width] = patterns[minor].translate(shift[rank])
                     return
             if e:
                 walk(e - 1, mask, rank)
@@ -163,8 +162,7 @@ class Matroid:
             if token is not None:
                 undo(token)
             if e == split:
-                block = blocks[minor, rank] = table[mask:mask + width]
-                patterns[minor] = [r - rank for r in block]
+                patterns[minor] = view[mask:mask + width].tobytes().translate(shift[-rank % 256])
 
         if self.size:
             walk(self.size - 1, 0, 0)

@@ -32,13 +32,14 @@ Three enumeration strategies:
                  the rejected ones, at C level.  Words drawn past the last
                  sample change nothing: the Random is private to the call.
                  c = 256 (ANY at k = 8) draws by one call per draw;
-* FlatsOnly   -- for matroid rank oracles, iterate k-tuples of flats.
-                 Exact for ANY (closures do not change any value of the
-                 tuple), for COVERING (filter: the flats' union must be
-                 the ground set), and for DISJOINT (the flats must admit
-                 disjoint spanning sets, decided by matroid union; every
-                 tuple is streamed, and the scan asks this only for a
-                 tuple whose point it has not kept yet).
+* FlatsOnly   -- for matroid rank oracles, iterate the nondecreasing
+                 k-tuples of flats, one per S_k orbit, and close the
+                 points under S_k as Exact does.  Exact for ANY (closures
+                 do not change any value of the tuple), for COVERING
+                 (filter: the flats' union must be the ground set), and
+                 for DISJOINT (the flats must admit disjoint spanning
+                 sets, decided by matroid union and asked only for a
+                 tuple whose point the scan has not kept yet).
                  Invalid for PARTITION, where no flat reduction is sound.
 
 Each assignment is handled as a packed union table: one int whose bit
@@ -66,12 +67,13 @@ one outer table.  A DISJOINT flats profile also passes a feasibility
 predicate on a packed table: the scan still computes every point, keeps
 a point at its first table that passes, and asks the predicate only
 about points not kept yet.  A point is in the profile exactly when some
-feasible tuple maps to it, so this is exact, and matroid union runs only
-for tuples whose point is still missing.  The predicate first answers
+feasible tuple maps to it, and both filters ignore the parts' order, so
+this is exact, and matroid union runs only for tuples whose point is
+still missing.  The predicate first answers
 False when the flats' ranks sum to more than the non-loops of their
 union, since disjoint bases would need that many elements; of gf(2)^4's
-sorted pairs for k = 2 only the 23 feasible ones reach matroid union,
-not all 2,278.  An exact
+2,278 nondecreasing pairs for k = 2 only the 23 feasible ones reach
+matroid union.  An exact
 profile reads a dense table of all 2^n numerators when it looks up at
 least as many unions as there are masks (orbits * 2^k >= 2^n);
 otherwise, and always for the other strategies, the scan reads the
@@ -101,7 +103,6 @@ from .errors import CapExceededError, StrategyError, check_cap
 from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
 from .setfn import (
-    Memo,
     PointCloud,
     QuotientPoint,
     SetFunctionOracle,
@@ -217,16 +218,6 @@ def _tables(classes: Sequence[Sequence[int]], spreads: Sequence[Sequence[int]]) 
     return tables
 
 
-def _twin_classes(oracle: SetFunctionOracle) -> tuple[tuple[int, ...], ...]:
-    """The oracle's twin classes; without declared twins, every element alone."""
-    return oracle.twins or tuple((e,) for e in range(oracle.size))
-
-
-def _relabeled_class(classes: Sequence[Sequence[int]]) -> Optional[int]:
-    """The index of the first singleton twin class, whose choice is fixed up to relabeling, or None."""
-    return next((j for j, cls in enumerate(classes) if len(cls) == 1), None)
-
-
 def _relabel_representatives(k: int, mode: Mode) -> tuple[int, ...]:
     """One choice per S_k orbit of the mode's choices: the low pm.bit_count() parts.
 
@@ -236,17 +227,18 @@ def _relabel_representatives(k: int, mode: Mode) -> tuple[int, ...]:
     return tuple(pm for pm in mode.element_choices(k) if pm == (1 << pm.bit_count()) - 1)
 
 
-def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[int], Iterator[int], int]:
-    """One packed union table per twin orbit: an outer list, an inner stream, and the orbit count.
+def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[int], Iterator[int], int, bool]:
+    """One packed union table per twin orbit: an outer list, an inner stream, the orbit count, and whether to relabel.
 
     Within a twin class only how many members take each choice matters,
     so each class ranges over multisets of choices; without declared twins
     every class is a single element and this is the plain |choices|^n scan.
     The first singleton class takes only one choice per S_k orbit
     (`_relabel_representatives`): every assignment is a relabeling of one
-    that gives that element a representative, and `profile()` closes the
-    points under relabeling.  The orbit count, checked against the cap
-    before any table is built and returned, is the unreduced one.
+    that gives that element a representative, so the points are to be
+    closed under relabeling when such a class exists.  The orbit count,
+    checked against the cap before any table is built and returned, is
+    the unreduced one.
     The classes split into an outer prefix, kept as a list of at most
     isqrt(orbits) + 2 packed tables, and the shortest suffix whose product
     reaches isqrt(orbits).  The suffix's first class may alone be far
@@ -254,12 +246,12 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
     """
     n = oracle.size
     spread = _spread(k, mode, n)
-    classes = _twin_classes(oracle)
+    classes = oracle.twins or tuple((e,) for e in range(n))
     counts = [math.comb(len(cls) + len(spread) - 1, len(cls)) for cls in classes]
     orbits = math.prod(counts)
     check_cap("ENUM_ITERATION_CAP", orbits, f"exact profile (n={n}, k={k}, mode={mode.value})")
     spreads = [spread] * len(classes)
-    fixed = _relabeled_class(classes)
+    fixed = next((j for j, cls in enumerate(classes) if len(cls) == 1), None)
     if fixed is not None:
         reps = _relabel_representatives(k, mode)
         spreads[fixed] = [c for pm, c in zip(mode.element_choices(k), spread) if pm in reps]
@@ -270,19 +262,20 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
         size *= counts[split]
     rest = _tables(classes[split + 1:], spreads[split + 1:])
     pivot = _union_options(classes[split], spreads[split]) if split < len(classes) else (0,)
-    return _tables(classes[:split], spreads[:split]), (c + t for c in pivot for t in rest), orbits
+    return _tables(classes[:split], spreads[:split]), (c + t for c in pivot for t in rest), orbits, fixed is not None
 
 
 def _flat_tables(
     oracle: SetFunctionOracle, k: int, mode: Mode
-) -> tuple[Iterator[int], int, Optional[Callable[[int], bool]]]:
-    """The packed union tables of k-tuples of flats, the count of all k-tuples, and a feasibility predicate.
+) -> tuple[Iterator[int], int, Optional[Callable[[int], bool]], bool]:
+    """The packed union tables of nondecreasing k-tuples of flats, the count of all k-tuples, a predicate, and True.
 
-    COVERING streams only the tuples whose union is the ground set.
-    DISJOINT streams every tuple and returns a predicate on a packed
-    table: flat i is read back from U_{i}, at shift (1 << i) * n, and the
-    sorted flats key one memoized `disjoint_bases` call.  The scan asks it
-    only for a point it has not kept yet.  ANY has no predicate.
+    Every k-tuple relabels a nondecreasing one, so the points are to be
+    closed under relabeling (the True).  COVERING streams only the tuples
+    whose union is the ground set.  DISJOINT streams them all and
+    returns a feasibility predicate on a packed table: flat i is read back
+    from U_{i}, at shift (1 << i) * n.  The scan asks it only for a point
+    it has not kept yet.  ANY has no predicate.
     """
     matroid: Optional[Matroid] = oracle.matroid
     if matroid is None:
@@ -295,29 +288,25 @@ def _flat_tables(
     total = len(flats) ** k
     check_cap("ENUM_ITERATION_CAP", total, f"flats profile ({len(flats)} flats, k={k})")
     n, full = matroid.size, matroid.full_mask
-    tuples = itertools.product(flats, repeat=k)
+    tuples = itertools.combinations_with_replacement(flats, k)
     keep = None
     if mode is Mode.COVERING:
         tuples = (tup for tup in tuples if functools.reduce(int.__or__, tup) == full)
     elif mode is Mode.DISJOINT:
-        # keyed by the sorted flats; the kernel looks `disjoint_bases` up when called, so a
-        # replacement of the module global is the one it calls.  Disjoint bases B_i of the
-        # F_i hold r(F_i) non-loops each, so a rank sum above the non-loops of the union
-        # answers False without a union call; the scan has looked up every r(F_i) already
+        # the kernel looks `disjoint_bases` up when called, so a replacement of the module
+        # global is the one it calls.  Disjoint bases B_i of the F_i hold r(F_i) non-loops
+        # each, so a rank sum above the non-loops of the union answers False without a
+        # union call; the scan has looked up every r(F_i) already
         rank, nonloops = oracle.lookup, full & ~matroid.closure(0)
-
-        def fits(key: tuple[SubsetMask, ...]) -> bool:
-            if sum(map(rank, key)) > (functools.reduce(int.__or__, key) & nonloops).bit_count():
-                return False
-            return disjoint_bases(matroid, key).bases is not None
-
-        feasible = Memo(fits)
         shifts = [(1 << i) * n for i in range(k)]
 
         def keep(table: int) -> bool:
-            return feasible[tuple(sorted([table >> s & full for s in shifts]))]
+            parts = tuple([table >> s & full for s in shifts])
+            if sum(map(rank, parts)) > (functools.reduce(int.__or__, parts) & nonloops).bit_count():
+                return False
+            return disjoint_bases(matroid, parts).bases is not None
 
-    return (_pack(tup, n) for tup in tuples), total, keep
+    return (_pack(tup, n) for tup in tuples), total, keep, True
 
 
 def _pack(parts: Sequence[SubsetMask], n: int) -> int:
@@ -401,11 +390,9 @@ def profile(
     """Enumerate (or sample) the profile set of the oracle for k labeled parts."""
     check_quotient_args(oracle, k)
     n = oracle.size
-    outer, value, view, keep = (0,), oracle.lookup, None, None
-    relabel = False
+    outer, value, view, keep, relabel = (0,), oracle.lookup, None, None, False
     if isinstance(strategy, Exact):
-        outer, inner, count = _exact_tables(oracle, k, mode)
-        relabel = _relabeled_class(_twin_classes(oracle)) is not None
+        outer, inner, count, relabel = _exact_tables(oracle, k, mode)
         if count << k >= 1 << n:
             table = oracle.numerator_table()
             if isinstance(table, array):
@@ -413,7 +400,7 @@ def profile(
             else:  # a list holds numerators beyond 64 bits
                 value = table.__getitem__
     elif isinstance(strategy, FlatsOnly):
-        inner, count, keep = _flat_tables(oracle, k, mode)
+        inner, count, keep, relabel = _flat_tables(oracle, k, mode)
     elif isinstance(strategy, Sampled):
         inner = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
         count = strategy.samples

@@ -76,6 +76,17 @@ def test_converge_writes_matrix_and_verdict(tmp_path):
     assert Path(csv_prefix + ".float.csv").exists()
 
 
+def test_converge_csv_format_is_the_exact_matrix_csv(tmp_path):
+    args = ["converge", "--family", "example51", "--start", "3", "--end", "5", "--k", "2",
+            "--mode", "partition"]
+    out, csv_prefix = tmp_path / "c.csv", str(tmp_path / "mat")
+    assert run(args + ["--format", "csv", "--out", str(out)]) == 0
+    assert run(args + ["--csv-out", csv_prefix, "--out", str(tmp_path / "c.json")]) == 0
+    exact = Path(csv_prefix + ".exact.csv").read_text(encoding="utf-8")
+    assert out.read_text(encoding="utf-8") == exact
+    assert len(exact.splitlines()) == 4  # a header and one row per member
+
+
 def test_converge_single_member_inconclusive(tmp_path):
     out = tmp_path / "c.json"
     code = run([
@@ -229,6 +240,10 @@ TEXT_FILES = {
     "p3.txt": "3 2\n0 1\n1 2\n",
     "k3.txt": "3 3\n0 1\n0 2\n1 2\n",
     "empty0.txt": "0 0\n",
+    "empty.txt": "",
+    "letter-endpoint.txt": "2 1\n0 x\n",
+    "far-endpoint.txt": "2 1\n0 5\n",
+    "short-row.txt": "2\n1/2 1\n0 1\n1\n",
 }
 
 
@@ -296,6 +311,15 @@ TEXT_FILES = {
      2, "usage error:"),
     (["converge", "--family", "gf-space", "--start", "5", "--end", "5", "--csv-out", "m"],
      2, "usage error:"),
+    (["cutcap", "empty.txt"], 2, "usage error: line 1: missing header"),
+    (["cutcap", "letter-endpoint.txt"], 2, "usage error: line 2: edge lines must be two integers"),
+    (["cutcap", "far-endpoint.txt"], 2, "usage error: line 2: endpoint out of range 0..1"),
+    (["hom", "K2", "--graphon", "empty.txt"], 2, "usage error: line 1: empty graphon file"),
+    (["hom", "K2", "--graphon", "short-row.txt"], 2, "usage error: line 4: expected 2 values"),
+    (["cutdist", "p3.txt", "k3.txt", "--upper-bound", "--t-max", "0"],
+     2, "usage error: t_max must be positive"),
+    (["profile", "--family", "complete-cycle", "--n", "0"], 2, "usage error: family index must be positive"),
+    (["hom", "K2", "--graph", "empty0.txt"], 2, "usage error: homomorphism density needs a nonempty target"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -88,3 +88,9 @@ def test_sum_tables_match_the_digit_loops(q):
     assert [f.neg(a) for a in range(q)] == [digit_neg(q, a) for a in range(q)]
     assert [f.add(a, b) for a, b in pairs] == [digit_add(q, a, b) for a, b in pairs]
     assert [f.sub(a, b) for a, b in pairs] == [digit_add(q, a, digit_neg(q, b)) for a, b in pairs]
+
+
+@pytest.mark.parametrize("q", [2, 5, 4, 9])
+def test_zero_has_no_inverse(q):
+    with pytest.raises(ZeroDivisionError, match="0 has no inverse"):
+        field(q).inv(0)

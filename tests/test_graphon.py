@@ -221,3 +221,11 @@ def test_graphon_oracle_numerators_match_cut_capacity():
         for mask in range(1 << w.steps):
             assert type(oracle.numerator(mask)) is int
             assert oracle.evaluate(mask) == graphon_cut_capacity(w, mask)
+
+
+def test_step_graphon_rejects_a_matrix_that_is_not_square():
+    half = Fraction(1, 2)
+    with pytest.raises(ValueError, match="value matrix must be r x r"):
+        StepGraphon((Fraction(0), half, Fraction(1)), ((half, half), (half,)))
+    with pytest.raises(ValueError, match="value matrix must be r x r"):
+        StepGraphon((Fraction(0), half, Fraction(1)), ((half, half),))

@@ -996,3 +996,19 @@ def test_tau_numerators_match_fraction_values():
                 assert type(raw.numerator(mask)) is type(shifted.numerator(mask)) is int
                 assert Fraction(raw.numerator(mask), raw.den) == raw.evaluate(mask) == 1 - density
                 assert shifted.evaluate(mask) == base - density
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimpleGraph(-1, ()), "node count must be nonnegative"),
+    (lambda: SimpleGraph(3, ((1, 0),)), r"edge \(1,0\) is not canonical for n=3"),
+    (lambda: SimpleGraph(3, ((0, 3),)), r"edge \(0,3\) is not canonical for n=3"),
+    (lambda: SimpleGraph(3, ((1, 2), (0, 1))), r"edges must be sorted and distinct, found \(0,1\) after \(1, 2\)"),
+    (lambda: SimpleGraph(3, ((0, 1), (0, 1))), r"edges must be sorted and distinct, found \(0,1\) after \(0, 1\)"),
+    (lambda: SimpleGraph.cycle(2), "cycles need at least three nodes"),
+    (lambda: cut_dist_labeled(SimpleGraph.complete(2), SimpleGraph.complete(3)),
+     "labeled cut distance needs a common node set"),
+    (lambda: CutNormalization.denominator(SimpleGraph.complete(2), "vertices"), "unknown normalization 'vertices'"),
+])
+def test_graph_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

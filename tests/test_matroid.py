@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import re
 import tracemalloc
 import weakref
 from array import array
@@ -21,6 +22,7 @@ from quotientlab import (
     SimpleGraph,
     check_richness,
     disjoint_bases,
+    edge_coloring_quotient,
     matroid_union,
     matroid_union_rank_brute,
     pad_embed_flat,
@@ -698,9 +700,23 @@ def test_rank_table_is_allocated_in_place():
     assert peak < 1.5 * len(table) * table.itemsize
 
 
+def test_rank_table_keeps_one_byte_pattern_per_contraction_key():
+    matroid = _bundled_matroids()["ex51(10)"]()
+    tracemalloc.start()
+    try:
+        table = matroid.rank_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 1 << 18
+    # each key's pattern as a list of ints, beside a shifted array block per key
+    # and rank, read 1.87x the table's bytes
+    assert peak < 1.3 * len(table) * table.itemsize
+
+
 def test_rank_table_leaves_nothing_alive_without_the_cyclic_collector():
     # the walk is a closure that calls itself; as a cycle it would keep the
-    # table, its patterns and its blocks alive until the collector runs
+    # table, its view and its patterns alive until the collector runs
     matroid = _bundled_matroids()["ex51(10)"]()
     gc.collect()
     was_enabled = gc.isenabled()
@@ -962,3 +978,20 @@ def test_restriction_rank_reads_its_base_rank_memo():
     for mask in range(1 << base.size):
         assert restricted.rank(mask) == base._rank(mask & 0b101011)
     assert set(base.rank_memo) == {mask & 0b101011 for mask in range(1 << base.size)}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearMatroid(2, [(1, 0), (1,)]), "columns must share one dimension"),
+    (lambda: LinearMatroid(3, [(1, 3)]), "column entries must lie in 0..q-1"),
+    (lambda: LinearMatroid(3, [(-1, 0)]), "column entries must lie in 0..q-1"),
+    (lambda: edge_coloring_quotient(SimpleGraph.complete(3), [0, 0, 0], 0), "need at least one color class"),
+    (lambda: edge_coloring_quotient(SimpleGraph.complete(3), [0, 1], 2), "need one color per edge"),
+    (lambda: edge_coloring_quotient(SimpleGraph.complete(3), [0, 1, 2], 2), "colors must lie in 0..num_colors-1"),
+    (lambda: edge_coloring_quotient(SimpleGraph.make(0, []), [], 1), "normalization by |V| needs at least one node"),
+    (lambda: matroid_union([]), "need at least one matroid"),
+    (lambda: matroid_union([GraphicMatroid(SimpleGraph.complete(3)), LinearMatroid.full_space(2, 2)]),
+     "matroids must share a common ground set"),
+])
+def test_matroid_input_checks(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()

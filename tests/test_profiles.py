@@ -228,6 +228,31 @@ def test_inclusion_chains_hold():
     assert report.all_hold
 
 
+def test_inclusion_report_names_a_point_missing_from_the_larger_profile(monkeypatch):
+    real = profiles_module.profile
+    oracle = gf_space_oracle(2, 2)
+    dropped = min(real(oracle, 2, Mode.PARTITION, EXACT).nums_over(oracle.den))
+    witness = QuotientPoint.over(2, oracle.den, dropped)
+
+    def without_witness(oracle, k, mode, strategy=EXACT):
+        pset = real(oracle, k, mode, strategy)
+        if mode is not Mode.DISJOINT:
+            return pset
+        assert witness in pset.points
+        return ProfileSet.from_points(k, (p for p in pset if p != witness), mode=mode,
+                                      strategy=pset.strategy, source=pset.source)
+
+    monkeypatch.setattr(profiles_module, "profile", without_witness)
+    report = verify_inclusions(oracle, 2)
+    assert not report.all_hold and report.witness == witness
+    assert report.chains == (
+        ("partition⊆disjoint", False),
+        ("disjoint⊆any", True),
+        ("partition⊆covering", True),
+        ("covering⊆any", True),
+    )
+
+
 def test_zero_point_in_any_but_not_partition():
     oracle = gf_space_oracle(2, 2)
     zero = QuotientPoint(2, (Fraction(0),) * 4)
@@ -737,8 +762,9 @@ def test_dense_gather_when_the_last_block_holds_one_table(monkeypatch):
         (cut_capacity_oracle(SimpleGraph.complete_bipartite(2, 3)), (3, 4, 3)),
         (_one_class_oracle(4), (1, 5, 2)),
     ):
-        outer, inner, count = _exact_tables(oracle, 2, Mode.PARTITION)
+        outer, inner, count, relabel = _exact_tables(oracle, 2, Mode.PARTITION)
         assert (len(outer), len(list(inner)), math.isqrt(count)) == shape
+        assert not relabel  # neither oracle has a singleton twin class
         before = len(built)
         got = coords_set(profile(oracle, 2, Mode.PARTITION, EXACT))
         assert len(built) == before + 1
@@ -952,8 +978,8 @@ def test_relabeled_singleton_in_the_inner_stream_matches_plain_enumeration():
     for k in (1, 2, 3):
         element4 = sum(1 << (s * 5 + 4) for s in range(1, 1 << k))
         for mode in Mode:
-            outer, inner, count = _exact_tables(oracle, k, mode)
-            assert count == _orbits(oracle, k, mode)
+            outer, inner, count, relabel = _exact_tables(oracle, k, mode)
+            assert count == _orbits(oracle, k, mode) and relabel
             # with more than one orbit the singleton {4} is scanned in the inner stream,
             # with one choice per S_k orbit
             assert count == 1 or not any(t & element4 for t in outer), (k, mode)
@@ -1340,3 +1366,80 @@ def test_disjoint_flats_profile_asks_feasibility_only_for_new_points(monkeypatch
     # matroid union
     assert len(calls) == 23
     assert all(disjoint_bases(oracle.matroid, flats).bases is not None for flats in calls)
+    # the scan over every ordered tuple, with a feasibility memo keyed by the sorted
+    # flats, made 76 union calls for gf(2)^3 at k = 3
+    calls.clear()
+    assert len(profile(gf_space_oracle(2, 3), 3, Mode.DISJOINT, FLATS)) == 88
+    assert len(calls) == len(set(calls)) <= 76
+
+
+# The per-tuple path the flats strategy ran before it streamed one tuple per
+# S_k orbit: every ordered k-tuple of flats, one union table per tuple,
+# COVERING filtered on the union of the flats and DISJOINT on one memoized
+# matroid-union call per sorted tuple, asked only for a point not kept yet.
+
+FLAT_PRODUCT_ORACLES = {
+    "cycle:K4": lambda: complete_cycle_oracle(3),
+    "cycle:K5": lambda: complete_cycle_oracle(4),
+    **{f"ex51({n})": functools.partial(example51_oracle, n) for n in range(3, 8)},
+    **{f"gf(2)^{n}": functools.partial(gf_space_oracle, 2, n) for n in range(2, 5)},
+    "gf(3)^2": lambda: gf_space_oracle(3, 2),
+    "K3+gf(2)^2+edge": LOOKUP_ORACLES["K3+gf(2)^2+edge"],
+}
+
+
+def product_flat_numerators(oracle, k, mode):
+    matroid = oracle.matroid
+    value, full = oracle.numerator_table().__getitem__, matroid.full_mask
+    feasible = Memo(lambda key: disjoint_bases(matroid, key).bases is not None)
+    points = set()
+    for tup in itertools.product(matroid.flats(), repeat=k):
+        unions = union_table(tup)
+        if mode is Mode.COVERING and unions[-1] != full:
+            continue
+        point = tuple(map(value, unions[1:]))
+        if point not in points and (mode is not Mode.DISJOINT or feasible[tuple(sorted(tup))]):
+            points.add(point)
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_PRODUCT_ORACLES))
+def test_flats_profile_matches_the_ordered_tuple_reference(name):
+    build = FLAT_PRODUCT_ORACLES[name]
+    for k in (1, 2, 3):
+        # ex51(6) has 118 flats: its 1.6 million ordered triples are too many to test
+        if k == 3 and name == "ex51(6)":
+            continue
+        for mode in (Mode.ANY, Mode.COVERING, Mode.DISJOINT):
+            oracle = build()
+            got = profile(oracle, k, mode, FLATS).nums_over(oracle.den)
+            assert got == product_flat_numerators(build(), k, mode), (k, mode)
+            # exact, where its labeled assignments are few enough to run here
+            if len(mode.element_choices(k)) ** oracle.size <= 1 << 20:
+                assert got == profile(build(), k, mode, EXACT).nums_over(oracle.den), (k, mode)
+
+
+@pytest.mark.parametrize("name", ["gf(2)^3", "ex51(5)", "K3+gf(2)^2+edge"])
+def test_flats_profile_packs_each_nondecreasing_tuple_once(name, monkeypatch):
+    packed = []
+
+    def recorded(parts):
+        packed.append(tuple(parts))
+        return union_table(parts)
+
+    monkeypatch.setattr(profiles_module, "union_table", recorded)
+    oracle = FLAT_PRODUCT_ORACLES[name]()
+    flats, full = oracle.matroid.flats(), oracle.full_mask
+    for k in (1, 2, 3):
+        every = math.comb(len(flats) + k - 1, k)
+        for mode in (Mode.ANY, Mode.COVERING, Mode.DISJOINT):
+            packed.clear()
+            profile(oracle, k, mode, FLATS)
+            assert len(packed) == len(set(packed)) <= every, (k, mode)
+            assert all(list(tup) == sorted(tup) for tup in packed), (k, mode)
+            if mode is Mode.COVERING:
+                covering = {tup for tup in itertools.combinations_with_replacement(flats, k)
+                            if functools.reduce(int.__or__, tup) == full}
+                assert set(packed) == covering, k
+            else:
+                assert len(packed) == every, (k, mode)

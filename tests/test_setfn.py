@@ -451,3 +451,14 @@ def test_size_and_mask_errors_keep_type_and_message(call, expected):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QuotientPoint(0, (Fraction(0),)), "quotient points need at least one part"),
+    (lambda: QuotientPoint(2, (Fraction(0), Fraction(1))), r"coords must have length 2\*\*k"),
+    (lambda: QuotientPoint(1, (Fraction(1), Fraction(1))), r"coords\[empty\] must be 0"),
+    (lambda: oracle_from_table([0, 1, 1]), "table length must be a power of two"),
+])
+def test_point_and_table_input_checks(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
