@@ -157,7 +157,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    indices = list(range(args.start, args.end + 1))
+    indices = range(args.start, args.end + 1)
     if not indices:
         raise StrategyError("empty index range")
     if len(indices) == 1 and (args.csv_out or args.format == "csv"):
@@ -165,11 +165,14 @@ def cmd_converge(args) -> int:
         raise StrategyError(f"{flag} needs at least two members")
     strategy = _strategy_from_args(args)
     mode = Mode(args.mode)
-    psets = [profile(_family_oracle(args, n), args.k, mode, strategy) for n in indices]
+    # every member's caps and files are checked before the first profile;
+    # each oracle is dropped once profiled, so only one memo lives at a time
+    oracles = [_family_oracle(args, n) for n in indices]
+    psets = [profile(oracles.pop(0), args.k, mode, strategy) for _ in indices]
     labels = [str(n) for n in indices]
     diag = cauchy_diagnostic(psets) if len(psets) > 1 else None
     results = {
-        "indices": indices,
+        "indices": list(indices),
         "point_counts": [len(p) for p in psets],
         "diagnostic": serialize.diagnostic_payload(diag) if diag else None,
         "verdict": diag.verdict if diag else "inconclusive",

@@ -1,17 +1,22 @@
 """Finite field arithmetic for small prime powers.
 
-Prime fields use modular arithmetic directly.  For GF(p^e) an element is
-an integer in 0..q-1 whose base-p digits (`vector_from_index`, low degree
-first) are the coefficients of a polynomial residue modulo a monic
-irreducible of degree e; products go through log/antilog tables built
-from a primitive element.  Sums are digit-wise mod p: for p = 2 that is
-XOR, and for odd p the field builds q x q addition and subtraction
-tables and a negation table once, so each sum is one lookup.  All of
-this is sized for tiny q, the fields that actually show up on a desk.
+A field picks its arithmetic once, when it is built, so no operation
+decides again which kind of field it serves.  Prime fields compute mod
+p and keep no table.  For GF(p^e) an element is an integer in 0..q-1
+whose base-p digits (`vector_from_index`, low degree first) are the
+coefficients of a polynomial residue modulo a monic irreducible of
+degree e; products and inverses go through one antilog/log pair of
+q-entry tables built from a primitive element.  Sums are digit-wise
+mod p: for p = 2 that is XOR, and for odd p the field builds one q x q
+sum table and a negation table, so a sum is one lookup and a difference
+two.  All of this is sized for tiny q, the fields that actually show up
+on a desk.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import lru_cache
 from math import isqrt
 
@@ -61,14 +66,7 @@ def _poly_mod(a, m, p):
 
 def _monic_polys(degree: int, p: int):
     """All monic polynomials of the given degree over GF(p), as coeff tuples."""
-    def rec(prefix, left):
-        if left == 0:
-            yield tuple(prefix) + (1,)
-            return
-        for c in range(p):
-            yield from rec(prefix + [c], left - 1)
-
-    yield from rec([], degree)
+    return (low + (1,) for low in itertools.product(range(p), repeat=degree))
 
 
 def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
@@ -80,94 +78,63 @@ def _find_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+def _log_tables(p: int, e: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Antilog and log tables of GF(p^e): exp[i] = g^i for the first primitive g."""
+    q = p**e
+    modulus = _find_irreducible(p, e)
+    for g in range(2, q):
+        gen = vector_from_index(g, p, e)
+        exp, x = [1], gen
+        while x != (1,):
+            exp.append(index_from_vector(x, p))
+            x = _poly_mod(_poly_mul(x, gen, p), modulus, p)
+        if len(exp) == q - 1:
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+            return tuple(exp), tuple(log)
+    raise AssertionError("no primitive element found")  # pragma: no cover
+
+
 class FiniteField:
-    """GF(q) with elements encoded as the integers 0..q-1."""
+    """GF(q) with elements encoded as the integers 0..q-1.
+
+    `add`, `sub`, `neg` and `mul` are the functions `__init__` binds for
+    this kind of field; `inv` refuses 0 and calls the bound inverse.
+    """
 
     def __init__(self, q: int):
         p, e = factor_prime_power(q)
-        self.q = q
-        self.p = p
-        self.e = e
+        self.q, self.p, self.e = q, p, e
         if e == 1:
-            self.modulus = None
-            self._exp = None
-            self._log = None
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.neg = lambda a: -a % p
+            self.mul = lambda a, b: a * b % p
+            self._inverse = lambda a: pow(a, p - 2, p)
         else:
-            self.modulus = _find_irreducible(p, e)
-            self._build_tables()
-        if e == 1 or p == 2:
-            self._add = self._neg = self._sub = None
-        else:
-            digits = [vector_from_index(a, p, e) for a in range(q)]
-            self._neg = tuple(index_from_vector(tuple(-x % p for x in da), p) for da in digits)
-            self._add = tuple(
-                tuple(index_from_vector(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits)
-                for da in digits
-            )
-            self._sub = tuple(tuple(row[b] for b in self._neg) for row in self._add)
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        prod = _poly_mul(vector_from_index(a, p, e), vector_from_index(b, p, e), p)
-        return index_from_vector(_poly_mod(prod, self.modulus, p), p)
-
-    def _build_tables(self):
-        order = self.q - 1
-        for g in range(2, self.q):
-            seen = 1
-            x = g
-            n = 1
-            while x != 1:
-                x = self._raw_mul(x, g)
-                n += 1
-                if n > order:
-                    break
-            if n == order:
-                exp = [1] * order
-                for i in range(1, order):
-                    exp[i] = self._raw_mul(exp[i - 1], g)
-                log = [0] * self.q
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = tuple(exp)
-                self._log = tuple(log)
-                return
-        raise AssertionError("no primitive element found")  # pragma: no cover
-
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._add[a][b]
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._sub[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+            exp, log = _log_tables(p, e)
+            order = q - 1
+            self.mul = lambda a, b: exp[(log[a] + log[b]) % order] if a and b else 0
+            self._inverse = lambda a: exp[-log[a] % order]
+            if p == 2:
+                self.add = self.sub = operator.xor
+                self.neg = lambda a: a
+            else:
+                digits = [vector_from_index(a, p, e) for a in range(q)]
+                neg = tuple(index_from_vector(tuple(-x % p for x in da), p) for da in digits)
+                table = tuple(
+                    tuple(index_from_vector(tuple((x + y) % p for x, y in zip(da, db)), p) for db in digits)
+                    for da in digits
+                )
+                self.add = lambda a, b: table[a][b]
+                self.sub = lambda a, b: table[a][neg[b]]
+                self.neg = neg.__getitem__
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._inverse(a)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"GF({self.q})"

@@ -9,6 +9,7 @@ refine the graphon first so the subset respects step boundaries.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -78,16 +79,8 @@ class StepGraphon:
         pts = sorted(set(self.breakpoints) | {Fraction(x) for x in extra})
         if pts[0] < 0 or pts[-1] > 1:
             raise ValueError("refinement points must lie in [0,1]")
-        old = self.breakpoints
-
-        def owner(x: Fraction) -> int:
-            # index of the old step containing [x, next)
-            for i in range(len(old) - 1):
-                if old[i] <= x < old[i + 1]:
-                    return i
-            return len(old) - 2
-
-        owners = [owner(x) for x in pts[:-1]]
+        # the old step i holding [x, next point): breakpoints[i] <= x < breakpoints[i + 1], as 0 <= x < 1
+        owners = [bisect_right(self.breakpoints, x) - 1 for x in pts[:-1]]
         vals = tuple(
             tuple(self.values[oi][oj] for oj in owners) for oi in owners
         )

@@ -149,7 +149,10 @@ def token_rows(text: str) -> list[tuple[int, list[str]]]:
 
 
 def parse_graph(text: str, name: str = "") -> SimpleGraph:
-    """Parse a header "n m", then exactly m distinct edges "u v"; "#" lines are comments."""
+    """Parse a header "n m", then exactly m distinct edges "u v"; "#" lines are comments.
+
+    n is checked against GROUND_SIZE_CAP before any edge row is read.
+    """
     rows = token_rows(text)
     if not rows:
         raise GraphFormatError(1, "missing header line 'n m'")
@@ -160,6 +163,7 @@ def parse_graph(text: str, name: str = "") -> SimpleGraph:
         raise GraphFormatError(number, "header must be two integers 'n m'") from None
     if n < 0 or m < 0:
         raise GraphFormatError(number, "header counts must be nonnegative")
+    check_cap("GROUND_SIZE_CAP", n, f"graph {name}" if name else "graph")
     if len(edge_rows) != m:
         number = edge_rows[m][0] if len(edge_rows) > m else rows[-1][0]
         raise GraphFormatError(number, f"header declares {m} edges, found {len(edge_rows)}")

@@ -42,13 +42,12 @@ stopped once the union reaches min(their count, sum_i r_i(E))) and its
 brute-force check over rank tables, the quotient of the normalized
 cycle-matroid rank by an edge coloring, and the two lattice embeddings
 between full linear spaces GF(q)^m -> GF(q)^n (zero padding, which
-preserves ranks, and block repetition, which preserves normalized ranks
-when m divides n).
+preserves ranks and is the identity on ground indices, and block
+repetition, which preserves normalized ranks when m divides n).
 """
 
 from __future__ import annotations
 
-import itertools
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -641,29 +640,32 @@ def disjoint_bases(matroid: Matroid, flats: Sequence[SubsetMask]) -> DisjointBas
 def pad_embed_flat(q: int, m: int, n: int, flat: SubsetMask) -> SubsetMask:
     """Embed a flat of GF(q)^m into GF(q)^n by appending zero coordinates.
 
+    Ground index j is the vector whose base-q digits, low first, are its
+    coordinates (`vector_from_index`).  Zero coordinates appended at the
+    top leave every index as it is, so the map is the identity on masks.
     Rank preserving; joins and meets of flats are preserved as well.
     """
     if m > n:
         raise ValueError("pad embedding needs m <= n")
-    out = 0
-    pad = (0,) * (n - m)
-    for e in iter_elements(flat):
-        vec = vector_from_index(e, q, m) + pad
-        out |= 1 << index_from_vector(vec, q)
-    return out
+    check_mask(flat, q**m)
+    return flat
 
 
 def stretch_embed_flat(q: int, m: int, n: int, flat: SubsetMask) -> SubsetMask:
     """Embed a flat A of GF(q)^m into GF(q)^n as the block subspace A x ... x A.
 
     Needs m | n; ranks scale by n/m, so normalized ranks are preserved.
+    The vector with blocks a_0, ..., a_{t-1} of A has index
+    sum_j a_j * (q^m)^j, so each block shifts copies of the mask so far
+    by a_j times the width of the blocks below it.
     """
     if m <= 0 or n % m:
         raise DivisibilityError(f"stretch embedding needs m | n, got m={m}, n={n}")
-    t = n // m
-    members = [vector_from_index(e, q, m) for e in iter_elements(flat)]
-    out = 0
-    for combo in itertools.product(members, repeat=t):
-        vec = tuple(x for block in combo for x in block)
-        out |= 1 << index_from_vector(vec, q)
+    block = q**m
+    check_mask(flat, block)
+    members = list(iter_elements(flat))
+    out, width = 1, 1
+    for _ in range(n // m):
+        out = sum(out << a * width for a in members)
+        width *= block
     return out

@@ -453,10 +453,20 @@ def compose(inner: ProfileSet, outer_k: int, outer_mode: Mode) -> ProfileSet:
     ANY) reproduces the full ANY profile for k parts; the same holds for
     inner PARTITION profiles with at least 2**k parts.  The inner profile
     is taken as given, so one profile can serve several compositions.
+
+    Each inner row is read as the numerator table of a setfunction on
+    the inner parts, over `inner.den`; every outer profile's `den`
+    divides it, so the outer points are united as numerators over it.
     """
-    return ProfileSet.from_points(
+    check_cap("QUOTIENT_K_CAP", inner.k, "point as a setfunction")
+    nums: set[tuple[int, ...]] = set()
+    for row in inner.nums:
+        oracle = SetFunctionOracle(inner.k, (0, *row).__getitem__, inner.den, label="derived-point")
+        nums |= profile(oracle, outer_k, outer_mode).nums_over(inner.den)
+    return ProfileSet(
         outer_k,
-        (q for p in inner for q in derived_profile(p, outer_k, outer_mode)),
+        inner.den,
+        frozenset(nums),
         mode=outer_mode,
         strategy=f"composed({outer_mode.value}∘{inner.mode.value},m={inner.k})",
         source=inner.source,

@@ -8,10 +8,12 @@ from quotientlab import (
     GraphicMatroid,
     LinearMatroid,
     Mode,
+    ProfileSet,
     QuotientPoint,
     SetFunctionOracle,
     SimpleGraph,
     check_submodular,
+    compose,
     config,
     cut_dist_labeled,
     cut_dist_unlabeled_upper,
@@ -75,3 +77,7 @@ def test_point_as_setfunction_is_capped_by_quotient_k_cap():
     with pytest.raises(KTooLargeError) as info:
         QuotientPoint(9, (Fraction(0),) * 512).as_oracle()
     assert "QUOTIENT_K_CAP=" in str(info.value)
+    # compose reads every inner row as a setfunction on the inner parts
+    inner = ProfileSet(9, 1, frozenset({(0,) * 511}), Mode.ANY, "given", "test")
+    with pytest.raises(KTooLargeError, match="point as a setfunction needs 9"):
+        compose(inner, 1, Mode.ANY)

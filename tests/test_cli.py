@@ -244,6 +244,7 @@ TEXT_FILES = {
     "letter-endpoint.txt": "2 1\n0 x\n",
     "far-endpoint.txt": "2 1\n0 5\n",
     "short-row.txt": "2\n1/2 1\n0 1\n1\n",
+    "huge-header.txt": "100000000000 0\n",
 }
 
 
@@ -320,6 +321,19 @@ TEXT_FILES = {
      2, "usage error: t_max must be positive"),
     (["profile", "--family", "complete-cycle", "--n", "0"], 2, "usage error: family index must be positive"),
     (["hom", "K2", "--graph", "empty0.txt"], 2, "usage error: homomorphism density needs a nonempty target"),
+    (["profile", "--family", "tau-files", "--motif", "K2", "--graphs", "empty0.txt", "--n", "1"],
+     2, "usage error: homomorphism density needs a nonempty target"),
+    # the header's node count is refused before a node is allocated
+    (["cutcap", "huge-header.txt", "--k", "2"],
+     3, "cap exceeded: graph huge-header needs 100000000000, cap GROUND_SIZE_CAP=24"),
+    (["hom", "K2", "--graph", "huge-header.txt"],
+     3, "cap exceeded: graph huge-header needs 100000000000, cap GROUND_SIZE_CAP=24"),
+    # every member's oracle is built, and its caps checked, before the range is listed or profiled
+    (["converge", "--family", "example51", "--start", "1", "--end", "1000000000000", "--k", "2"],
+     3, "cap exceeded: ground set needs 26, cap GROUND_SIZE_CAP=24"),
+    # member 4's profile would exceed ENUM_ITERATION_CAP, but member 14's oracle is refused first
+    (["converge", "--family", "example51", "--start", "4", "--end", "14", "--k", "8"],
+     3, "cap exceeded: ground set needs 26, cap GROUND_SIZE_CAP=24"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -24,6 +24,11 @@ aside) that only a different module of the package defines: a private
 name is read by the module that defines it, so a module's internals can
 change without another module knowing them.
 
+Every local name a function of `src/quotientlab/` assigns is also read
+in that function or a function nested in it; a store alone is dead
+work.  `_`-prefixed names and names declared `nonlocal` or `global`
+are exempt.
+
 No module of `src/quotientlab/` imports inside a function: every import
 is at the top of its module, so the package's import graph is the one
 its module headers show, and a cycle in it fails at import time.
@@ -206,6 +211,25 @@ def imports_inside_functions():
     )
 
 
+def unread_locals():
+    out = []
+    for path, tree in _trees(sorted(PACKAGE.glob("*.py"))).items():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(func))
+            exempt = {n for node in nodes if isinstance(node, (ast.Nonlocal, ast.Global)) for n in node.names}
+            names = [node for node in nodes if isinstance(node, ast.Name)]
+            stored = {node.id for node in names if isinstance(node.ctx, ast.Store)}
+            read = {node.id for node in names if not isinstance(node.ctx, ast.Store)}
+            out += [
+                f"{path.stem}.{func.name}.{name}"
+                for name in sorted(stored - read - exempt)
+                if not name.startswith("_")
+            ]
+    return out
+
+
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
 
@@ -220,6 +244,10 @@ def test_every_instance_attribute_is_read():
 
 def test_no_module_reads_another_modules_private_attribute():
     assert foreign_private_reads() == []
+
+
+def test_every_assigned_local_is_read():
+    assert unread_locals() == []
 
 
 def test_no_module_imports_inside_a_function():

@@ -143,6 +143,35 @@ def test_refine_keeps_values():
     assert graphon_cut_capacity(fine, 0b011) == graphon_cut_capacity(w, 0b01)
 
 
+def test_refine_reads_each_new_step_from_the_old_step_holding_it():
+    rng = random.Random(3)
+    bp = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    vals = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            vals[i][j] = vals[j][i] = Fraction(rng.randint(0, 4), 4)
+    w = StepGraphon(bp, tuple(map(tuple, vals)))
+    fine = w.refine([Fraction(x, 12) for x in (0, 1, 4, 5, 6, 11, 12)])
+
+    def owner(x):
+        return next(i for i in range(w.steps) if bp[i] <= x < bp[i + 1])
+
+    owners = [owner(x) for x in fine.breakpoints[:-1]]
+    assert fine.steps == 6
+    assert fine.values == tuple(tuple(w.values[i][j] for j in owners) for i in owners)
+
+
+@pytest.mark.parametrize("point", [Fraction(-1, 4), Fraction(5, 4)])
+def test_refine_rejects_points_outside_the_unit_interval(point):
+    with pytest.raises(ValueError, match=r"refinement points must lie in \[0,1\]"):
+        StepGraphon.constant(1).refine([point])
+
+
+def test_from_graph_needs_a_node():
+    with pytest.raises(ValueError, match="needs at least one node"):
+        StepGraphon.from_graph(SimpleGraph.empty(0))
+
+
 def test_parse_format_round_trip():
     w = StepGraphon(
         (Fraction(0), Fraction(1, 3), Fraction(1)),

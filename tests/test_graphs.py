@@ -35,7 +35,7 @@ from quotientlab import (
     weighted_quotient,
 )
 from quotientlab import config, graphs
-from quotientlab.errors import EnumCapError, KTooLargeError
+from quotientlab.errors import EnumCapError, GroundTooLargeError, KTooLargeError
 from quotientlab.graphs import format_graph
 from quotientlab.metric import hausdorff
 
@@ -844,6 +844,14 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text)
         assert err.value.line == line, text
+
+
+def test_parse_refuses_a_node_count_above_the_ground_cap_before_the_edges():
+    assert parse_graph("24 0\n").node_count == 24
+    # the one edge row missing would be a format error on line 1; the cap comes first
+    for text in ("25 0\n", "25 1\n", "100000000000 0\n"):
+        with pytest.raises(GroundTooLargeError, match="graph g needs .*, cap GROUND_SIZE_CAP=24"):
+            parse_graph(text, name="g")
 
 
 def test_cut_dist_unlabeled_exhausts_small_same_size():

@@ -16,6 +16,7 @@ from quotientlab import (
     DivisibilityError,
     GraphicMatroid,
     LinearMatroid,
+    MaskWidthError,
     Matroid,
     Restriction,
     SetFunctionOracle,
@@ -28,7 +29,7 @@ from quotientlab import (
     pad_embed_flat,
     stretch_embed_flat,
 )
-from quotientlab.gfq import field, index_from_vector
+from quotientlab.gfq import field, index_from_vector, vector_from_index
 from quotientlab.setfn import iter_elements
 
 
@@ -379,6 +380,42 @@ def test_stretch_embed_examples():
 def test_stretch_embed_divisibility():
     with pytest.raises(DivisibilityError):
         stretch_embed_flat(2, 2, 3, 0b1)
+
+
+def pad_embed_by_vectors(q, m, n, flat):
+    """Zero padding one member at a time: decode, append zeros, encode."""
+    pad = (0,) * (n - m)
+    return sum(1 << index_from_vector(vector_from_index(e, q, m) + pad, q) for e in iter_elements(flat))
+
+
+def stretch_embed_by_vectors(q, m, n, flat):
+    """Block repetition over every tuple of member vectors, one per block."""
+    members = [vector_from_index(e, q, m) for e in iter_elements(flat)]
+    return sum(
+        1 << index_from_vector(tuple(x for block in combo for x in block), q)
+        for combo in itertools.product(members, repeat=n // m)
+    )
+
+
+@pytest.mark.parametrize("q, m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_embeddings_match_the_vector_reference(q, m):
+    rng = random.Random(q * 10 + m)
+    space = LinearMatroid.full_space(q, m)
+    masks = sorted(space.flats()) + [rng.getrandbits(q**m) for _ in range(10)]
+    for n in range(m, 3 * m + 1):
+        for flat in masks:
+            assert pad_embed_flat(q, m, n, flat) == pad_embed_by_vectors(q, m, n, flat)
+            if n % m == 0:
+                assert stretch_embed_flat(q, m, n, flat) == stretch_embed_by_vectors(q, m, n, flat)
+
+
+@pytest.mark.parametrize("embed", [pad_embed_flat, stretch_embed_flat])
+def test_embeddings_reject_masks_wider_than_the_source_space(embed):
+    # bit 2 is no vector of gf(2)^1; it used to fold onto index 1
+    with pytest.raises(MaskWidthError):
+        embed(2, 1, 2, 0b100)
+    with pytest.raises(MaskWidthError):
+        embed(2, 1, 2, -1)
 
 
 def test_rank_axioms_random_masks():

@@ -30,7 +30,7 @@ from quotientlab import (
     shifted_tau_oracle,
 )
 from quotientlab.sequences import gf_space_oracle
-from quotientlab.setfn import oracle_from_table, union_table
+from quotientlab.setfn import PointCloud, oracle_from_table, union_table
 
 
 def dfs_components(n_nodes, edges, mask):
@@ -260,6 +260,16 @@ def test_point_scale_and_singletons():
     assert p.singleton(0) == Fraction(1, 2)
     assert p.max_singleton() == Fraction(1, 2)
     assert p.scale(2).coords == (Fraction(0), Fraction(1), Fraction(2, 3), Fraction(2))
+
+
+def test_point_cloud_contains_exactly_its_points():
+    # nums over den 6 reduce to den 3; membership compares the exact points
+    cloud = PointCloud(2, 6, frozenset({(2, 4, 6), (0, 2, 2)}))
+    assert cloud.den == 3
+    assert QuotientPoint(2, (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))) in cloud
+    assert QuotientPoint.over(2, 3, (0, 1, 1)) in cloud
+    assert QuotientPoint.over(2, 3, (1, 1, 1)) not in cloud
+    assert QuotientPoint.over(2, 6, (2, 4, 6)) in cloud
 
 
 def test_composition_identity_exhaustive():
