@@ -21,17 +21,18 @@ Three enumeration strategies:
                  the numerator tuple;
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
-                 the sample count is capped by ENUM_ITERATION_CAP; the
-                 choices are the accepted draws randrange(c) makes for c
-                 choices: getrandbits(c.bit_length()), kept when below c.
-                 CPython's getrandbits(b <= 32) is the top b bits of one
-                 32-bit generator word and getrandbits(32 * W) is the
-                 next W words, the first lowest, so for c <= 255 one call
-                 draws a fixed block of W words, and one bytes.translate
-                 of the words' top bytes shifts them to b bits and drops
-                 the rejected ones, at C level.  Words drawn past the last
-                 sample change nothing: the Random is private to the call.
-                 c = 256 (ANY at k = 8) draws by one call per draw;
+                 the sample count is capped by ENUM_ITERATION_CAP; the c
+                 choices are randrange(c)'s accepted draws, the values of
+                 getrandbits(c.bit_length()) below c.  CPython's
+                 getrandbits(b <= 32) is the top b bits of a 32-bit word
+                 and getrandbits(32 * W) the next W words, first lowest,
+                 so for c <= 255 one call draws a block of W words, and
+                 one bytes.translate of their top bytes shifts them to b
+                 bits and drops the rejected ones (c = 256, ANY at k = 8,
+                 draws one call per draw); words past the last sample
+                 change nothing, the Random being private.  The choices
+                 of g elements, c^g <= 256, are the base-c digits of a
+                 byte indexing the group's table of c^g option sums;
 * FlatsOnly   -- for matroid rank oracles, iterate the nondecreasing
                  k-tuples of flats, one per S_k orbit, and close the
                  points under S_k as Exact does.  Exact for ANY (closures
@@ -314,31 +315,21 @@ def _pack(parts: Sequence[SubsetMask], n: int) -> int:
     return sum(u << i * n for i, u in enumerate(union_table(parts)))
 
 
-# generator words per block of choice draws: a fixed size, so no buffer grows with the samples
+# generator words per block of choice draws; fixed, so no buffer grows with the samples
 _DRAW_WORDS = 4096
 
 
-def _choice_draws(rng: Random, c: int) -> Iterator[int]:
-    """The accepted draws of rng.randrange(c), in order, for 1 <= c <= 256.
-
-    randrange(c) draws getrandbits(b), b = c.bit_length(), until the value
-    is below c.  In CPython getrandbits(b) for b <= 32 is the top b bits of
-    the generator's next 32-bit word, and getrandbits(32 * W) is the next W
-    words with the first in the lowest bits.  So for b <= 8 (c <= 255) the
-    bytes [3::4] of a block's little-endian bytes are its words' top bytes,
-    and one `bytes.translate` drops the rejected ones and shifts the rest
-    down to b bits.  A block draws all its words, also those past the last
-    choice taken; the caller's Random is private, so they change nothing.
-    c = 256 (ANY at k = 8) draws 9 bits, one call per draw.
-    """
+def _choice_bytes(rng: Random, c: int) -> Iterator[bytes]:
+    """Blocks of rng.randrange(c)'s accepted draws, one byte each, for 1 <= c <= 256 (see Sampled)."""
     b = c.bit_length()
     if b > 8:
-        return filter(c.__gt__, map(rng.getrandbits, itertools.repeat(b)))
+        draws = filter(c.__gt__, map(rng.getrandbits, itertools.repeat(b)))
+        return (bytes(itertools.islice(draws, _DRAW_WORDS)) for _ in itertools.repeat(0))
     shift = bytes(x >> 8 - b for x in range(256))
     rejected = bytes(x for x in range(256) if x >> 8 - b >= c)
     bits = 32 * _DRAW_WORDS
-    tops = (rng.getrandbits(bits).to_bytes(bits // 8, "little")[3::4] for _ in itertools.repeat(None))
-    return itertools.chain.from_iterable(top.translate(shift, rejected) for top in tops)
+    tops = (rng.getrandbits(bits).to_bytes(bits // 8, "little")[3::4] for _ in itertools.repeat(0))
+    return (top.translate(shift, rejected) for top in tops)
 
 
 def _sampled_tables(
@@ -347,13 +338,9 @@ def _sampled_tables(
     check_cap("ENUM_ITERATION_CAP", samples, "sampled profile")
     n = oracle.size
     rng = Random(seed)
-    full = oracle.full_mask
-    # structured portfolio: whole ground in one part, then balanced round-robins;
-    # both are partitions, hence legal in every mode
-    for i in range(k):
-        parts = [0] * k
-        parts[i] = full
-        yield _pack(parts, n)
+    # structured portfolio: the whole ground in one part (its spread at each element),
+    # then balanced round-robins; both are partitions, so legal in any mode
+    yield from (s * oracle.full_mask for s in _spread(k, Mode.PARTITION, n))
     for _ in range(3):
         order = list(range(n))
         rng.shuffle(order)
@@ -372,13 +359,23 @@ def _sampled_tables(
         else:
             for _ in range(min(samples, 32)):
                 yield _pack([rng.choice(flats) for _ in range(k)], n)
-    # each sample draws one choice per element, in element order, as an exact
-    # assignment would, from the stream of draws rng.randrange would make
+    if not n:
+        yield from itertools.repeat(0, samples)
+        return
+    # choices in element order; a group's first element is its byte's lowest digit
     spread = _spread(k, mode, n)
-    options = [[c << e for c in spread] for e in range(n)]
-    stream = _choice_draws(rng, len(spread))
-    for _ in range(samples):
-        yield sum(map(list.__getitem__, options, itertools.islice(stream, n)))
+    c = len(spread)
+    g = max(j for j in range(1, 9) if c**j <= 256)
+    groups = [range(e, min(e + g, n)) for e in range(0, n, g)]
+    getters = [_tables([(e,) for e in grp], [spread] * len(grp)).__getitem__ for grp in groups]
+    # a chunk is m samples' choices, sample-major; the carry is under n bytes plus a block
+    blocks, carry, left = _choice_bytes(rng, c), b"", samples
+    while left:
+        carry += next(blocks)
+        m = min(len(carry) // n, left)
+        chunk, carry, left = carry[:m * n], carry[m * n:], left - m
+        cols = (sum(int.from_bytes(chunk[e::n], "little") * c**i for i, e in enumerate(grp)) for grp in groups)
+        yield from map(sum, zip(*[map(get, col.to_bytes(m, "little")) for get, col in zip(getters, cols)]))
 
 
 def profile(

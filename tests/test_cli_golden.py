@@ -7,6 +7,7 @@ share a factor with the denominator, and on an empty profile.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -204,3 +205,20 @@ def test_verify_all_report_digest(tmp_path):
     out = tmp_path / "verify_all.json"
     assert main(["verify", "all", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
+
+
+# sparse-search's sampled op (the first of its three), against the digests the
+# benchmark's reference records, so a slip in draw order fails here as well
+BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("variant", [0, 5, 11])
+def test_sparse_search_sampled_op_matches_bench_reference(variant, tmp_path, monkeypatch):
+    digests = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["sparse-search"]["variants"][variant]["digests"]
+    monkeypatch.chdir(tmp_path)
+    argv = [
+        "profile", "--family", "complete-cycle", "--n", "6", "--k", "3", "--strategy", "sampled",
+        "--seed", str(variant), "--samples", "20000", "--out", "op0.json",
+    ]
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "op0.json").read_bytes()).hexdigest() == digests[0]

@@ -1115,7 +1115,8 @@ def test_choice_draws_match_randrange_across_block_ends(monkeypatch):
         while len(want) < 40 or ref.words % 16 == 0:
             want.append(ref.randrange(c))
         assert ref.words > 32
-        got = list(itertools.islice(profiles_module._choice_draws(Random(c), c), len(want)))
+        blocks = profiles_module._choice_bytes(Random(c), c)
+        got = list(itertools.islice(itertools.chain.from_iterable(blocks), len(want)))
         assert got == want, c
 
 
@@ -1133,6 +1134,25 @@ def test_sampled_blocks_match_randrange_draws_for_every_choice_count(name):
             got = list(_sampled_tables(oracle, k, mode, 5, samples))
             assert got == list(randrange_sampled_tables(oracle, k, mode, 5, samples)), (k, mode)
     assert len(got) == k + 3 + samples + (32 if oracle.matroid is not None else 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 7, 21])
+def test_grouped_sample_tables_match_randrange_draws(n, monkeypatch):
+    # k = 1..8 across the modes gives every choice count c and so every group size:
+    # g = 8 (c <= 2), 5, 4, 3, 2 and 1 (c >= 17) elements per byte; n = 5, 7 and 21
+    # are not multiples of most.  A chunk holds max(1, W // n) samples, and each count
+    # of samples ends part-way through one and, as no choice count accepts every
+    # draw, part-way through a block of W words, at W = 16 and at the real size
+    oracle = SetFunctionOracle(n, lambda mask: mask.bit_count(), label="cardinality")
+    for words in (16, profiles_module._DRAW_WORDS):
+        monkeypatch.setattr(profiles_module, "_DRAW_WORDS", words)
+        per = max(1, words // n) if n else 1
+        samples = 2 * per + 1 if per > 1 else 3
+        for k in range(1, 9):
+            for mode in Mode:
+                got = list(_sampled_tables(oracle, k, mode, 7, samples))
+                assert got == list(randrange_sampled_tables(oracle, k, mode, 7, samples)), (words, k, mode)
+                assert len(got) == k + 3 + samples
 
 
 def test_sampled_draw_memory_does_not_grow_with_samples():
