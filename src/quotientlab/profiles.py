@@ -22,17 +22,16 @@ Three enumeration strategies:
 * Sampled     -- seeded uniform assignments plus a small deterministic
                  portfolio of structured tuples; always a subset of Exact;
                  the sample count is capped by ENUM_ITERATION_CAP; the c
-                 choices are randrange(c)'s accepted draws, the values of
-                 getrandbits(c.bit_length()) below c.  CPython's
-                 getrandbits(b <= 32) is the top b bits of a 32-bit word
-                 and getrandbits(32 * W) the next W words, first lowest,
-                 so for c <= 255 one call draws a block of W words, and
-                 one bytes.translate of their top bytes shifts them to b
-                 bits and drops the rejected ones (c = 256, ANY at k = 8,
-                 draws one call per draw); words past the last sample
-                 change nothing, the Random being private.  The choices
-                 of g elements, c^g <= 256, are the base-c digits of a
-                 byte indexing the group's table of c^g option sums;
+                 choices are randrange(c)'s draws, getrandbits(c.bit_length())
+                 kept when below c.  In CPython getrandbits(b <= 32) is the
+                 top b bits of a 32-bit word and getrandbits(32 * W) the
+                 next W words, first lowest, so for c <= 255 one call draws
+                 W words, and one bytes.translate of their top bytes shifts
+                 them to b bits and drops the rejected ones (c = 256: one
+                 call per draw); words past the last sample change nothing,
+                 the Random being private.  A byte holds g elements'
+                 choices as base-c digits, c^g <= 256, and indexes their
+                 table of c^g option sums;
 * FlatsOnly   -- for matroid rank oracles, iterate the nondecreasing
                  k-tuples of flats, one per S_k orbit, and close the
                  points under S_k as Exact does.  Exact for ANY (closures
@@ -366,9 +365,10 @@ def _sampled_tables(
     spread = _spread(k, mode, n)
     c = len(spread)
     g = max(j for j in range(1, 9) if c**j <= 256)
-    groups = [range(e, min(e + g, n)) for e in range(0, n, g)]
+    h = -(-n // g)  # groups of <= g elements, as even as possible
+    groups = [range(j * n // h, (j + 1) * n // h) for j in range(h)]
     getters = [_tables([(e,) for e in grp], [spread] * len(grp)).__getitem__ for grp in groups]
-    # a chunk is m samples' choices, sample-major; the carry is under n bytes plus a block
+    # a chunk is m samples' choices, sample-major; the carry is under n bytes + a block
     blocks, carry, left = _choice_bytes(rng, c), b"", samples
     while left:
         carry += next(blocks)

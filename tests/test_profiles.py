@@ -1138,16 +1138,16 @@ def test_sampled_blocks_match_randrange_draws_for_every_choice_count(name):
 
 @pytest.mark.parametrize("n", [0, 1, 5, 7, 21])
 def test_grouped_sample_tables_match_randrange_draws(n, monkeypatch):
-    # k = 1..8 across the modes gives every choice count c and so every group size:
-    # g = 8 (c <= 2), 5, 4, 3, 2 and 1 (c >= 17) elements per byte; n = 5, 7 and 21
-    # are not multiples of most.  A chunk holds max(1, W // n) samples, and each count
-    # of samples ends part-way through one and, as no choice count accepts every
-    # draw, part-way through a block of W words, at W = 16 and at the real size
+    # k = 1..8 across the modes gives every choice count c and so every bound on a
+    # group: g = 8 (c <= 2), 5, 4, 3, 2 and 1 (c >= 17) elements per byte; n = 5, 7
+    # and 21 are not multiples of most, so their groups differ in size.  Each count of
+    # samples needs the draws of more than three blocks of W words, at W = 16 (where a
+    # sample's 21 choices straddle blocks) and at the real size; no choice count
+    # accepts every draw, so the last sample ends part-way through a block
     oracle = SetFunctionOracle(n, lambda mask: mask.bit_count(), label="cardinality")
     for words in (16, profiles_module._DRAW_WORDS):
         monkeypatch.setattr(profiles_module, "_DRAW_WORDS", words)
-        per = max(1, words // n) if n else 1
-        samples = 2 * per + 1 if per > 1 else 3
+        samples = 3 * words // max(n, 1) + 5
         for k in range(1, 9):
             for mode in Mode:
                 got = list(_sampled_tables(oracle, k, mode, 7, samples))
