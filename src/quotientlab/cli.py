@@ -160,7 +160,7 @@ def cmd_converge(args) -> int:
     indices = range(args.start, args.end + 1)
     if not indices:
         raise StrategyError("empty index range")
-    if len(indices) == 1 and (args.csv_out or args.format == "csv"):
+    if args.start == args.end and (args.csv_out or args.format == "csv"):
         flag = "--csv-out" if args.csv_out else "--format csv"
         raise StrategyError(f"{flag} needs at least two members")
     strategy = _strategy_from_args(args)

@@ -70,19 +70,21 @@ about points not kept yet.  A point is in the profile exactly when some
 feasible tuple maps to it, and both filters ignore the parts' order, so
 this is exact, and matroid union runs only for tuples whose point is
 still missing.  The predicate first answers
-False when the flats' ranks sum to more than the non-loops of their
-union, since disjoint bases would need that many elements; of gf(2)^4's
-2,278 nondecreasing pairs for k = 2 only the 23 feasible ones reach
-matroid union.  An exact
-profile reads a dense table of all 2^n numerators when it looks up at
-least as many unions as there are masks (orbits * 2^k >= 2^n);
-otherwise, and always for the other strategies, the scan reads the
-oracle's lazy memo through its unchecked `lookup`, which for a rank
-oracle is `Matroid.rank_lookup`.  The dense table comes from the
-oracle's own table builder: `Matroid.rank_table` for a rank oracle,
-`graphs.cut_table`, which doubles over the nodes, for a cut-capacity
-oracle, and one kernel call per mask otherwise.  It is an `array` unless
-a numerator exceeds 64 bits, when it is a list.
+False when some two or more flats' ranks sum to more than the non-loops
+of their union, since disjoint bases would need that many elements; of
+gf(2)^4's 2,278 nondecreasing pairs for k = 2 only the 23 feasible ones
+reach matroid union.
+
+One cost rule, `_reads_table`, picks for every strategy a dense table of
+all 2^n numerators or the oracle's lazy memo through its unchecked
+`lookup` (`Matroid.rank_lookup` for a rank oracle): the table when
+lookups * (the builder's entries per lazy miss) >= 2^n.  The lookups are
+orbits * 2^k for Exact, (samples + portfolio) * (2^k - 1) for Sampled,
+nondecreasing tuples * (2^k - 1) for FlatsOnly.  The builders are
+`Matroid.rank_table`, `graphs.cut_table` (doubling over the nodes) for a
+cut-capacity oracle, and otherwise one kernel call per mask, whose
+constant 1 keeps orbits * 2^k >= 2^n for exact profiles.  The table is
+an `array` unless a numerator exceeds 64 bits, when it is a list.
 """
 
 from __future__ import annotations
@@ -267,15 +269,16 @@ def _exact_tables(oracle: SetFunctionOracle, k: int, mode: Mode) -> tuple[list[i
 
 def _flat_tables(
     oracle: SetFunctionOracle, k: int, mode: Mode
-) -> tuple[Iterator[int], int, Optional[Callable[[int], bool]], bool]:
-    """The packed union tables of nondecreasing k-tuples of flats, the count of all k-tuples, a predicate, and True.
+) -> tuple[Iterator[int], int, int, Optional[Callable[[int], bool]], bool]:
+    """The packed union tables of nondecreasing k-tuples of flats, the count of all k-tuples, the lookups, a predicate, and True.
 
     Every k-tuple relabels a nondecreasing one, so the points are to be
     closed under relabeling (the True).  COVERING streams only the tuples
     whose union is the ground set.  DISJOINT streams them all and
     returns a feasibility predicate on a packed table: flat i is read back
     from U_{i}, at shift (1 << i) * n.  The scan asks it only for a point
-    it has not kept yet.  ANY has no predicate.
+    it has not kept yet.  ANY has no predicate.  The lookups bound
+    COVERING's from above.
     """
     matroid: Optional[Matroid] = oracle.matroid
     if matroid is None:
@@ -295,18 +298,22 @@ def _flat_tables(
     elif mode is Mode.DISJOINT:
         # the kernel looks `disjoint_bases` up when called, so a replacement of the module
         # global is the one it calls.  Disjoint bases B_i of the F_i hold r(F_i) non-loops
-        # each, so a rank sum above the non-loops of the union answers False without a
-        # union call; the scan has looked up every r(F_i) already
+        # each, so a subfamily I (of two or more) whose rank sum exceeds the non-loops of
+        # U_I, at shift I * n, answers False without a union call
         rank, nonloops = oracle.lookup, full & ~matroid.closure(0)
         shifts = [(1 << i) * n for i in range(k)]
+        families = [
+            (i * n, [(1 << j) * n for j in range(k) if i >> j & 1]) for i in range(3, 1 << k) if i & i - 1
+        ]
 
         def keep(table: int) -> bool:
-            parts = tuple([table >> s & full for s in shifts])
-            if sum(map(rank, parts)) > (functools.reduce(int.__or__, parts) & nonloops).bit_count():
-                return False
-            return disjoint_bases(matroid, parts).bases is not None
+            for at, members in families:
+                if sum(rank(table >> s & full) for s in members) > (table >> at & nonloops).bit_count():
+                    return False
+            return disjoint_bases(matroid, tuple([table >> s & full for s in shifts])).bases is not None
 
-    return (_pack(tup, n) for tup in tuples), total, keep, True
+    lookups = math.comb(len(flats) + k - 1, k) * ((1 << k) - 1)
+    return (_pack(tup, n) for tup in tuples), total, lookups, keep, True
 
 
 def _pack(parts: Sequence[SubsetMask], n: int) -> int:
@@ -334,7 +341,14 @@ def _choice_bytes(rng: Random, c: int) -> Iterator[bytes]:
 def _sampled_tables(
     oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
 ) -> Iterator[int]:
+    """The portfolio's packed union tables, then the samples'; the cap is checked first."""
     check_cap("ENUM_ITERATION_CAP", samples, "sampled profile")
+    return _sampled_stream(oracle, k, mode, seed, samples)
+
+
+def _sampled_stream(
+    oracle: SetFunctionOracle, k: int, mode: Mode, seed: int, samples: int
+) -> Iterator[int]:
     n = oracle.size
     rng = Random(seed)
     # structured portfolio: the whole ground in one part (its spread at each element),
@@ -378,6 +392,11 @@ def _sampled_tables(
         yield from map(sum, zip(*[map(get, col.to_bytes(m, "little")) for get, col in zip(getters, cols)]))
 
 
+def _reads_table(oracle: SetFunctionOracle, lookups: int) -> bool:
+    """Whether a dense table's 2^n entries cost no more than the lookups would miss."""
+    return lookups * oracle.entries_per_miss >= 1 << oracle.size
+
+
 def profile(
     oracle: SetFunctionOracle,
     k: int,
@@ -390,19 +409,22 @@ def profile(
     outer, value, view, keep, relabel = (0,), oracle.lookup, None, None, False
     if isinstance(strategy, Exact):
         outer, inner, count, relabel = _exact_tables(oracle, k, mode)
-        if count << k >= 1 << n:
-            table = oracle.numerator_table()
-            if isinstance(table, array):
-                view = memoryview(table)
-            else:  # a list holds numerators beyond 64 bits
-                value = table.__getitem__
+        lookups = count << k
     elif isinstance(strategy, FlatsOnly):
-        inner, count, keep, relabel = _flat_tables(oracle, k, mode)
+        inner, count, lookups, keep, relabel = _flat_tables(oracle, k, mode)
     elif isinstance(strategy, Sampled):
         inner = _sampled_tables(oracle, k, mode, strategy.seed, strategy.samples)
         count = strategy.samples
+        # the portfolio: k + 3 partitions and at most 32 tuples of flats
+        lookups = (count + k + 3 + min(count, 32)) * ((1 << k) - 1)
     else:  # pragma: no cover
         raise TypeError(f"unknown strategy {strategy!r}")
+    if _reads_table(oracle, lookups):
+        table = oracle.numerator_table()
+        if isinstance(table, array):
+            view = memoryview(table)
+        else:  # a list holds numerators beyond 64 bits
+            value = table.__getitem__
     # the blocked scan: each block of isqrt(count) inner tables is unpacked once per
     # index set, and every outer table reads a whole column per index set in one
     # C-level call.  An outer and an inner table use disjoint elements, so

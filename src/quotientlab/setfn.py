@@ -66,6 +66,10 @@ class Memo(dict):
         return value
 
 
+# table entries built in the time of one lazy miss: one kernel call each, as a miss
+DENSE_ENTRIES_PER_MISS = 1
+
+
 def dense_numerators(num: Callable[[SubsetMask], int], n: int) -> Sequence[int]:
     """num(X) for every mask X of an n-element ground, indexed by mask; one call per mask."""
     masks = range(1 << n)
@@ -98,7 +102,8 @@ class SetFunctionOracle:
     `numerator_table` calls: `table` if given (a cut-capacity oracle
     passes `graphs.cut_table`, which doubles over the nodes), else the
     matroid's `rank_table`, else `dense_numerators` over `num`, one call
-    per mask.
+    per mask.  `entries_per_miss`, the entries that builder makes in the
+    time of one lazy miss, is a measured constant kept beside it.
 
     `twins` optionally partitions the ground set into classes of
     interchangeable elements: swapping any two members of a class must
@@ -107,7 +112,9 @@ class SetFunctionOracle:
     assignment per orbit of these swaps.
     """
 
-    __slots__ = ("size", "full_mask", "den", "label", "matroid", "twins", "lookup", "_memo", "_table")
+    __slots__ = (
+        "size", "full_mask", "den", "label", "matroid", "twins", "lookup", "entries_per_miss", "_memo", "_table"
+    )
 
     def __init__(
         self,
@@ -118,6 +125,7 @@ class SetFunctionOracle:
         matroid=None,
         twins: tuple[tuple[int, ...], ...] = (),
         table: Callable[[], Sequence[int]] | None = None,
+        entries_per_miss: int = DENSE_ENTRIES_PER_MISS,
     ):
         check_ground_size(size)
         if (num is None) == (matroid is None):
@@ -133,10 +141,12 @@ class SetFunctionOracle:
             self._memo = Memo(num, {0: empty})
             self.lookup = self._memo.__getitem__
             self._table = table or functools.partial(dense_numerators, num, size)
+            self.entries_per_miss = entries_per_miss
         else:
             self._memo = matroid.rank_memo
             self.lookup = matroid.rank_lookup()
             self._table = table or matroid.rank_table
+            self.entries_per_miss = entries_per_miss if table else matroid.TABLE_ENTRIES_PER_MISS
         self.size = size
         self.full_mask = (1 << size) - 1
         self.den = den

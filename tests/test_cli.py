@@ -334,6 +334,9 @@ TEXT_FILES = {
     # member 4's profile would exceed ENUM_ITERATION_CAP, but member 14's oracle is refused first
     (["converge", "--family", "example51", "--start", "4", "--end", "14", "--k", "8"],
      3, "cap exceeded: ground set needs 26, cap GROUND_SIZE_CAP=24"),
+    # a range longer than sys.maxsize is never measured with len()
+    (["converge", "--family", "example51", "--start", "1", "--end", "99999999999999999999", "--k", "2"],
+     3, "cap exceeded: ground set needs 26, cap GROUND_SIZE_CAP=24"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -461,6 +461,16 @@ def _forbid_dense_tables(monkeypatch):
     monkeypatch.setattr(SetFunctionOracle, "numerator_table", refuse)
 
 
+def _pin_rule(monkeypatch, dense):
+    """Make every profile read the dense table (True) or the lazy memo (False), whatever the cost rule says."""
+    monkeypatch.setattr(profiles_module, "_reads_table", lambda oracle, lookups: dense)
+
+
+def _rule_reads_table(oracle, lookups):
+    """The cost rule, restated: the table when its 2^n entries cost at most `lookups` misses."""
+    return lookups * oracle.entries_per_miss >= 1 << oracle.size
+
+
 def _count_dense_tables(monkeypatch):
     built = []
     real = SetFunctionOracle.numerator_table
@@ -485,9 +495,10 @@ def test_orbit_count_above_cap_raises_before_any_evaluation(monkeypatch):
 def test_sample_count_above_cap_raises_before_any_evaluation(monkeypatch):
     from quotientlab import config
 
-    _forbid_dense_tables(monkeypatch)
     monkeypatch.setattr(config, "ENUM_ITERATION_CAP", 100)
+    # at the cap the profile runs, and reads C5's 32-entry table
     assert len(profile(cut_capacity_oracle(SimpleGraph.cycle(5)), 2, Mode.ANY, Sampled(1, 100)))
+    _forbid_dense_tables(monkeypatch)
     oracle = cut_capacity_oracle(SimpleGraph.cycle(5))
     with pytest.raises(EnumCapError) as err:
         profile(oracle, 2, Mode.ANY, Sampled(1, 101))
@@ -506,21 +517,61 @@ def test_rank_oracle_is_the_only_memo_of_its_values(monkeypatch):
     # the exact profile reads a fresh rank table and memoizes nothing
     assert built == [oracle.label]
     assert matroid.rank_memo == before
+    # 55 tables of 3 lookups against 1,024 masks: the sampled profile reads a table too
     profile(oracle, 2, Mode.PARTITION, Sampled(3, 50))
+    assert built == [oracle.label] * 2
+    assert matroid.rank_memo == before
+    # against 2^22 masks the same samples read the memo, which is the rank memo
+    oracle = example51_oracle(12)
+    matroid = oracle.matroid
+    before = dict(matroid.rank_memo)
+    profile(oracle, 2, Mode.PARTITION, Sampled(3, 50))
+    assert built == [example51_oracle(6).label] * 2
     assert len(matroid.rank_memo) > len(before)
     assert all(type(v) is int and v == matroid._rank(key) for key, v in matroid.rank_memo.items())
 
 
-def test_sampled_and_flats_never_build_a_dense_table(monkeypatch):
-    _forbid_dense_tables(monkeypatch)
-    for oracle in (complete_cycle_oracle(4), gf_space_oracle(2, 3)):
-        for mode in (Mode.ANY, Mode.DISJOINT, Mode.COVERING):
-            assert len(profile(oracle, 2, mode, FLATS))
-        for mode in Mode:
-            assert len(profile(oracle, 2, mode, Sampled(1, 200)))
-    for oracle in (cut_capacity_oracle(LAZY_TWIN_BLOWUP), cut_capacity_oracle(SimpleGraph.cycle(5))):
-        for mode in Mode:
-            assert len(profile(oracle, 2, mode, Sampled(3, 100)))
+def test_cost_rule_picks_the_dense_table_or_the_lazy_memo(monkeypatch):
+    built = _count_dense_tables(monkeypatch)
+
+    def reads_table(oracle, k, mode, strategy):
+        before = len(built)
+        assert len(profile(oracle, k, mode, strategy))
+        return len(built) > before
+
+    k7 = complete_cycle_oracle(6)
+    assert k7.size == 21 and k7.entries_per_miss == Matroid.TABLE_ENTRIES_PER_MISS
+    # sparse-search's sampled op: 20,006 tables of 7 lookups, 15 table entries each
+    assert reads_table(k7, 3, Mode.PARTITION, Sampled(3, 20_000))
+    # 120 entries per lookup on a 24-edge path, 350 on K7 at k = 2
+    assert not reads_table(example51_oracle(25), 3, Mode.PARTITION, Sampled(3, 20_000))
+    assert not reads_table(complete_cycle_oracle(6), 2, Mode.ANY, Sampled(3, 2_000))
+    # flats: gf(2)^4's 2,278 nondecreasing pairs of 3 lookups, against 2^16 masks
+    assert reads_table(gf_space_oracle(2, 4), 2, Mode.DISJOINT, FLATS)
+    # the other builders: a cut table is cheaper per entry than a miss, a per-mask
+    # kernel is not, which is the exact rule before the cost rule
+    assert cut_capacity_oracle(SimpleGraph.cycle(5)).entries_per_miss == graphs_module.CUT_TABLE_ENTRIES_PER_MISS
+    assert _random_table_oracle().entries_per_miss == setfn_module.DENSE_ENTRIES_PER_MISS == 1
+    assert reads_table(cut_capacity_oracle(SimpleGraph.cycle(5)), 2, Mode.ANY, Sampled(3, 100))
+    assert not reads_table(cut_capacity_oracle(LAZY_TWIN_BLOWUP), 2, Mode.ANY, Sampled(3, 100))
+    # K_{9,9}'s 193,600 exact ANY lookups against 2^18 masks read the memo only at a
+    # cut constant under 1.35
+    k99 = cut_capacity_oracle(blow_up(SimpleGraph.complete(2), 9))
+    assert _orbits(k99, 2, Mode.ANY) << 2 == 193_600
+    assert reads_table(k99, 2, Mode.ANY, EXACT)
+    # the bench's exact ops read the table, as they did under orbits * 2^k >= 2^n
+    rng = Random(5)
+    exact_ops = [
+        (example51_oracle(10), 2, Mode.PARTITION),  # enum-rank
+        (cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 4)), 3, Mode.PARTITION),  # enum-blowup
+    ] + [  # converge-cut's members: 8-node, 12-edge graphs
+        (cut_capacity_oracle(SimpleGraph.make(8, rng.sample(list(itertools.combinations(range(8), 2)), 12)),
+                             "nodes-squared"), 3, Mode.PARTITION)
+        for _ in range(4)
+    ]
+    for oracle, k, mode in exact_ops:
+        assert _orbits(oracle, k, mode) << k >= 1 << oracle.size
+        assert reads_table(oracle, k, mode, EXACT), oracle.label
 
 
 # The labeled enumeration profile() ran before the blocked scan: one list
@@ -598,9 +649,10 @@ def fraction_reference(oracle, k, mode, strategy=EXACT):
     return {tuple(ev(t >> i * n & full) for i in range(1 << k)) for t in tables}
 
 
-# twins shrink the orbit count below 2^n / 2^k in every mode, so the
-# exact profile reads the lazy memo
-LAZY_TWIN_BLOWUP = blow_up(SimpleGraph.complete(2), 9)
+# K2 blown up unevenly, to a centre and 17 twin leaves: the orbits are few
+# enough against 2^18 masks in every mode at k = 2 that the exact profile
+# reads the lazy memo (K_{9,9}'s read the table)
+LAZY_TWIN_BLOWUP = SimpleGraph.complete_bipartite(1, 17)
 
 DENSE_ORACLES = {
     "ex51(5)": lambda: example51_oracle(5),
@@ -668,7 +720,7 @@ def test_dense_gather_matches_fraction_reference(name, monkeypatch):
             before = len(built)
             got = coords_set(profile(oracle, k, mode, EXACT))
             assert got == fraction_reference(oracle, k, mode), (name, k, mode)
-            assert (len(built) > before) == (_orbits(oracle, k, mode) << k >= 1 << oracle.size)
+            assert (len(built) > before) == _rule_reads_table(oracle, _orbits(oracle, k, mode) << k)
             dense += len(built) > before
     assert dense >= 8
 
@@ -781,9 +833,9 @@ def test_dense_profiles_never_call_the_lookup(name):
         for mode in Mode:
             profile(oracle, k, mode, EXACT)
     assert calls == []
-    # k = 1 partitions have one orbit, so they read the lookup
+    # k = 1 partitions have one orbit, so they read the lookup unless two misses cost a table
     profile(oracle, 1, Mode.PARTITION, EXACT)
-    assert calls
+    assert bool(calls) != _rule_reads_table(oracle, 2)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -801,8 +853,9 @@ def test_sampled_and_flats_match_fraction_reference(mode):
 
 
 # Differential tests of the blocked scan against plain_exact_parts.  Each
-# case records whether profile() read a dense table, so both lookup paths
-# are seen with and without twins.
+# case checks that profile() read a dense table exactly when the cost rule
+# says so, then runs again with the rule pinned to the other side, so both
+# lookup paths are seen with and without twins.
 
 
 def _popcount(mask):
@@ -859,19 +912,19 @@ def _orbits(oracle, k, mode):
 def test_blocked_scan_matches_plain_enumeration(name, monkeypatch):
     built = _count_dense_tables(monkeypatch)
     oracle = DIFFERENTIAL_ORACLES[name]()
-    paths = set()
     for k in (1, 2, 3):
         for mode in Mode:
             if _orbits(oracle, k, mode) > 5000:
                 continue
+            expected = fraction_reference(oracle, k, mode)
             before = len(built)
-            got = coords_set(profile(oracle, k, mode, EXACT))
-            assert got == fraction_reference(oracle, k, mode), (name, k, mode)
+            assert coords_set(profile(oracle, k, mode, EXACT)) == expected, (name, k, mode)
             dense = len(built) > before
-            assert dense == (_orbits(oracle, k, mode) << k >= 1 << oracle.size), (name, k, mode)
-            paths.add(dense)
-    # k = 1 partitions have one orbit, which reads the lazy memo on any ground of 2+ elements
-    assert paths == {True, False}, name
+            assert dense == _rule_reads_table(oracle, _orbits(oracle, k, mode) << k), (name, k, mode)
+            with monkeypatch.context() as m:
+                _pin_rule(m, not dense)
+                assert coords_set(profile(oracle, k, mode, EXACT)) == expected, (name, k, mode, not dense)
+            assert len(built) == before + 1
 
 
 def test_blocked_scan_on_the_empty_ground(monkeypatch):
@@ -1252,6 +1305,7 @@ def test_sampled_complete_graph_profile_makes_few_forest_calls(monkeypatch):
         return real(graph, mask)
 
     monkeypatch.setattr(matroid_module, "spanning_forest", counted)
+    _pin_rule(monkeypatch, False)  # the rule reads K7's rank table here, with no forest at all
     oracle = complete_cycle_oracle(6)
     assert len(profile(oracle, 3, Mode.ANY, Sampled(3, 20000))) == 54
     # one forest per half closure and per distinct closure union, against
@@ -1303,6 +1357,7 @@ SCAN_ORACLES = {
 
 
 def _scan_matches_per_table(build, k, mode, strategy, asked=()):
+    # the memo's keys are the lazy side's: the callers pin the cost rule to it
     oracle, fresh = build(), build()
     got = {tuple(x * oracle.den for x in p.coords[1:]) for p in profile(oracle, k, mode, strategy)}
     assert got == per_table_numerators(fresh, k, mode, strategy), (k, mode, strategy)
@@ -1317,7 +1372,8 @@ def _scan_matches_per_table(build, k, mode, strategy, asked=()):
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_ORACLES))
-def test_sampled_scan_matches_per_table_loop(name):
+def test_sampled_scan_matches_per_table_loop(name, monkeypatch):
+    _pin_rule(monkeypatch, False)
     # no samples, one, two, a perfect square and a square plus one: blocks of
     # isqrt(samples) tables, at least one, around the portfolio's k + 3 (+ 32)
     for samples in (0, 1, 2, 49, 50):
@@ -1340,6 +1396,7 @@ def _record_disjoint_bases(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(set(SCAN_ORACLES) - {"cut:C5"}))
 def test_flats_scan_matches_per_table_loop(name, monkeypatch):
+    _pin_rule(monkeypatch, False)
     asked = _record_disjoint_bases(monkeypatch)
     for k in (1, 2, 3):
         # K5 has 52 flats: its flat triples are too many to test
@@ -1463,3 +1520,97 @@ def test_flats_profile_packs_each_nondecreasing_tuple_once(name, monkeypatch):
                 assert set(packed) == covering, k
             else:
                 assert len(packed) == every, (k, mode)
+
+
+# Differential test of the cost rule's two sides: every strategy and mode on
+# the bundled families at small sizes gives the same points whether the scan
+# reads the dense table or the lazy memo.
+
+SIDE_ORACLES = {
+    "cycle:K4": lambda: complete_cycle_oracle(3),
+    "cycle:K5": lambda: complete_cycle_oracle(4),
+    **{f"ex51({n})": functools.partial(example51_oracle, n) for n in range(1, 8)},
+    "gf(2)^3": lambda: gf_space_oracle(2, 3),
+    "gf(3)^2": lambda: gf_space_oracle(3, 2),
+    "cut:K3(2)": lambda: cut_capacity_oracle(blow_up(SimpleGraph.complete(3), 2)),
+    "wide": _wide_oracle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIDE_ORACLES))
+def test_dense_and_lazy_sides_give_the_same_points(name, monkeypatch):
+    build = SIDE_ORACLES[name]
+    built = _count_dense_tables(monkeypatch)
+    flats = build().matroid is not None and len(build().matroid.flats())
+    for k in (1, 2, 3):
+        for mode in Mode:
+            strategies = [Sampled(13, 400)]
+            if _orbits(build(), k, mode) <= 5000:
+                strategies.append(EXACT)
+            if flats and mode is not Mode.PARTITION and (k < 3 or flats <= 30):
+                strategies.append(FLATS)
+            for strategy in strategies:
+                sides = []
+                for dense in (True, False):
+                    _pin_rule(monkeypatch, dense)
+                    before = len(built)
+                    sides.append(profile(build(), k, mode, strategy))
+                    assert len(built) == before + dense
+                assert sides[0] == sides[1] and sides[0].nums == sides[1].nums, (k, mode, strategy)
+    if name == "wide":
+        assert type(build().numerator_table()) is list
+
+
+# DISJOINT flats feasibility checks the rank sum against the non-loops of the
+# union for every subfamily of two or more flats before matroid union; the
+# reference predicate checked the whole family only.
+
+
+def _whole_family_keep(oracle, k):
+    matroid, n, full = oracle.matroid, oracle.size, oracle.full_mask
+    rank, nonloops = oracle.lookup, full & ~matroid.closure(0)
+    shifts = [(1 << i) * n for i in range(k)]
+
+    def keep(table):
+        parts = tuple([table >> s & full for s in shifts])
+        if sum(map(rank, parts)) > (functools.reduce(int.__or__, parts) & nonloops).bit_count():
+            return False
+        return profiles_module.disjoint_bases(matroid, parts).bases is not None
+
+    return keep
+
+
+def _with_whole_family_keep(monkeypatch):
+    real = profiles_module._flat_tables
+
+    def flat_tables(oracle, k, mode):
+        tables, total, lookups, keep, relabel = real(oracle, k, mode)
+        return tables, total, lookups, keep and _whole_family_keep(oracle, k), relabel
+
+    monkeypatch.setattr(profiles_module, "_flat_tables", flat_tables)
+
+
+@pytest.mark.parametrize("name", ["cycle:K4", "gf(2)^3", "gf(3)^2", "ex51(5)", "K3+gf(2)^2+edge"])
+def test_subfamily_precheck_matches_the_whole_family_check(name, monkeypatch):
+    build = FLAT_PRODUCT_ORACLES[name]
+    calls = _record_disjoint_bases(monkeypatch)
+    for k in (1, 2, 3):
+        calls.clear()
+        got = profile(build(), k, Mode.DISJOINT, FLATS)
+        fewer = len(calls)
+        with monkeypatch.context() as m:
+            _with_whole_family_keep(m)
+            calls.clear()
+            assert profile(build(), k, Mode.DISJOINT, FLATS) == got, k
+        assert fewer <= len(calls), k
+
+
+def test_subfamily_precheck_spares_union_calls(monkeypatch):
+    calls = _record_disjoint_bases(monkeypatch)
+    # the whole-family check let 1,919 triples of gf(2)^4's flats reach matroid union
+    assert len(profile(gf_space_oracle(2, 4), 3, Mode.DISJOINT, FLATS)) == 305
+    assert len(calls) == 139
+    # at k = 2 the only subfamily of two or more is the whole family
+    calls.clear()
+    assert len(profile(gf_space_oracle(2, 4), 2, Mode.DISJOINT, FLATS)) == 33
+    assert len(calls) == 23
