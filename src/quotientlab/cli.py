@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -455,6 +456,10 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             # Random(-s) is seeded as Random(s), so a negative seed would repeat its positive twin
             raise StrategyError(f"--seed must be at least 0, got {args.seed}")
+        # an output path in a missing directory is refused before the work, not after it
+        for path in filter(None, (args.out, getattr(args, "csv_out", None))):
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(f"no directory to write {path} in")
         started = time.perf_counter()
         code = args.fn(args)
     except CapExceededError as exc:

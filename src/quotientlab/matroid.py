@@ -9,30 +9,28 @@ its matroid whose memo is `rank_memo` and whose unchecked lookup is
 mask's coloops and keys the rank memo by the union of the closures of
 two halves of its other elements.
 
-Each class supplies one independence step, `_extender()`: a triple
-(add, undo, key) over one growing independent set B, where add(e) puts e
-into B and returns a token (possibly 0) when B + e is independent, and
+Each class supplies one independence step, `_extender()`: a triple (add,
+undo, key) over one growing independent set B, where add(e) puts e into
+B and returns a token (possibly 0) when B + e is independent, and
 returns None otherwise, undo(token) takes the last added element back
 out, and key(s) names the contraction M/B on the low elements 0..s-1:
 equal keys mean equal ranks r_{M/B}(X) for every X among them.  The
-default step reads independence from `_rank` and has no key (None);
+default step reads independence from `_rank` and has key None;
 linear matroids eliminate one column at a time (over GF(2) against a
 basis keyed by leading bit, otherwise against a stack of normalized
 pivot rows), key by the low columns reduced to zero at every pivot
 position, and their `_rank` counts the columns the step accepts; the
-cycle matroid keeps a union-find by size that it can roll back, and
-keys by the components of B that the low edges' ends lie in.
-Everything else comes from that step (Oxley, *Matroid Theory*, 2nd ed.,
-2011, §1.3-1.4, §3.1): `rank_table`, which exact profiles read, is one
-include/exclude walk over the elements, and `_closure` grows a basis of
-X and adds every element the step refuses.  The walk decides the
-elements above the low s = floor(n/3) first; at each prefix P the
-entries P | X, X in the low block, are r(P) + r_{M/P}(X), so the walk
-goes on over the low elements only for the first P of each key and
-copies a slice of that pattern, shifted by r(P), for every later one.
-Direct sums and restrictions have no key and walk every element.  The
-cycle matroid answers a single rank or closure with `spanning_forest`
-instead, one pass with path halving and one root lookup per node.
+cycle matroid labels each node by the least node of its tree in B and
+keys by the labels of the low edges' ends.  Everything else comes from
+that step (Oxley, *Matroid Theory*, 2nd ed., 2011, §1.3-1.4, §3.1):
+`rank_table`, which exact profiles read, is one include/exclude walk
+over the elements that copies, shifted, the block of masks P | X below a
+prefix P whose key it has met at that level, as r(P | X) = r(P) +
+r_{M/P}(X); `_closure` grows a basis of X and adds every element the
+step refuses.  Direct sums and restrictions have no key and walk every
+element.  The cycle matroid answers a single rank or closure with
+`spanning_forest`, one pass with path halving and one root lookup per
+node.
 
 On top of rank and closure the module provides flat enumeration
 (breadth-first closure extension), the flat-pair richness condition,
@@ -49,7 +47,7 @@ repetition, which preserves normalized ranks when m divides n).
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -68,9 +66,16 @@ from .setfn import (
 )
 
 
+# `rank_table`: bytes per copied slice, so no block holds a second copy of
+# itself; first prefixes stored, about 100 traced bytes each, one per 2^SHIFT
+# entries and at least FLOOR (K6's 2^15 entries use 290)
+_COPY_CHUNK = 1 << 14
+_FIRSTS_FLOOR, _FIRSTS_SHIFT = 512, 9
+_BYTE = [bytes((x,)) for x in range(256)]
+
 # (add, undo, key): one independence step, see the module docstring
 _Step = tuple[
-    Callable[[int], Optional[int]], Callable[[int], None], Optional[Callable[[int], Hashable]]
+    Callable[[int], object], Callable[[object], None], Optional[Callable[[int], Hashable]]
 ]
 
 
@@ -119,9 +124,10 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
 
-    # rank-table entries walked in the time of one lazy lookup.  Python 3.11,
-    # 2-vCPU host: K7's 2^21 entries take 36-40 ms (18 ns each), and a lookup
-    # from the memo 0.6-0.9 us; sampled K7 profiles break even at 35-60.
+    # rank-table entries walked in the time of one lazy lookup, as measured with
+    # one keyed level (K7 18 ns, 0.6-0.9 us).  Every level keyed, per entry and
+    # per lookup of 20,000 random masks (Python 3.11, 2 vCPUs): K7 2.3 ns, 1.4 us;
+    # ex51(25) 1 ns, 0.22 us; gf(4)^2 24 ns, 1.2 us
     TABLE_ENTRIES_PER_MISS = 40
 
     def rank_table(self) -> array:
@@ -130,31 +136,37 @@ class Matroid:
         The walk decides elements from the highest index down and keeps
         one independent set, a basis of the elements included so far,
         through `_extender`: including an element adds it when it can,
-        and backing out undoes that add.  With a contraction key, the
-        low s = floor(n/3) elements are decided last: once the prefix P
-        above them is decided, the entries P | X for X inside the low
-        block are the contiguous slice r(P) + r_{M/P}(X) (Oxley, §3.1),
-        and M/P is named by the step's key.  The first P of a key walks
-        the low elements and stores their contraction ranks as its
-        pattern, one byte each; every later P writes the pattern, shifted
-        by r(P) in one `bytes.translate`, as one slice.  A step without a
-        key walks every element.
+        and backing out undoes that add.  Once the prefix P above element
+        e is decided, its block of entries P | X, X among elements e..0,
+        is r(P) + r_{M/P}(X) (Oxley, §3.1), and key(e + 1) names M/P.  The
+        first P of a key at level e walks on and is stored by its mask; a
+        later one copies that block shifted by r(P) minus its first entry,
+        one `bytes.translate` per `_COPY_CHUNK` bytes.  Past the budget of
+        stored prefixes, keys are still looked up.  A step without a key
+        walks every element.
         """
         add, undo, key = self._extender()
-        low = self.size // 3 if key is not None else 0
-        split, width = low - 1, 1 << low  # the walk reaches element `split` once per prefix
         table = array("B", [0]) * (1 << self.size)  # allocated once, in place; a rank is at most size <= GROUND_SIZE_CAP
         view = memoryview(table)  # a slice of the view takes bytes, which an array slice does not
-        patterns: dict[Hashable, bytes] = {}  # key -> r_{M/P}(X) for X in the low block
-        # d -> the byte map x -> x + d (mod 256), built on first use
-        shift = Memo(lambda d: bytes(range(d, 256)) + bytes(range(d)))
+        firsts = defaultdict(dict)  # level e -> {key(e + 1): its first prefix}
+        room = max(_FIRSTS_FLOOR, len(table) >> _FIRSTS_SHIFT)
+        top = self.size - 1 if key else 0  # keyed levels 0 < e < top: one prefix reaches the top
+        shift = {}  # d -> the byte map x -> x + d (mod 256)
 
         def walk(e: int, mask: SubsetMask, rank: int) -> None:
-            if e == split:
-                minor = key(low)
-                if minor in patterns:
-                    view[mask:mask + width] = patterns[minor].translate(shift[rank])
+            nonlocal room
+            if 0 < e < top:
+                minor = key(e + 1)
+                at = firsts[e].get(minor)
+                if at is not None:
+                    d, step = rank - table[at] & 255, min(2 << e, _COPY_CHUNK)
+                    to = shift.get(d) or shift.setdefault(d, bytes(range(d, 256)) + bytes(range(d)))
+                    for i in range(0, 2 << e, step):
+                        view[mask + i:mask + i + step] = view[at + i:at + i + step].tobytes().translate(to)
                     return
+                if room:
+                    firsts[e][minor] = mask
+                    room -= 1
             if e:
                 walk(e - 1, mask, rank)
                 token = add(e)
@@ -165,8 +177,6 @@ class Matroid:
                 table[mask | 1] = rank if token is None else rank + 1
             if token is not None:
                 undo(token)
-            if e == split:
-                patterns[minor] = view[mask:mask + width].tobytes().translate(shift[-rank % 256])
 
         if self.size:
             walk(self.size - 1, 0, 0)
@@ -262,54 +272,39 @@ class GraphicMatroid(Matroid):
         return spanning_forest(self.graph, mask)[1]
 
     def _extender(self) -> _Step:
-        """A union-find by size over the added edges, without path compression.
+        """A quick-find that rolls back: comp[x] is the least node of x's tree in B.
 
-        An edge joining two trees is added by hanging the smaller root
-        under the larger; that root is the token, and with no compression
-        undoing is one parent reset.  M/B is the cycle matroid of the graph
-        with each tree of B shrunk to a node, so the key numbers the
-        roots of the low edges' ends in order of first appearance.
-        `_rank` and `_closure` keep `spanning_forest`, whose path halving
-        answers one mask faster.
+        Nodes are numbered by first appearance among the edges' ends, so
+        the low edges 0..s-1 touch the first seen[s] nodes.  Adding an edge
+        between two trees relabels the tree of the larger label in one
+        `bytes.replace`; the token is the labels before, which undo
+        restores.  M/B is the cycle matroid with each tree of B shrunk to
+        a node, so the key is the low nodes' labels, one slice of comp.
+        `_rank` and `_closure` keep `spanning_forest`, faster for one mask.
         """
-        edges = self.graph.edges
-        ends = [x for edge in edges for x in edge]
-        parent = list(range(self.graph.node_count))
-        weight = [1] * self.graph.node_count
+        number = {}  # node -> its place among the ends, below 2 * GROUND_SIZE_CAP
+        edges, seen = [], [0]  # seen[s]: how many nodes edges 0..s-1 touch
+        for u, v in self.graph.edges:
+            edges.append((number.setdefault(u, len(number)), number.setdefault(v, len(number))))
+            seen.append(len(number))
+        comp = bytes(range(len(number)))
 
-        def add(e: int) -> Optional[int]:
-            ru, rv = edges[e]
-            while parent[ru] != ru:
-                ru = parent[ru]
-            while parent[rv] != rv:
-                rv = parent[rv]
-            if ru == rv:
+        def add(e: int) -> Optional[bytes]:
+            nonlocal comp
+            u, v = edges[e]
+            a, b = comp[u], comp[v]
+            if a == b:
                 return None
-            if weight[ru] < weight[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            weight[ru] += weight[rv]
-            return rv
+            if a > b:
+                a, b = b, a
+            token, comp = comp, comp.replace(_BYTE[b], _BYTE[a])
+            return token
 
-        def undo(rv: int) -> None:
-            weight[parent[rv]] -= weight[rv]
-            parent[rv] = rv
+        def undo(token: bytes) -> None:
+            nonlocal comp
+            comp = token
 
-        lows: dict[int, list[int]] = {}  # low -> the low edges' ends, each once
-
-        def key(low: int) -> tuple[int, ...]:
-            nodes = lows.get(low)
-            if nodes is None:
-                nodes = lows[low] = list(dict.fromkeys(ends[:2 * low]))
-            labels: dict[int, int] = {}
-            out = []
-            for x in nodes:
-                while parent[x] != x:
-                    x = parent[x]
-                out.append(labels.setdefault(x, len(labels)))
-            return tuple(out)
-
-        return add, undo, key
+        return add, undo, lambda s: comp[:seen[s]]
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
         """The edges whose ends the spanning forest of mask connects: one root lookup per node."""

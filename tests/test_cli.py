@@ -337,6 +337,13 @@ TEXT_FILES = {
     # a range longer than sys.maxsize is never measured with len()
     (["converge", "--family", "example51", "--start", "1", "--end", "99999999999999999999", "--k", "2"],
      3, "cap exceeded: ground set needs 26, cap GROUND_SIZE_CAP=24"),
+    # an output path in a missing directory is refused before the work: `verify all`
+    # would print a progress line per case before a late refusal
+    (["verify", "all", "--out", "missing/x.json"], 2, "usage error: no directory to write missing/x.json in"),
+    (["profile", "--family", "gf-space", "--n", "2", "--out", "missing/x.json"],
+     2, "usage error: no directory to write missing/x.json in"),
+    (["converge", "--family", "gf-space", "--start", "1", "--end", "2", "--csv-out", "missing/m"],
+     2, "usage error: no directory to write missing/m in"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -344,7 +351,8 @@ def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, m
         (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
     for name, text in TEXT_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
-    assert run(args + ["--out", "out.json"]) == code
+    # a row's own --out stands; a second one would override it
+    assert run(args if "--out" in args else args + ["--out", "out.json"]) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), lines
     assert not (tmp_path / "out.json").exists()

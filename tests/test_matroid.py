@@ -586,11 +586,11 @@ def test_linear_closure_matches_rank_definition_on_every_mask(name):
     assert matroid.rank_memo == {0: 0}
 
 
-# A rank table is r(P) + r_{M/P}(X) on each block of masks P | X, X inside the
-# low floor(n/3) elements, so `rank_table` walks the low elements once per
-# distinct contraction key and copies that pattern for every other prefix.
-# The reference below is the walk without blocks: every element in index
-# order, one add per walk call, no key.
+# A rank table is r(P) + r_{M/P}(X) on each block of masks P | X, X among the
+# elements below the prefix P, so `rank_table` walks a block only for the first
+# prefix of each contraction key at its level and copies it, shifted, for every
+# later one.  The reference below is the walk without blocks: every element in
+# index order, one add per walk call, no key.
 
 
 def unblocked_rank_table(matroid):
@@ -673,6 +673,32 @@ def test_blocked_rank_table_of_random_graphs(seed):
     assert_blocked_table(GraphicMatroid(_random_graph(seed)), seed)
 
 
+def test_graphic_key_names_the_partition_of_the_low_ends():
+    """Equal keys exactly when B's trees split the low edges' ends alike, whatever else B joins.
+
+    A key that named anything finer, such as the order the trees were
+    joined in, would still give right tables, only with fewer copied blocks.
+    """
+    from quotientlab.graphs import spanning_forest
+
+    for seed in range(6, 30):
+        graph = _random_graph(seed)
+        matroid = GraphicMatroid(graph)
+        rng = random.Random(seed)
+        for s in range(1, matroid.size + 1):
+            ends = {x for edge in graph.edges[:s] for x in edge}
+            keys = {}  # partition of the low ends -> the keys it was given
+            for _ in range(20):
+                add, _, key = matroid._extender()
+                order = rng.sample(range(matroid.size), rng.randrange(matroid.size + 1))
+                forest = sum(1 << e for e in order if add(e) is not None)
+                find = spanning_forest(graph, forest)[0]
+                partition = frozenset(frozenset(x for x in ends if find(x) == find(y)) for y in ends)
+                keys.setdefault(partition, set()).add(key(s))
+            assert all(len(named) == 1 for named in keys.values())
+            assert len(set.union(*keys.values())) == len(keys)
+
+
 def _columns_with_zero_and_parallels(q, seed):
     """Random columns, a zero column, and nonzero multiples of some of them, shuffled."""
     rng = random.Random(seed)
@@ -713,15 +739,45 @@ def count_adds(monkeypatch, matroid, build):
     return calls, table
 
 
+# how many times fewer adds the blocked walk makes than the plain one, at least:
+# ex51(10) makes 4,309 adds against 262,143 and K7 1,308 against 2,097,151, where
+# a block per key at one split level alone made 50,005 and 40,259
+FEWER_ADDS = {"ex51(10)": 50, "K7": 1000}
+
+
 @pytest.mark.parametrize("name", ["ex51(10)", "K7"])
 def test_blocked_rank_table_makes_under_a_third_of_the_walks_adds(monkeypatch, name):
-    """Work, not time: a silent fall back to the unblocked walk fails this."""
+    """Work, not time: a fall back to the unblocked walk, or to one split level, fails this."""
     matroid = _bundled_matroids()[name]()
     blocked, table = count_adds(monkeypatch, matroid, Matroid.rank_table)
     plain, reference = count_adds(monkeypatch, matroid, unblocked_rank_table)
     assert table == reference
     assert plain == (1 << matroid.size) - 1
-    assert 3 * blocked < plain
+    assert FEWER_ADDS[name] * blocked < plain
+
+
+def _budget_cases():
+    bundled = _bundled_matroids()
+    yield from (bundled[name]() for name in ("K7", "ex51(10)", "gf(4)^2"))
+    yield from (GraphicMatroid(_random_graph(seed)) for seed in range(30))
+    yield from (_columns_with_zero_and_parallels(q, seed) for q in (2, 3, 4) for seed in range(5))
+
+
+def test_rank_table_with_a_full_memo_budget_matches_the_unblocked_walk(monkeypatch):
+    """Past its budget the walk still copies the blocks of stored keys and walks the rest."""
+    from quotientlab import matroid as matroid_module
+
+    extra = []  # adds with the budget full, less adds with the default one
+    for matroid in _budget_cases():
+        roomy, _ = count_adds(monkeypatch, matroid, Matroid.rank_table)
+        with monkeypatch.context() as patch:
+            patch.setattr(matroid_module, "_FIRSTS_FLOOR", 3)
+            patch.setattr(matroid_module, "_FIRSTS_SHIFT", 64)
+            full, table = count_adds(monkeypatch, matroid, Matroid.rank_table)
+        assert table.tobytes() == unblocked_rank_table(matroid).tobytes()
+        extra.append(full - roomy)
+    # K7, ex51(10) and gf(4)^2 meet more keys than three stored prefixes hold
+    assert min(extra[:3]) > 0 and min(extra) >= 0
 
 
 def test_rank_table_is_allocated_in_place():
@@ -737,7 +793,7 @@ def test_rank_table_is_allocated_in_place():
     assert peak < 1.5 * len(table) * table.itemsize
 
 
-def test_rank_table_keeps_one_byte_pattern_per_contraction_key():
+def test_rank_table_memo_of_first_prefixes_stays_within_its_budget():
     matroid = _bundled_matroids()["ex51(10)"]()
     tracemalloc.start()
     try:
@@ -746,14 +802,14 @@ def test_rank_table_keeps_one_byte_pattern_per_contraction_key():
     finally:
         tracemalloc.stop()
     assert len(table) == 1 << 18
-    # each key's pattern as a list of ints, beside a shifted array block per key
-    # and rank, read 1.87x the table's bytes
+    # the first prefix of every key at every level, with no budget, read 2.30x
+    # the table's bytes; the 512 the budget keeps read 1.17x
     assert peak < 1.3 * len(table) * table.itemsize
 
 
 def test_rank_table_leaves_nothing_alive_without_the_cyclic_collector():
     # the walk is a closure that calls itself; as a cycle it would keep the
-    # table, its view and its patterns alive until the collector runs
+    # table, its view and its memo of first prefixes alive until the collector runs
     matroid = _bundled_matroids()["ex51(10)"]()
     gc.collect()
     was_enabled = gc.isenabled()
