@@ -71,7 +71,6 @@ from .setfn import (
 # entries and at least FLOOR (K6's 2^15 entries use 290)
 _COPY_CHUNK = 1 << 14
 _FIRSTS_FLOOR, _FIRSTS_SHIFT = 512, 9
-_BYTE = [bytes((x,)) for x in range(256)]
 
 # (add, undo, key): one independence step, see the module docstring
 _Step = tuple[
@@ -272,24 +271,24 @@ class GraphicMatroid(Matroid):
         return spanning_forest(self.graph, mask)[1]
 
     def _extender(self) -> _Step:
-        """A quick-find that rolls back: comp[x] is the least node of x's tree in B.
+        """A quick-find that rolls back: character x of comp is the least node of x's tree in B.
 
         Nodes are numbered by first appearance among the edges' ends, so
         the low edges 0..s-1 touch the first seen[s] nodes.  Adding an edge
         between two trees relabels the tree of the larger label in one
-        `bytes.replace`; the token is the labels before, which undo
+        `str.replace`; the token is the labels before, which undo
         restores.  M/B is the cycle matroid with each tree of B shrunk to
         a node, so the key is the low nodes' labels, one slice of comp.
         `_rank` and `_closure` keep `spanning_forest`, faster for one mask.
         """
-        number = {}  # node -> its place among the ends, below 2 * GROUND_SIZE_CAP
+        number = {}  # node -> its place among the ends, below 2 * GROUND_SIZE_CAP: ASCII
         edges, seen = [], [0]  # seen[s]: how many nodes edges 0..s-1 touch
         for u, v in self.graph.edges:
             edges.append((number.setdefault(u, len(number)), number.setdefault(v, len(number))))
             seen.append(len(number))
-        comp = bytes(range(len(number)))
+        comp = bytes(range(len(number))).decode()
 
-        def add(e: int) -> Optional[bytes]:
+        def add(e: int) -> Optional[str]:
             nonlocal comp
             u, v = edges[e]
             a, b = comp[u], comp[v]
@@ -297,10 +296,10 @@ class GraphicMatroid(Matroid):
                 return None
             if a > b:
                 a, b = b, a
-            token, comp = comp, comp.replace(_BYTE[b], _BYTE[a])
+            token, comp = comp, comp.replace(b, a)
             return token
 
-        def undo(token: bytes) -> None:
+        def undo(token: str) -> None:
             nonlocal comp
             comp = token
 
