@@ -47,7 +47,7 @@ repetition, which preserves normalized ranks when m divides n).
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
@@ -123,10 +123,10 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
 
-    # rank-table entries walked in the time of one lazy lookup, as measured with
-    # one keyed level (K7 18 ns, 0.6-0.9 us).  Every level keyed, per entry and
-    # per lookup of 20,000 random masks (Python 3.11, 2 vCPUs): K7 2.3 ns, 1.4 us;
-    # ex51(25) 1 ns, 0.22 us; gf(4)^2 24 ns, 1.2 us
+    # rank-table entries walked in the time of one lazy lookup, kept from a walk
+    # keyed at one level so no profile changes side.  Keyed at every level, per
+    # entry and per lookup (20,000 random masks, Python 3.11, 2 vCPUs): K7 2.2 ns,
+    # 1.25 us; ex51(10) 29 ns, 2.7 us; gf(4)^2 21 ns, 1.06 us; gf(2)^4 20 ns, 0.55 us
     TABLE_ENTRIES_PER_MISS = 40
 
     def rank_table(self) -> array:
@@ -147,7 +147,7 @@ class Matroid:
         add, undo, key = self._extender()
         table = array("B", [0]) * (1 << self.size)  # allocated once, in place; a rank is at most size <= GROUND_SIZE_CAP
         view = memoryview(table)  # a slice of the view takes bytes, which an array slice does not
-        firsts = defaultdict(dict)  # level e -> {key(e + 1): its first prefix}
+        firsts = [{} for _ in range(self.size)]  # level e -> {key(e + 1): its first prefix}
         room = max(_FIRSTS_FLOOR, len(table) >> _FIRSTS_SHIFT)
         top = self.size - 1 if key else 0  # keyed levels 0 < e < top: one prefix reaches the top
         shift = {}  # d -> the byte map x -> x + d (mod 256)

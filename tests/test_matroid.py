@@ -740,8 +740,8 @@ def count_adds(monkeypatch, matroid, build):
 
 
 # how many times fewer adds the blocked walk makes than the plain one, at least:
-# ex51(10) makes 4,309 adds against 262,143 and K7 1,308 against 2,097,151, where
-# a block per key at one split level alone made 50,005 and 40,259
+# ex51(10) makes 4,297 adds against 262,143 and K7 1,308 against 2,097,151, where
+# a block per key at one split level alone made 13,356 and 40,259
 FEWER_ADDS = {"ex51(10)": 50, "K7": 1000}
 
 
@@ -803,7 +803,7 @@ def test_rank_table_memo_of_first_prefixes_stays_within_its_budget():
         tracemalloc.stop()
     assert len(table) == 1 << 18
     # the first prefix of every key at every level, with no budget, read 2.30x
-    # the table's bytes; the 512 the budget keeps read 1.17x
+    # the table's bytes; the 512 the budget keeps read 1.18x
     assert peak < 1.3 * len(table) * table.itemsize
 
 
