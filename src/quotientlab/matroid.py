@@ -150,7 +150,7 @@ class Matroid:
         firsts = [{} for _ in range(self.size)]  # level e -> {key(e + 1): its first prefix}
         room = max(_FIRSTS_FLOOR, len(table) >> _FIRSTS_SHIFT)
         top = self.size - 1 if key else 0  # keyed levels 0 < e < top: one prefix reaches the top
-        shift = {}  # d -> the byte map x -> x + d (mod 256)
+        shift = Memo(lambda d: bytes(range(d, 256)) + bytes(range(d)))  # d -> the byte map x -> x + d (mod 256)
 
         def walk(e: int, mask: SubsetMask, rank: int) -> None:
             nonlocal room
@@ -159,9 +159,8 @@ class Matroid:
                 at = firsts[e].get(minor)
                 if at is not None:
                     d, step = rank - table[at] & 255, min(2 << e, _COPY_CHUNK)
-                    to = shift.get(d) or shift.setdefault(d, bytes(range(d, 256)) + bytes(range(d)))
                     for i in range(0, 2 << e, step):
-                        view[mask + i:mask + i + step] = view[at + i:at + i + step].tobytes().translate(to)
+                        view[mask + i:mask + i + step] = view[at + i:at + i + step].tobytes().translate(shift[d])
                     return
                 if room:
                     firsts[e][minor] = mask
