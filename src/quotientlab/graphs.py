@@ -104,44 +104,6 @@ class SimpleGraph:
         return SimpleGraph(self.node_count, kept)
 
 
-def spanning_forest(g: SimpleGraph, edge_mask: SubsetMask) -> tuple[Callable[[int], int], int]:
-    """Union-find over the nodes of g, joined by the edges in edge_mask.
-
-    Returns the root lookup of the resulting forest (two nodes share a
-    root iff they are connected) and the number of merges, which is the
-    rank of edge_mask in the cycle matroid.  The scan stops after
-    node_count - 1 merges: the forest spans the graph by then, so the
-    remaining edges could only close cycles.
-    """
-    parent = list(range(g.node_count))
-    spanning = g.node_count - 1
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    edges = g.edges
-    rest = edge_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u, v = edges[low.bit_length() - 1]
-        # find(u) and find(v) inlined, with the same path halving
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            merges += 1
-            if merges == spanning:
-                break
-    return find, merges
-
-
 def token_rows(text: str) -> list[tuple[int, list[str]]]:
     """(line number, tokens) of every line that is neither blank nor a "#" comment."""
     return [(number, toks) for number, line in enumerate(text.splitlines(), 1)

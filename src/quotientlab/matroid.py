@@ -28,9 +28,8 @@ over the elements that copies, shifted, the block of masks P | X below a
 prefix P whose key it has met at that level, as r(P | X) = r(P) +
 r_{M/P}(X); `_closure` grows a basis of X and adds every element the
 step refuses.  Direct sums and restrictions have no key and walk every
-element.  The cycle matroid answers a single rank or closure with
-`spanning_forest`, one pass with path halving and one root lookup per
-node.
+element.  The cycle matroid answers a single rank or closure with one
+pass of the same labeling over the mask's edges, `_forest`.
 
 On top of rank and closure the module provides flat enumeration
 (breadth-first closure extension), the flat-pair richness condition,
@@ -47,13 +46,13 @@ repetition, which preserves normalized ranks when m divides n).
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
 from .errors import DivisibilityError, check_cap
 from .gfq import field, index_from_vector, vector_from_index
-from .graphs import SimpleGraph, spanning_forest
+from .graphs import SimpleGraph
 from .setfn import (
     Memo,
     QuotientPoint,
@@ -260,36 +259,64 @@ class Matroid:
 
 
 class GraphicMatroid(Matroid):
-    """Cycle matroid of a simple graph; ground set = edges in canonical order."""
+    """Cycle matroid of a simple graph; ground set = edges in canonical order.
+
+    Nodes are numbered once, by first appearance among the edges' ends,
+    so the low edges 0..s-1 touch the first seen[s] nodes.  A labeling
+    is a `str` whose character x is the least number in x's tree: two
+    numbered nodes are connected exactly when their labels agree.
+    Joining two trees replaces the larger label by the smaller, one
+    `str.replace`.  The rank walk's step and the one-shot `_forest`
+    behind `_rank`, `_closure` and the coloring quotient use that rule.
+    """
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
+        number: dict[int, int] = {}  # node -> its number, below 2 * GROUND_SIZE_CAP: ASCII
+        ends, seen = [], [0]  # seen[s]: how many nodes edges 0..s-1 touch
+        for u, v in graph.edges:
+            ends.append((number.setdefault(u, len(number)), number.setdefault(v, len(number))))
+            seen.append(len(number))
+        self._number, self._ends, self._seen = number, ends, seen
+        self._singletons = bytes(range(len(number))).decode()
         super().__init__(len(graph.edges))
 
+    def _forest(self, mask: SubsetMask) -> tuple[str, int]:
+        """(labels, joins) of the forest of mask; joins is its rank.
+
+        The scan stops once the joins reach the numbered nodes less one:
+        the forest is one tree on them, so every other edge closes a cycle.
+        """
+        comp, ends, joins = self._singletons, self._ends, 0
+        spanning = len(comp) - 1
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            u, v = ends[low.bit_length() - 1]
+            a, b = comp[u], comp[v]
+            if a != b:
+                comp = comp.replace(b, a) if a < b else comp.replace(a, b)
+                joins += 1
+                if joins == spanning:
+                    break
+        return comp, joins
+
     def _rank(self, mask: SubsetMask) -> int:
-        return spanning_forest(self.graph, mask)[1]
+        return self._forest(mask)[1]
 
     def _extender(self) -> _Step:
-        """A quick-find that rolls back: character x of comp is the least node of x's tree in B.
+        """A quick-find that rolls back over the labeling, from all singletons.
 
-        Nodes are numbered by first appearance among the edges' ends, so
-        the low edges 0..s-1 touch the first seen[s] nodes.  Adding an edge
-        between two trees relabels the tree of the larger label in one
-        `str.replace`; the token is the labels before, which undo
-        restores.  M/B is the cycle matroid with each tree of B shrunk to
-        a node, so the key is the low nodes' labels, one slice of comp.
-        `_rank` and `_closure` keep `spanning_forest`, faster for one mask.
+        Adding an edge between two trees relabels the tree of the larger
+        label; the token is the labels before, which undo restores.  M/B
+        is the cycle matroid with each tree of B shrunk to a node, so the
+        key is the low nodes' labels, one slice of the labeling.
         """
-        number = {}  # node -> its place among the ends, below 2 * GROUND_SIZE_CAP: ASCII
-        edges, seen = [], [0]  # seen[s]: how many nodes edges 0..s-1 touch
-        for u, v in self.graph.edges:
-            edges.append((number.setdefault(u, len(number)), number.setdefault(v, len(number))))
-            seen.append(len(number))
-        comp = bytes(range(len(number))).decode()
+        ends, seen, comp = self._ends, self._seen, self._singletons
 
         def add(e: int) -> Optional[str]:
             nonlocal comp
-            u, v = edges[e]
+            u, v = ends[e]
             a, b = comp[u], comp[v]
             if a == b:
                 return None
@@ -305,10 +332,9 @@ class GraphicMatroid(Matroid):
         return add, undo, lambda s: comp[:seen[s]]
 
     def _closure(self, mask: SubsetMask) -> SubsetMask:
-        """The edges whose ends the spanning forest of mask connects: one root lookup per node."""
-        find, _ = spanning_forest(self.graph, mask)
-        root = list(map(find, range(self.graph.node_count)))
-        return sum([1 << i for i, (u, v) in enumerate(self.graph.edges) if root[u] == root[v]])
+        """The edges whose ends the forest of mask labels alike."""
+        comp = self._forest(mask)[0]
+        return sum([1 << i for i, (u, v) in enumerate(self._ends) if comp[u] == comp[v]])
 
     def _name(self) -> str:
         return f"cycle[{self.graph.name or self.graph.node_count}]"
@@ -484,14 +510,11 @@ def edge_coloring_quotient(g: SimpleGraph, colors: Sequence[int], num_colors: in
     matroid = GraphicMatroid(g)
     oracle = matroid.normalized_rank_oracle(denominator=g.node_count)
     point = quotient_point(oracle, parts)
-    sizes = []
+    number, sizes = matroid._number, []
     for part in parts:
-        find, _ = spanning_forest(g, part)
-        csize: dict[int, int] = {}
-        for v in range(g.node_count):
-            root = find(v)
-            csize[root] = csize.get(root, 0) + 1
-        sizes.append(tuple(csize[find(v)] for v in range(g.node_count)))
+        comp = matroid._forest(part)[0]
+        size = Counter(comp)  # label -> its tree's node count; a node no edge touches is alone
+        sizes.append(tuple(size[comp[number[x]]] if x in number else 1 for x in range(g.node_count)))
     return EdgeColoringQuotient(point, tuple(sizes))
 
 

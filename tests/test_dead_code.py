@@ -42,6 +42,9 @@ exactly one function named `rank_table`, so no matroid class overrides
 it, and no `_reduce_*` function keeps a second copy of a matroid's
 independence step.  The walk over the prefix elements and the fill of a
 contraction pattern over the low elements are one recursion inside it.
+
+Graphs have one union-find, the cycle matroid's labeling: no function
+of `src/quotientlab/` is named `spanning_forest`, `find` or `union`.
 """
 
 import ast
@@ -308,3 +311,7 @@ def functions_named(predicate):
 def test_one_rank_table_walk_and_no_second_elimination():
     assert functions_named(lambda name: name == "rank_table") == ["matroid.rank_table"]
     assert functions_named(lambda name: name.startswith("_reduce_")) == []
+
+
+def test_one_union_find():
+    assert functions_named(lambda name: name in {"spanning_forest", "find", "union"}) == []

@@ -96,7 +96,8 @@ def same_partition(labels_a, labels_b):
 SPLIT_GRAPH = SimpleGraph.make(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])
 
 
-def test_spanning_forest_matches_plain_union_find():
+def test_graphic_forest_matches_plain_union_find():
+    """The graphic rank and the labels of `_forest`; a node that no edge touches has no label."""
     k5, k7 = SimpleGraph.complete(5), SimpleGraph.complete(7)
     rng = random.Random(8)
     masks = [(g, m) for g in (k5, SPLIT_GRAPH) for m in range(1 << g.edge_count)]
@@ -105,15 +106,19 @@ def test_spanning_forest_matches_plain_union_find():
     m = k7.edge_count
     masks += [(k7, (1 << m) - 1 & ~(rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m)))
               for _ in range(500)]
+    matroids = {g: GraphicMatroid(g) for g in (k5, k7, SPLIT_GRAPH)}
     for g, mask in masks:
-        find, merges = graphs.spanning_forest(g, mask)
+        matroid = matroids[g]
+        comp, joins = matroid._forest(mask)
         plain_merges, labels = plain_components(g, mask)
-        assert merges == plain_merges, (g.name, mask)
-        assert same_partition([find(x) for x in range(g.node_count)], labels), (g.name, mask)
+        assert joins == matroid._rank(mask) == plain_merges, (g.name, mask)
+        number = matroid._number
+        ours = [comp[number[x]] if x in number else x for x in range(g.node_count)]
+        assert same_partition(ours, labels), (g.name, mask)
 
 
 def test_graphic_closure_matches_rank_closure_on_every_mask():
-    """The spanning-forest closure and the one through the union-find step, both against
+    """The labeling's closure and the one through the rank walk's step, both against
     the rank definition cl(X) = X + {e : r(X + e) = r(X)} with forest ranks."""
     from quotientlab.matroid import Matroid
 
@@ -818,6 +823,32 @@ def test_edge_coloring_matches_matroid_quotient():
 def test_edge_coloring_edgeless():
     result = edge_coloring_quotient(SimpleGraph.empty(3), [], 2)
     assert all(c == 0 for c in result.point.coords)
+
+
+def test_edge_coloring_quotient_matches_plain_union_find():
+    """Points and component sizes against `plain_components` on random colorings.
+
+    The graphs have up to two isolated nodes; every fourth has no edges,
+    every fourth one color, and every fourth colors drawn from fewer
+    classes than it has, so some classes are empty.
+    """
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes = rng.randrange(1, 8)
+        density = 0 if seed % 4 == 0 else rng.random()
+        edges = [pair for pair in itertools.combinations(range(nodes), 2) if rng.random() < density]
+        g = SimpleGraph.make(nodes + rng.randrange(3), edges)
+        num_colors = 1 if seed % 4 == 1 else rng.randrange(2, 5)
+        used = num_colors - 1 if seed % 4 == 2 else num_colors
+        colors = [rng.randrange(used) for _ in g.edges]
+        result = edge_coloring_quotient(g, colors, num_colors)
+        parts = [sum(1 << i for i, c in enumerate(colors) if c == color) for color in range(num_colors)]
+        unions = [sum(p for i, p in enumerate(parts) if m >> i & 1) for m in range(1 << num_colors)]
+        assert result.point.coords == tuple(
+            Fraction(plain_components(g, union)[0], g.node_count) for union in unions), seed
+        for part, sizes in zip(parts, result.component_sizes, strict=True):
+            labels = plain_components(g, part)[1]
+            assert sizes == tuple(map(labels.count, labels)), seed
 
 
 def test_parse_and_format_round_trip():

@@ -679,7 +679,7 @@ def test_graphic_key_names_the_partition_of_the_low_ends():
     A key that named anything finer, such as the order the trees were
     joined in, would still give right tables, only with fewer copied blocks.
     """
-    from quotientlab.graphs import spanning_forest
+    from test_graphs import plain_components
 
     for seed in range(6, 30):
         graph = _random_graph(seed)
@@ -692,8 +692,8 @@ def test_graphic_key_names_the_partition_of_the_low_ends():
                 add, _, key = matroid._extender()
                 order = rng.sample(range(matroid.size), rng.randrange(matroid.size + 1))
                 forest = sum(1 << e for e in order if add(e) is not None)
-                find = spanning_forest(graph, forest)[0]
-                partition = frozenset(frozenset(x for x in ends if find(x) == find(y)) for y in ends)
+                labels = plain_components(graph, forest)[1]
+                partition = frozenset(frozenset(x for x in ends if labels[x] == labels[y]) for y in ends)
                 keys.setdefault(partition, set()).add(key(s))
             assert all(len(named) == 1 for named in keys.values())
             assert len(set.union(*keys.values())) == len(keys)

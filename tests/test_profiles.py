@@ -1295,16 +1295,14 @@ def test_lookup_profiles_match_numerator_reference(name):
 
 
 def test_sampled_complete_graph_profile_makes_few_forest_calls(monkeypatch):
-    from quotientlab import matroid as matroid_module
-
     calls = []
-    real = matroid_module.spanning_forest
+    real = GraphicMatroid._forest
 
-    def counted(graph, mask):
+    def counted(matroid, mask):
         calls.append(mask)
-        return real(graph, mask)
+        return real(matroid, mask)
 
-    monkeypatch.setattr(matroid_module, "spanning_forest", counted)
+    monkeypatch.setattr(GraphicMatroid, "_forest", counted)
     _pin_rule(monkeypatch, False)  # the rule reads K7's rank table here, with no forest at all
     oracle = complete_cycle_oracle(6)
     assert len(profile(oracle, 3, Mode.ANY, Sampled(3, 20000))) == 54
@@ -1314,16 +1312,14 @@ def test_sampled_complete_graph_profile_makes_few_forest_calls(monkeypatch):
 
 
 def test_sampled_path_profile_counts_its_coloops(monkeypatch):
-    from quotientlab import matroid as matroid_module
-
     calls = []
-    real = matroid_module.spanning_forest
+    real = GraphicMatroid._forest
 
-    def counted(graph, mask):
+    def counted(matroid, mask):
         calls.append(mask)
-        return real(graph, mask)
+        return real(matroid, mask)
 
-    monkeypatch.setattr(matroid_module, "spanning_forest", counted)
+    monkeypatch.setattr(GraphicMatroid, "_forest", counted)
     oracle = example51_oracle(25)  # a path: all 24 edges are coloops
     profile(oracle, 2, Mode.ANY, Sampled(7, 20000))
     # the lookup counts the coloops, so every union shares the memo's empty key;
