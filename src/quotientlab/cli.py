@@ -456,10 +456,13 @@ def main(argv=None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             # Random(-s) is seeded as Random(s), so a negative seed would repeat its positive twin
             raise StrategyError(f"--seed must be at least 0, got {args.seed}")
-        # an output path in a missing directory is refused before the work, not after it
+        # an output path in a missing directory, or an --out that is a directory, is
+        # refused before the work, not after it (--csv-out is a prefix, not a file)
         for path in filter(None, (args.out, getattr(args, "csv_out", None))):
             if not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(f"no directory to write {path} in")
+        if args.out and os.path.isdir(args.out):
+            raise IsADirectoryError(f"--out {args.out} is a directory")
         started = time.perf_counter()
         code = args.fn(args)
     except CapExceededError as exc:

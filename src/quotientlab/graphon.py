@@ -192,10 +192,3 @@ def parse_step_graphon(text: str) -> StepGraphon:
         values.append(row)
     return StepGraphon(breakpoints, tuple(values))
 
-
-def format_step_graphon(w: StepGraphon) -> str:
-    lines = [str(w.steps)]
-    lines.append(" ".join(str(b) for b in w.breakpoints[1:]))
-    for row in w.values:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

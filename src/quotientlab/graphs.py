@@ -146,12 +146,6 @@ def parse_graph(text: str, name: str = "") -> SimpleGraph:
     return SimpleGraph(n, tuple(sorted(edges)), name)
 
 
-def format_graph(g: SimpleGraph) -> str:
-    lines = [f"{g.node_count} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def blow_up(g: SimpleGraph, t: int) -> SimpleGraph:
     """Replace every node u by t twins; twins of adjacent nodes are fully joined.
 

@@ -31,9 +31,10 @@ step refuses.  Direct sums and restrictions have no key and walk every
 element.  The cycle matroid answers a single rank or closure with one
 pass of the same labeling over the mask's edges, `_forest`.
 
-On top of rank and closure the module provides flat enumeration
-(breadth-first closure extension), the flat-pair richness condition,
-matroid union via augmenting paths with a min-formula certificate
+On top of rank and closure the module provides flat enumeration (a
+walk that closes each cover of each flat once, after checking the 2^rank
+lower bound on the flat count), the flat-pair richness condition, matroid
+union via augmenting paths with a min-formula certificate
 (searched only from elements that are not loops in every matroid, and
 stopped once the union reaches min(their count, sum_i r_i(E))) and its
 brute-force check over rank tables, the quotient of the normalized
@@ -202,22 +203,27 @@ class Matroid:
         return self.closure(mask) == mask
 
     def flats(self) -> tuple[SubsetMask, ...]:
-        """All flats, sorted, found by closing single-element extensions."""
+        """All flats, sorted, each found as a cover of a flat found before it.
+
+        The flats covering F partition E - F (Oxley, §1.4), so closing
+        F + e for the lowest e outside F and outside the covers found so
+        far closes each cover once.  The closures of a basis's subsets
+        are 2^r distinct flats, so that bound is checked before the walk.
+        """
         check_cap("FLAT_GROUND_CAP", self.size, "flat enumeration")
+        check_cap("FLAT_COUNT_CAP", 1 << self.full_rank(), "flat enumeration")
         start = self.closure(0)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for flat in frontier:
-                rest = self.full_mask & ~flat
-                for e in iter_elements(rest):
-                    bigger = self.closure(flat | 1 << e)
-                    if bigger not in seen:
-                        seen.add(bigger)
-                        nxt.append(bigger)
-                        check_cap("FLAT_COUNT_CAP", len(seen), "flat enumeration")
-            frontier = nxt
+        seen, todo = {start}, [start]
+        while todo:
+            flat = todo.pop()
+            rest = self.full_mask & ~flat
+            while rest:
+                cover = self.closure(flat | rest & -rest)
+                rest &= ~cover
+                if cover not in seen:
+                    seen.add(cover)
+                    todo.append(cover)
+                    check_cap("FLAT_COUNT_CAP", len(seen), "flat enumeration")
         return tuple(sorted(seen))
 
     def rank_lookup(self) -> Callable[[SubsetMask], int]:

@@ -100,7 +100,6 @@ from operator import itemgetter
 from random import Random
 from typing import Callable, Iterator, Optional, Sequence
 
-from . import config
 from .errors import CapExceededError, StrategyError, check_cap
 from .matroid import Matroid, check_richness, disjoint_bases
 from .metric import hausdorff
@@ -362,9 +361,7 @@ def _sampled_stream(
             parts[pos % k] |= 1 << e
         yield _pack(parts, n)
     matroid = oracle.matroid
-    # the closures of a basis's 2^rank subsets are distinct flats, so above
-    # the cap flats() could only fail, after enumerating the cap's worth
-    if matroid is not None and mode is Mode.ANY and 1 << matroid.full_rank() <= config.FLAT_COUNT_CAP:
+    if matroid is not None and mode is Mode.ANY:
         try:
             flats = matroid.flats()
         except CapExceededError:

@@ -344,6 +344,10 @@ TEXT_FILES = {
      2, "usage error: no directory to write missing/x.json in"),
     (["converge", "--family", "gf-space", "--start", "1", "--end", "2", "--csv-out", "missing/m"],
      2, "usage error: no directory to write missing/m in"),
+    # an --out that names a directory is refused before the work as well
+    (["verify", "all", "--out", "."], 2, "usage error: --out . is a directory"),
+    (["profile", "--family", "gf-space", "--n", "2", "--out", "."],
+     2, "usage error: --out . is a directory"),
 ])
 def test_bad_input_exit_code_and_one_stderr_line(args, code, prefix, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

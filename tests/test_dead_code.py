@@ -7,6 +7,9 @@ the package `__init__` keep public names alive.  Decorated definitions
 count as used, because the decorator registers them (the suite registry
 in `suites.py`).  A string is a reference only as the first argument of
 a `check_cap(...)` call, which names the cap it reads from `config`.
+A name the package `__init__` does not export must also be referenced
+in `src/` or `bench/`: code that only the tests read is not part of the
+program, so its test goes with it.
 
 Every method or property of a package class, dunders aside, must be
 read as an attribute (`x.name`) somewhere in `src/` or `tests/`.  A
@@ -136,8 +139,8 @@ def _references(tree):
             yield node.name
 
 
-def unreferenced_names():
-    trees = _trees(sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")))
+def unreferenced_names(roots=("src", "tests")):
+    trees = _trees([path for root in roots for path in sorted((ROOT / root).rglob("*.py"))])
     used = {name for tree in trees.values() for name in _references(tree)}
     return sorted(
         f"{path.stem}.{name}"
@@ -235,6 +238,10 @@ def unread_locals():
 
 def test_every_top_level_name_is_referenced():
     assert unreferenced_names() == []
+
+
+def test_every_unexported_name_is_read_outside_the_tests():
+    assert unreferenced_names(("src", "bench")) == []
 
 
 def test_every_method_is_read_as_an_attribute():

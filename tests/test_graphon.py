@@ -21,7 +21,6 @@ from quotientlab import (
     hom_density_step,
     parse_step_graphon,
 )
-from quotientlab.graphon import format_step_graphon
 
 
 def test_constant_graphon_cut():
@@ -177,7 +176,8 @@ def test_parse_format_round_trip():
         (Fraction(0), Fraction(1, 3), Fraction(1)),
         ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(1, 2))),
     )
-    assert parse_step_graphon(format_step_graphon(w)) == w
+    # the step count, the breakpoints after 0, then one row of values per step
+    assert parse_step_graphon("2\n1/3 1\n0 1\n1 1/2\n") == w
 
 
 def test_parse_rejects_asymmetry():

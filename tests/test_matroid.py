@@ -436,13 +436,33 @@ def test_rank_axioms_random_masks():
             assert rx + ry >= m.rank(x & y) + m.rank(x | y)
 
 
+def counted_closures(monkeypatch):
+    """The masks `Matroid.closure` is called with from now on, in call order."""
+    real_closure, masks = Matroid.closure, []
+
+    def counted_closure(matroid, mask):
+        masks.append(mask)
+        return real_closure(matroid, mask)
+
+    monkeypatch.setattr(Matroid, "closure", counted_closure)
+    return masks
+
+
 def test_flat_cap_override_raises(monkeypatch):
     from quotientlab import FlatExplosionError, config
 
+    closures = counted_closures(monkeypatch)
+    space = LinearMatroid.full_space(2, 2)  # rank 2 and 5 flats
+    # 2^2 flats are more than 3: refused before any closure
     monkeypatch.setattr(config, "FLAT_COUNT_CAP", 3)
-    space = LinearMatroid.full_space(2, 3)
-    with pytest.raises(FlatExplosionError):
+    with pytest.raises(FlatExplosionError, match="needs 4, cap FLAT_COUNT_CAP=3"):
         space.flats()
+    assert closures == []
+    # 2^2 is within 4, so the walk starts and refuses its fifth flat
+    monkeypatch.setattr(config, "FLAT_COUNT_CAP", 4)
+    with pytest.raises(FlatExplosionError, match="needs 5, cap FLAT_COUNT_CAP=4"):
+        space.flats()
+    assert closures
 
 
 def test_k_too_large():
@@ -716,6 +736,44 @@ def _columns_with_zero_and_parallels(q, seed):
 @pytest.mark.parametrize("q,seed", [(q, seed) for q in (2, 3, 4) for seed in range(5)])
 def test_blocked_rank_table_of_random_columns(q, seed):
     assert_blocked_table(_columns_with_zero_and_parallels(q, seed), seed)
+
+
+def reference_flats(matroid):
+    """Every mask X with r(X + e) > r(X) for every e outside X, read from the rank table."""
+    t, n = matroid.rank_table(), matroid.size
+    return tuple(x for x in range(len(t)) if all(t[x | 1 << e] > t[x] for e in range(n) if not x >> e & 1))
+
+
+def _flat_walk_matroids():
+    """K5, gf(2)^4, random graphs of up to 12 edges, random GF(2)/GF(3) columns, a sum with a loop and a coloop."""
+    cases = {
+        "K5": lambda: GraphicMatroid(SimpleGraph.complete(5)),
+        "gf(2)^4": lambda: LinearMatroid.full_space(2, 4),
+        "K4 + loop + coloop": lambda: DirectSumMatroid(
+            [GraphicMatroid(SimpleGraph.complete(4)), LinearMatroid(2, [(0,)]), LinearMatroid(2, [(1,)])]
+        ),
+    }
+    for seed in range(20):
+        graph = _random_graph(seed)
+        cases[f"graph {seed}"] = lambda g=graph: GraphicMatroid(SimpleGraph.make(g.node_count, g.edges[:12]))
+    for q, seed in itertools.product((2, 3), range(5)):
+        cases[f"gf({q}) columns {seed}"] = lambda q=q, seed=seed: _columns_with_zero_and_parallels(q, seed)
+    return cases
+
+
+FLAT_WALK_MATROIDS = _flat_walk_matroids()
+
+
+@pytest.mark.parametrize("name", FLAT_WALK_MATROIDS)
+def test_flats_match_the_rank_table_and_close_each_cover_once(name, monkeypatch):
+    """The walk finds the reference flats with one closure per cover pair, plus one for cl(empty set)."""
+    matroid = FLAT_WALK_MATROIDS[name]()
+    expected = reference_flats(matroid)
+    t = matroid.rank_table()
+    covers = sum(f & ~g == 0 and t[g] == t[f] + 1 for f in expected for g in expected)
+    closures = counted_closures(monkeypatch)
+    assert matroid.flats() == expected
+    assert len(closures) == covers + 1
 
 
 def count_adds(monkeypatch, matroid, build):

@@ -1060,6 +1060,8 @@ def test_relabeled_any_profile_at_the_k_cap_on_two_elements():
 
 
 def test_sampled_any_skips_a_flat_portfolio_above_the_flat_cap(monkeypatch):
+    from test_matroid import counted_closures
+
     from quotientlab import FlatExplosionError
 
     real_flats = Matroid.flats
@@ -1073,17 +1075,19 @@ def test_sampled_any_skips_a_flat_portfolio_above_the_flat_cap(monkeypatch):
         calls.append(matroid.size)
         return real_flats(matroid)
 
-    # rank 18: the closures of a basis's subsets are 2^18 distinct flats
+    # rank 18: the closures of a basis's subsets are 2^18 distinct flats, so
+    # flats() refuses before it closes a single set
     oracle = example51_oracle(19)
-    assert 1 << oracle.matroid.full_rank() > config.FLAT_COUNT_CAP
-    strategy = Sampled(1, 10)
-    monkeypatch.setattr(Matroid, "flats", exploding_flats)
-    # a cap of 2^18 lets the portfolio call flats(), which fails as the real one does
     with monkeypatch.context() as patched:
-        patched.setattr(config, "FLAT_COUNT_CAP", 1 << 18)
-        tried = profile(oracle, 2, Mode.ANY, strategy).points
-    assert calls == [18]
-    assert profile(example51_oracle(19), 2, Mode.ANY, strategy).points == tried
+        closures = counted_closures(patched)
+        with pytest.raises(FlatExplosionError, match=r"needs 262144, cap FLAT_COUNT_CAP=100000"):
+            oracle.matroid.flats()
+    assert closures == []
+    # the refusal is caught: the points are those of a flats() that fails at once
+    strategy = Sampled(1, 10)
+    points = profile(oracle, 2, Mode.ANY, strategy).points
+    monkeypatch.setattr(Matroid, "flats", exploding_flats)
+    assert profile(example51_oracle(19), 2, Mode.ANY, strategy).points == points
     assert calls == [18]
     # rank 4: 16 flats, so the portfolio still draws from them
     monkeypatch.setattr(Matroid, "flats", counted_flats)
