@@ -129,7 +129,7 @@ def _echo_params(args, keys) -> dict:
 
 def _profile_csv(pset) -> str:
     header = ",".join(f"I={m}" for m in range(1 << pset.k))
-    return "\n".join([header, *map(",".join, serialize.point_rows(pset))]) + "\n"
+    return "\n".join([header, *serialize.ProfilePoints(pset).lines()]) + "\n"
 
 
 def _emit_profile(args, pset, params) -> None:

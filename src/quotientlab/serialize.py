@@ -1,8 +1,12 @@
 """Report serialization: canonical JSON and CSV with exact rationals.
 
 Rationals are serialized as "num/den" strings (lowest terms, positive
-denominator) next to a float rendering where convenient.  Points are
-sorted before serialization, so identical runs produce identical bytes.
+denominator) next to a float rendering where convenient.  Reports are
+`json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)` text, so
+identical runs produce identical bytes.  A profile's points, the bulk of
+its report, are written by `ProfilePoints` from the sorted int tuples, one
+`str.join` per point, and spliced by `dumps` into the encoder's output
+with the same bytes; `--format csv` joins the same rows with commas.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Sequence
 from . import __version__
 
 FORMAT_VERSION = 1
+INDENT = "  "
 
 
 def ratio_str(num: int, den: int) -> str:
@@ -28,20 +33,44 @@ def frac_str(x: Fraction | int) -> str:
     return ratio_str(x.numerator, x.denominator)
 
 
-def point_rows(pset) -> list[list[str]]:
-    """A profile's points in coordinate order as strings, each distinct numerator formatted once."""
-    rows = sorted(pset.nums)
-    text = {x: ratio_str(x, pset.den) for x in {0}.union(*rows)}
-    return [[text[0], *map(text.__getitem__, row)] for row in rows]
+class ProfilePoints:
+    """A profile's points in coordinate order, each distinct numerator formatted once.
+
+    `text` maps every numerator a point holds, 0 (coordinate 0) included,
+    to its "num/den" string.  `profile_payload` puts the object where the
+    points list goes and `dumps` writes it through its `json` method.
+    """
+
+    def __init__(self, pset) -> None:
+        self.rows = sorted(pset.nums)
+        self.text = {x: ratio_str(x, pset.den) for x in {0}.union(*self.rows)}
+
+    def lines(self, head: str = "", sep: str = ",", tail: str = "", quote: str = "") -> list[str]:
+        """One string per point: head, its cells quoted and joined by sep, then tail."""
+        cells = {x: sep + quote + s + quote for x, s in self.text.items()}
+        first = head + quote + self.text[0] + quote
+        return ["".join([first, *map(cells.__getitem__, row), tail]) for row in self.rows]
+
+    def json(self, margin: str) -> str:
+        """The points list as `json.dumps` writes it on a line indented by margin.
+
+        A "num/den" string holds only digits, "-" and "/", so quoting it needs no escape.
+        """
+        if not self.rows:
+            return "[]"
+        row = "\n" + margin + INDENT
+        cell = row + INDENT
+        points = self.lines("[" + cell, "," + cell, row + "]", '"')
+        return "[" + row + ("," + row).join(points) + "\n" + margin + "]"
 
 
 def profile_payload(pset) -> dict:
-    nums, den = pset.nums, pset.den
-    # coordinate 0 of every point is 0, so it takes part in the extremes
+    points = ProfilePoints(pset)
+    text = points.text  # holds every numerator, 0 included, and den > 0: the extremes are its end keys
     summary = {
-        "count": len(nums),
-        "coord_min": ratio_str(min(0, min(map(min, nums))), den) if nums else None,
-        "coord_max": ratio_str(max(0, max(map(max, nums))), den) if nums else None,
+        "count": len(points.rows),
+        "coord_min": text[min(text)] if points.rows else None,
+        "coord_max": text[max(text)] if points.rows else None,
     }
     return {
         "format": "profile-set",
@@ -51,7 +80,7 @@ def profile_payload(pset) -> dict:
         "strategy": pset.strategy,
         "source": pset.source,
         "summary": summary,
-        "points": point_rows(pset),
+        "points": points,
     }
 
 
@@ -90,7 +119,31 @@ def report(command: str, params: dict, results: dict) -> dict:
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The payload as canonical JSON text, `ProfilePoints` values written by their own `json`.
+
+    The encoder asks `default` for a value it cannot write just before it
+    yields that value's chunk, so the chunk after each call is the one to
+    replace: no placeholder text is searched for, and none can collide
+    with a string of the report.  No string chunk holds a raw newline, so
+    the last chunk with one ends in the margin of the line being written.
+    """
+    pending: list[ProfilePoints] = []
+
+    def default(o):
+        if not isinstance(o, ProfilePoints):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        pending.append(o)
+        return ""
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=INDENT, ensure_ascii=False, default=default)
+    out: list[str] = []
+    for chunk in encoder.iterencode(payload):
+        if pending:
+            line = next((c for c in reversed(out) if "\n" in c), "")
+            chunk = pending.pop().json(line.rpartition("\n")[2])
+        out.append(chunk)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_text(path: str | None, text: str) -> None:
